@@ -30,7 +30,6 @@ from .scores import (
     label_injection,
     rsa,
     taxonomical_distance,
-    transference_ratio,
 )
 from .tasks import (
     TaskSpec,
@@ -75,5 +74,4 @@ __all__ = [
     "score_cost",
     "score_cost_expression",
     "taxonomical_distance",
-    "transference_ratio",
 ]

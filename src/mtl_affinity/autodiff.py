@@ -1,10 +1,10 @@
 """Dense float64 tensors with reverse-mode differentiation on an explicit tape.
 
-Just enough machinery for small MLPs: matrix products, elementwise
-arithmetic, ReLU, last-dimension concatenation, the two losses, and plain
-SGD. Operations record nodes on the currently active :class:`Tape` (opened
-as a context manager) whenever an input requires gradients; :func:`backward`
-replays the tape once in reverse.
+Just enough machinery for small MLPs: matrix products, elementwise sum and
+product, ReLU, the two losses, and plain SGD. Operations record nodes on
+the currently active :class:`Tape` (opened as a context manager) whenever
+an input requires gradients; :func:`backward` replays the tape once in
+reverse.
 
 A tape and the tensors recorded on it belong to one thread; independent
 tapes may run concurrently.
@@ -23,10 +23,8 @@ __all__ = [
     "GradientError",
     "matmul",
     "add",
-    "sub",
     "mul",
     "relu",
-    "concat_last_dim",
     "mse_loss",
     "softmax_cross_entropy",
     "backward",
@@ -67,10 +65,6 @@ class Tensor:
         if self.data.size != 1:
             raise GradientError(f"item() needs a single-element tensor, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        """A copy that shares no graph history (data is copied)."""
-        return Tensor(self.data.copy())
 
     def __repr__(self) -> str:
         flag = ", requires_grad=True" if self.requires_grad else ""
@@ -179,18 +173,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _record((a, b), a.data + b.data, backward_fn)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_tensor(a, "a")
-    _check_tensor(b, "b")
-    _elementwise_shapes(a, b, "sub")
-    a_grad, b_grad = a.requires_grad, b.requires_grad
-
-    def backward_fn(g: np.ndarray):
-        return (g if a_grad else None, -g if b_grad else None)
-
-    return _record((a, b), a.data - b.data, backward_fn)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _check_tensor(a, "a")
     _check_tensor(b, "b")
@@ -214,22 +196,6 @@ def relu(a: Tensor) -> Tensor:
         return (g * mask if a_grad else None,)
 
     return _record((a,), np.where(mask, a.data, 0.0), backward_fn)
-
-
-def concat_last_dim(a: Tensor, b: Tensor) -> Tensor:
-    """Concatenate along the final dimension; leading dimensions must match."""
-    _check_tensor(a, "a")
-    _check_tensor(b, "b")
-    if a.data.ndim != b.data.ndim or a.shape[:-1] != b.shape[:-1]:
-        raise ValueError(f"concat_last_dim: leading dims differ, {a.shape} vs {b.shape}")
-    split = a.shape[-1]
-    a_grad, b_grad = a.requires_grad, b.requires_grad
-
-    def backward_fn(g: np.ndarray):
-        return (g[..., :split] if a_grad else None,
-                g[..., split:] if b_grad else None)
-
-    return _record((a, b), np.concatenate([a.data, b.data], axis=-1), backward_fn)
 
 
 def mse_loss(pred: Tensor, target: Tensor) -> Tensor:

@@ -116,34 +116,6 @@ class GainMatrix(TaskMatrix):
             out.set(*key, v)
         return out
 
-    @classmethod
-    def from_csv(cls, path, unit: str = "") -> "GainMatrix":
-        from pathlib import Path
-        return cls.from_csv_text(Path(path).read_text(encoding="utf-8"), unit)
-
-    def to_json_dict(self) -> dict:
-        rows = [[None if w == t or not self.has(w, t) else self.get(w, t)
-                 for t in self.tasks] for w in self.tasks]
-        return {"unit": self.unit, "with": list(self.tasks), "rows": rows}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "GainMatrix":
-        try:
-            unit = payload["unit"]
-            tasks = payload["with"]
-            rows = payload["rows"]
-        except (KeyError, TypeError) as exc:
-            raise MatrixFormatError(f"gain JSON needs unit/with/rows: {exc}") from exc
-        out = cls(tasks, unit=unit)
-        for w, row in zip(out.tasks, rows):
-            for t, v in zip(out.tasks, row):
-                if w == t:
-                    if v is not None:
-                        raise MatrixFormatError(f"diagonal for {t!r} must be null")
-                elif v is not None:
-                    out.set(w, t, v)
-        return out
-
 
 def _check_aligned(gain: TaskMatrix, score: TaskMatrix) -> tuple[str, ...]:
     if tuple(gain.tasks) != tuple(score.tasks):
@@ -162,9 +134,6 @@ class Level1Result:
     per_target: Mapping[str, float]
     pooled: float
 
-    def to_json_dict(self) -> dict:
-        return {"per_target": dict(self.per_target), "pooled": self.pooled}
-
 
 @dataclass(frozen=True)
 class Level2Result:
@@ -173,10 +142,6 @@ class Level2Result:
     per_target: Mapping[str, float]
     mean: float
     variant: str = "b"
-
-    def to_json_dict(self) -> dict:
-        return {"per_target": dict(self.per_target), "mean": self.mean,
-                "variant": self.variant}
 
 
 @dataclass(frozen=True)
@@ -200,18 +165,10 @@ class Level3Selection:
     def tie(self) -> bool:
         return len(self.tied) > 1
 
-    def to_json_dict(self) -> dict:
-        return {"target": self.target, "selected": self.selected,
-                "tied": list(self.tied), "true_best": self.true_best,
-                "delta": self.delta, "delta_tied_mean": self.delta_tied_mean}
-
 
 @dataclass(frozen=True)
 class Level3Result:
     per_target: Mapping[str, Level3Selection]
-
-    def to_json_dict(self) -> dict:
-        return {t: s.to_json_dict() for t, s in self.per_target.items()}
 
 
 @dataclass(frozen=True)
@@ -223,15 +180,6 @@ class EvaluationReport:
     level1: Level1Result
     level2: Level2Result
     level3: Level3Result
-
-    def to_json_dict(self) -> dict:
-        return {
-            "score_kind": self.score_kind,
-            "tasks": list(self.tasks),
-            "level1": self.level1.to_json_dict(),
-            "level2": self.level2.to_json_dict(),
-            "level3": self.level3.to_json_dict(),
-        }
 
 
 def _columns(gain: TaskMatrix, score: TaskMatrix, target: str) -> tuple[list, list]:

@@ -1,4 +1,4 @@
-"""Pairwise task matrices and their CSV / JSON interchange formats.
+"""Pairwise task matrices and their CSV interchange format.
 
 A :class:`TaskMatrix` stores one number per ordered pair of distinct
 tasks. Rows are the partner task (the "with" task), columns the target:
@@ -15,8 +15,6 @@ from __future__ import annotations
 
 import csv
 import io
-import json
-from pathlib import Path
 from typing import Iterable, Mapping
 
 import numpy as np
@@ -104,10 +102,6 @@ class TaskMatrix:
             out[self.tasks.index(w), self.tasks.index(t)] = v
         return out
 
-    def map(self, fn) -> "TaskMatrix":
-        """A new matrix with fn applied to every stored cell."""
-        return TaskMatrix(self.tasks, {k: fn(v) for k, v in self._cells.items()})
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, TaskMatrix):
             return NotImplemented
@@ -131,9 +125,6 @@ class TaskMatrix:
                     row.append("" if (w, t) not in self._cells else repr(self._cells[(w, t)]))
             writer.writerow(row)
         return buf.getvalue()
-
-    def to_csv(self, path: str | Path) -> None:
-        Path(path).write_text(self.to_csv_text(), encoding="utf-8")
 
     @classmethod
     def from_csv_text(cls, text: str) -> "TaskMatrix":
@@ -169,36 +160,3 @@ class TaskMatrix:
         if row_labels != list(tasks):
             raise MatrixFormatError(f"row order {row_labels} must match header order {list(tasks)}")
         return matrix
-
-    @classmethod
-    def from_csv(cls, path: str | Path) -> "TaskMatrix":
-        return cls.from_csv_text(Path(path).read_text(encoding="utf-8"))
-
-    # --- JSON ---
-
-    def to_json_dict(self) -> dict:
-        return {
-            "tasks": list(self.tasks),
-            "cells": {w: {t: self._cells[(w, t)] for t in self.tasks if (w, t) in self._cells}
-                      for w in self.tasks},
-        }
-
-    def to_json(self, path: str | Path) -> None:
-        Path(path).write_text(json.dumps(self.to_json_dict(), indent=2) + "\n", encoding="utf-8")
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "TaskMatrix":
-        try:
-            tasks = payload["tasks"]
-            cells = payload["cells"]
-        except (KeyError, TypeError) as exc:
-            raise MatrixFormatError(f"matrix JSON needs 'tasks' and 'cells': {exc}") from exc
-        matrix = cls(tasks)
-        for w, row in cells.items():
-            for t, v in row.items():
-                matrix.set(w, t, v)
-        return matrix
-
-    @classmethod
-    def from_json(cls, path: str | Path) -> "TaskMatrix":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))

@@ -9,23 +9,22 @@ Three model families, all sharing one dense+ReLU backbone shape:
   original input concatenated with an encoding of task ``b``'s label.
 
 Training is plain minibatch SGD with an exponentially decaying learning
-rate. Every epoch the trainer records full train/validation losses and a
-parameter snapshot, and for MTL runs the two per-epoch quantities the
-gradient-based scores are built from: the cosine between the two tasks'
-backbone gradients, and the look-ahead losses after a simulated one-step
-backbone update on the partner's loss alone. Both are measured on one
-fixed evaluation batch so traces are deterministic.
+rate. Every epoch the trainer records full train/validation losses, and
+for MTL runs the two per-epoch quantities the gradient-based scores are
+built from: the cosine between the two tasks' backbone gradients, and the
+look-ahead losses after a simulated one-step backbone update on the
+partner's loss alone. Both come from the same two backbone gradients,
+measured on one fixed evaluation batch so traces are deterministic.
 
 The returned model carries the parameters of the epoch with the lowest
 validation loss (combined loss for MTL; ties go to the earliest epoch).
+The trainer keeps a copy of only that epoch's parameters.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from dataclasses import dataclass, field
-from pathlib import Path
+from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -48,9 +47,6 @@ __all__ = [
     "train_stl",
     "train_mtl",
     "train_injected",
-    "save_checkpoint",
-    "load_checkpoint",
-    "checkpoint_filename",
 ]
 
 
@@ -123,7 +119,6 @@ class TrainTrace:
     best_epoch: int
     gs_cosine: list[float] | None = None
     lookahead: dict[str, list[tuple[float, float]]] | None = None
-    param_snapshots: list[dict[str, np.ndarray]] = field(default_factory=list, repr=False)
 
     @property
     def epochs(self) -> int:
@@ -207,7 +202,7 @@ def _task_loss(pred: ad.Tensor, spec: TaskSpec, labels: np.ndarray) -> ad.Tensor
 
 
 class _ModelBase:
-    """Shared plumbing: parameter access, loss evaluation, checkpoints."""
+    """Shared plumbing: parameter access, snapshots, loss evaluation."""
 
     backbone: _LayerStack
     config: BackboneConfig
@@ -333,12 +328,6 @@ class MTLModel(_ModelBase):
                 return s
         raise KeyError(f"model serves {self.pair}, not {task!r}")
 
-    def combined_loss_graph(self, inputs: ad.Tensor,
-                            labels: Mapping[str, np.ndarray]) -> ad.Tensor:
-        la = self.task_loss_graph(self.spec_a.name, inputs, labels[self.spec_a.name])
-        lb = self.task_loss_graph(self.spec_b.name, inputs, labels[self.spec_b.name])
-        return ad.add(la, lb)
-
 
 class InjectedSTLModel(_ModelBase):
     """STL for a target task over inputs extended with a partner's label."""
@@ -445,31 +434,37 @@ def _backbone_grad_flat(model: _ModelBase, task: str, inputs: np.ndarray,
     return flat
 
 
-def _lookahead_losses(model: MTLModel, target: str, partner: str, lr: float,
-                      inputs: np.ndarray, labels: Mapping[str, np.ndarray]) -> tuple[float, float]:
-    """Target-task eval loss before/after one backbone-only step on the partner loss."""
-    pre = model.task_loss_value(target, inputs, labels[target])
-    grad = _backbone_grad_flat(model, partner, inputs, labels[partner])
-    saved = [p.data.copy() for p in model.backbone_params()]
-    offset = 0
-    for p in model.backbone_params():
-        p.data = p.data - lr * grad[offset:offset + p.data.size].reshape(p.data.shape)
-        offset += p.data.size
-    post = model.task_loss_value(target, inputs, labels[target])
-    for p, s in zip(model.backbone_params(), saved):
-        p.data = s
-    return pre, post
+def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
+                 labels: Mapping[str, np.ndarray],
+                 ) -> tuple[float, dict[str, tuple[float, float]]]:
+    """The GS cosine and both look-ahead directions from one gradient per task.
 
-
-def _gs_cosine(model: MTLModel, inputs: np.ndarray,
-               labels: Mapping[str, np.ndarray]) -> float:
+    Returns the cosine between the two tasks' backbone gradients, and per
+    target task its evaluation loss before and after one backbone-only SGD
+    step on the partner's loss, as (pre, post). The backbone is restored
+    afterwards.
+    """
     a, b = model.pair
-    ga = _backbone_grad_flat(model, a, inputs, labels[a])
-    gb = _backbone_grad_flat(model, b, inputs, labels[b])
-    na, nb = np.linalg.norm(ga), np.linalg.norm(gb)
+    grads = {t: _backbone_grad_flat(model, t, inputs, labels[t]) for t in (a, b)}
+    na, nb = np.linalg.norm(grads[a]), np.linalg.norm(grads[b])
     if na == 0.0 or nb == 0.0:
-        return 0.0  # no shared descent direction to speak of
-    return float(np.clip(ga @ gb / (na * nb), -1.0, 1.0))
+        cosine = 0.0  # no shared descent direction to speak of
+    else:
+        cosine = float(np.clip(grads[a] @ grads[b] / (na * nb), -1.0, 1.0))
+
+    params = model.backbone_params()
+    saved = [p.data for p in params]
+    lookahead = {}
+    for target, partner in ((a, b), (b, a)):
+        pre = model.task_loss_value(target, inputs, labels[target])
+        offset = 0
+        for p, s in zip(params, saved):
+            p.data = s - lr * grads[partner][offset:offset + s.size].reshape(s.shape)
+            offset += s.size
+        lookahead[target] = (pre, model.task_loss_value(target, inputs, labels[target]))
+        for p, s in zip(params, saved):
+            p.data = s
+    return cosine, lookahead
 
 
 def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset,
@@ -514,20 +509,19 @@ def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset
         trace.train_loss.append(epoch_train)
         trace.val_loss.append(epoch_val)
         trace.combined_val.append(sum(epoch_val.values()))
-        trace.param_snapshots.append(model.snapshot())
+        # Strictly lower, so the earliest epoch wins ties.
+        if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
+            trace.best_epoch = epoch
+            best_params = model.snapshot()
 
         if record_pair_quantities:
             assert isinstance(model, MTLModel)
-            trace.gs_cosine.append(_gs_cosine(model, eval_inputs, eval_labels))
-            a, b = model.pair
-            trace.lookahead[a].append(
-                _lookahead_losses(model, a, b, lr, eval_inputs, eval_labels))
-            trace.lookahead[b].append(
-                _lookahead_losses(model, b, a, lr, eval_inputs, eval_labels))
+            cosine, lookahead = _pair_probes(model, lr, eval_inputs, eval_labels)
+            trace.gs_cosine.append(cosine)
+            for target, pair in lookahead.items():
+                trace.lookahead[target].append(pair)
 
-    best = min(range(cfg.epochs), key=lambda e: (trace.combined_val[e], e))
-    trace.best_epoch = best
-    model.set_params(trace.param_snapshots[best])
+    model.set_params(best_params)
     return trace
 
 
@@ -587,21 +581,3 @@ def train_injected(target: TaskSpec, partner: TaskSpec, dataset: MultiTaskDatase
                           injected_view.labels, record_pair_quantities=False)
     return model, trace
 
-
-# --- checkpoint I/O ---
-
-
-def checkpoint_filename(kind: str, tasks: Sequence[str], seed: int, epoch: int) -> str:
-    return f"{kind}_{'+'.join(tasks)}_seed{seed}_epoch{epoch:03d}.json"
-
-
-def save_checkpoint(params: Mapping[str, np.ndarray], path: str | Path) -> None:
-    payload = {name: {"shape": list(arr.shape), "data": np.asarray(arr).ravel().tolist()}
-               for name, arr in params.items()}
-    Path(path).write_text(json.dumps(payload) + "\n", encoding="utf-8")
-
-
-def load_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    return {name: np.asarray(entry["data"], dtype=np.float64).reshape(entry["shape"])
-            for name, entry in payload.items()}

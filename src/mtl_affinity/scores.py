@@ -39,7 +39,6 @@ from .tasks import TaxonomyDistances
 
 __all__ = [
     "SCORE_KINDS",
-    "SYMMETRIC_KINDS",
     "ScoreValue",
     "DegenerateScoreError",
     "MatrixAssemblyError",
@@ -52,7 +51,6 @@ __all__ = [
     "label_injection",
     "gradient_similarity",
     "gradient_transference",
-    "transference_ratio",
     "assemble_matrix",
 ]
 
@@ -60,7 +58,6 @@ __all__ = [
 SCORE_KINDS: dict[str, bool] = {
     "TD": True, "IAS": True, "RSA": True, "LI": False, "GS": True, "GT": False,
 }
-SYMMETRIC_KINDS = frozenset(k for k, sym in SCORE_KINDS.items() if sym)
 
 
 class DegenerateScoreError(ValueError):
@@ -120,39 +117,6 @@ class AffinityMatrix(TaskMatrix):
         out = cls(score_kind, plain.tasks)
         for key, v in plain._cells.items():
             out.set(*key, v)
-        return out
-
-    @classmethod
-    def from_csv(cls, path, score_kind: str = "") -> "AffinityMatrix":
-        from pathlib import Path
-        return cls.from_csv_text(Path(path).read_text(encoding="utf-8"), score_kind)
-
-    def to_json_dict(self) -> dict:
-        rows = [[None if w == t or not self.has(w, t) else self.get(w, t)
-                 for t in self.tasks] for w in self.tasks]
-        return {"score_kind": self.score_kind, "symmetric": self.symmetric,
-                "with": list(self.tasks), "rows": rows}
-
-    @classmethod
-    def from_json_dict(cls, payload: Mapping) -> "AffinityMatrix":
-        try:
-            kind = payload["score_kind"]
-            tasks = payload["with"]
-            rows = payload["rows"]
-        except (KeyError, TypeError) as exc:
-            raise ValueError(f"affinity JSON needs score_kind/with/rows: {exc}") from exc
-        out = cls(kind, tasks)
-        if len(rows) != len(out.tasks):
-            raise ValueError(f"expected {len(out.tasks)} rows, got {len(rows)}")
-        for w, row in zip(out.tasks, rows):
-            if len(row) != len(out.tasks):
-                raise ValueError(f"row for {w!r} has {len(row)} cells")
-            for t, v in zip(out.tasks, row):
-                if w == t:
-                    if v is not None:
-                        raise ValueError(f"diagonal for {t!r} must be null")
-                elif v is not None:
-                    out.set(w, t, v)
         return out
 
 
@@ -293,11 +257,6 @@ def gradient_transference(trace: TrainTrace, target: str) -> ScoreValue:
         raise DegenerateScoreError(
             f"all {len(pairs)} epochs had zero pre-update loss for {target!r}")
     return ScoreValue(float(np.mean(values)), skipped=skipped, used=len(values))
-
-
-def transference_ratio(trace: TrainTrace, target: str) -> float:
-    """The bare look-ahead loss ratio, averaged over epochs: 1 - GT score."""
-    return 1.0 - gradient_transference(trace, target)
 
 
 def assemble_matrix(score_kind: str, tasks: Sequence[str],

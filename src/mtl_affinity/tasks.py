@@ -6,8 +6,8 @@ the ``overlap`` parameter slides those subsets from pairwise disjoint
 (overlap 0) to identical (overlap 1), which is what lets property tests
 assert "more shared structure means higher affinity".
 
-Also here: deriving new tasks by remapping an existing task's labels, and
-loading user-supplied taxonomy distance matrices.
+Also here: loading user-supplied taxonomy distance matrices, and saving
+and loading a suite as files.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -26,14 +26,10 @@ from .seeding import DATASET, substream
 __all__ = [
     "TaskSpec",
     "LatentOrigin",
-    "DerivedOrigin",
     "MultiTaskDataset",
     "TaskSuite",
     "TaxonomyDistances",
-    "LabelMapError",
     "generate_latent_factor_suite",
-    "derive_task",
-    "with_derived_task",
     "load_taxonomy_distances",
     "save_dataset",
     "load_dataset",
@@ -44,10 +40,6 @@ SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 
 
-class LabelMapError(ValueError):
-    """A label map is not total on (or valid for) the parent's label domain."""
-
-
 @dataclass(frozen=True)
 class LatentOrigin:
     """How a suite task was built: which latent dims, what readout."""
@@ -56,16 +48,6 @@ class LatentOrigin:
     nonlinear: bool
     noise_std: float
 
-    def weight_array(self) -> np.ndarray:
-        return np.asarray(self.weights, dtype=np.float64)
-
-
-@dataclass(frozen=True)
-class DerivedOrigin:
-    """A task defined by remapping another task's class labels."""
-    parent: str
-    label_table: Mapping[int, int]
-
 
 @dataclass(frozen=True)
 class TaskSpec:
@@ -73,7 +55,7 @@ class TaskSpec:
     kind: str
     output_dim: int
     loss_kind: str = ""
-    origin: LatentOrigin | DerivedOrigin | None = None
+    origin: LatentOrigin | None = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -95,9 +77,6 @@ class TaskSpec:
                            "weights": [list(r) for r in self.origin.weights],
                            "nonlinear": self.origin.nonlinear,
                            "noise_std": self.origin.noise_std}
-        elif isinstance(self.origin, DerivedOrigin):
-            d["origin"] = {"type": "derived", "parent": self.origin.parent,
-                           "label_table": {str(k): v for k, v in self.origin.label_table.items()}}
         else:
             d["origin"] = None
         return d
@@ -111,9 +90,6 @@ class TaskSpec:
                 origin = LatentOrigin(tuple(o["latent_dims"]),
                                       tuple(tuple(r) for r in o["weights"]),
                                       bool(o["nonlinear"]), float(o["noise_std"]))
-            elif o["type"] == "derived":
-                origin = DerivedOrigin(o["parent"],
-                                       {int(k): int(v) for k, v in o["label_table"].items()})
             else:
                 raise ValueError(f"unknown origin type {o['type']!r}")
         return cls(d["name"], d["kind"], int(d["output_dim"]), d["loss_kind"], origin)
@@ -163,12 +139,6 @@ class MultiTaskDataset:
 class TaskSuite(NamedTuple):
     specs: tuple[TaskSpec, ...]
     dataset: MultiTaskDataset
-
-    def spec(self, name: str) -> TaskSpec:
-        for s in self.specs:
-            if s.name == name:
-                return s
-        raise KeyError(f"no task named {name!r}; have {[s.name for s in self.specs]}")
 
 
 def _split_indices(n: int) -> dict[str, np.ndarray]:
@@ -282,54 +252,6 @@ def generate_latent_factor_suite(
 
     dataset = MultiTaskDataset(inputs, labels, _split_indices(n_examples), seed)
     return TaskSuite(tuple(specs), dataset)
-
-
-def derive_task(parent: TaskSpec, label_map: Callable[[int], int], name: str) -> TaskSpec:
-    """A new classification task whose label is ``label_map(parent label)``.
-
-    The map is evaluated over the parent's whole label domain up front and
-    stored as a table, so the spec stays serializable and totality is
-    checked once.
-
-    Raises:
-        LabelMapError: the parent is not a classification task, or the map
-            is undefined / non-integer / negative somewhere on its domain.
-    """
-    if parent.kind != "classification":
-        raise LabelMapError(
-            f"derive_task needs a classification parent (finite label domain); "
-            f"{parent.name!r} is {parent.kind}")
-    table: dict[int, int] = {}
-    for label in range(parent.output_dim):
-        try:
-            mapped = label_map(label)
-        except Exception as exc:
-            raise LabelMapError(f"label map undefined for parent label {label}: {exc}") from exc
-        if mapped is None or mapped != int(mapped) or int(mapped) < 0:
-            raise LabelMapError(f"label map must return a non-negative integer, "
-                                f"got {mapped!r} for label {label}")
-        table[label] = int(mapped)
-    out_dim = max(2, max(table.values()) + 1)
-    return TaskSpec(name, "classification", out_dim, origin=DerivedOrigin(parent.name, table))
-
-
-def with_derived_task(dataset: MultiTaskDataset, spec: TaskSpec) -> MultiTaskDataset:
-    """A new dataset extended with the derived task's materialized labels."""
-    if not isinstance(spec.origin, DerivedOrigin):
-        raise ValueError(f"{spec.name!r} is not a derived task")
-    if spec.name in dataset.labels:
-        raise ValueError(f"dataset already has a task named {spec.name!r}")
-    parent_labels = dataset.labels.get(spec.origin.parent)
-    if parent_labels is None:
-        raise LabelMapError(f"parent task {spec.origin.parent!r} is not in the dataset")
-    table = spec.origin.label_table
-    try:
-        mapped = np.array([table[int(v)] for v in parent_labels], dtype=np.int64)
-    except KeyError as exc:
-        raise LabelMapError(f"label map undefined for observed label {exc.args[0]}") from exc
-    labels = dict(dataset.labels)
-    labels[spec.name] = mapped
-    return MultiTaskDataset(dataset.inputs, labels, dataset.splits, dataset.seed)
 
 
 @dataclass(frozen=True, eq=False)

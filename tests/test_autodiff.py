@@ -127,18 +127,6 @@ def test_no_general_broadcasting():
         ad.mul(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones(3)))
 
 
-def test_concat_last_dim_routes_gradients():
-    a = ad.Tensor(np.ones((2, 2)), requires_grad=True)
-    b = ad.Tensor(np.ones((2, 3)), requires_grad=True)
-    with ad.Tape():
-        out = ad.concat_last_dim(a, b)
-        target = ad.Tensor(np.zeros((2, 5)))
-        ad.backward(ad.mse_loss(out, target))
-    assert a.grad.shape == (2, 2)
-    assert b.grad.shape == (2, 3)
-    np.testing.assert_allclose(a.grad, 2.0 / 10.0 * np.ones((2, 2)))
-
-
 def test_backward_requires_scalar_root():
     x = ad.Tensor(np.ones(3), requires_grad=True)
     with ad.Tape():

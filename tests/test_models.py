@@ -148,21 +148,29 @@ def test_train_stl_deterministic():
         np.testing.assert_array_equal(v, runs[1][0].snapshot()[k])
 
 
+def val_loss(model, dataset, tasks):
+    """The combined validation loss the trainer records, recomputed from a model."""
+    idx = dataset.splits["val"]
+    return sum(model.task_loss_value(t, dataset.inputs[idx], dataset.labels[t][idx])
+               for t in tasks)
+
+
 def test_train_stl_single_epoch_uses_that_snapshot():
     s = suite()
     model, trace = m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(epochs=1))
     assert trace.epochs == 1
     assert trace.best_epoch == 0
-    for k, v in model.snapshot().items():
-        np.testing.assert_array_equal(v, trace.param_snapshots[0][k])
+    assert val_loss(model, s.dataset, ["task0"]) == trace.combined_val[0]
 
 
 def test_train_stl_best_epoch_minimizes_val():
     s = suite()
-    _, trace = m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(epochs=6))
+    model, trace = m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(epochs=12))
     best = trace.best_epoch
+    assert 0 < best < trace.epochs - 1  # so the returned model is a restored one
     assert all(trace.combined_val[best] <= v for v in trace.combined_val)
     assert not any(v < trace.combined_val[best] for v in trace.combined_val[:best])
+    assert val_loss(model, s.dataset, ["task0"]) == trace.combined_val[best]
 
 
 def test_train_stl_missing_task():
@@ -227,19 +235,17 @@ def test_train_mtl_recorded_quantities_recomputable_from_snapshot():
     cfg = quick_cfg(epochs=3)
     model, trace = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, cfg)
 
-    epoch = 1
+    epoch = trace.best_epoch
     fresh = m.MTLModel.init(s.specs[0], s.specs[1], BACKBONE, np.random.default_rng(99))
-    fresh.set_params(trace.param_snapshots[epoch])
+    fresh.set_params(model.snapshot())
     eval_idx = s.dataset.splits["test"][:cfg.eval_batch_size]
     eval_inputs = s.dataset.inputs[eval_idx]
     eval_labels = {t: s.dataset.labels[t][eval_idx] for t in ("task0", "task1")}
 
-    cos = m._gs_cosine(fresh, eval_inputs, eval_labels)
+    cos, lookahead = m._pair_probes(fresh, cfg.lr_at(epoch), eval_inputs, eval_labels)
     assert cos == pytest.approx(trace.gs_cosine[epoch], abs=1e-12)
-
-    pre, post = m._lookahead_losses(fresh, "task0", "task1", cfg.lr_at(epoch),
-                                    eval_inputs, eval_labels)
-    assert (pre, post) == pytest.approx(trace.lookahead["task0"][epoch], abs=1e-12)
+    for t in ("task0", "task1"):
+        assert lookahead[t] == pytest.approx(trace.lookahead[t][epoch], abs=1e-12)
 
 
 def test_train_mtl_rejects_same_name_pair():
@@ -294,19 +300,7 @@ def test_encode_labels_shapes_and_validation():
     assert m.encode_labels(reg, np.array([0.5, 1.5])).shape == (2, 1)
 
 
-# --- checkpoints ---
-
-
-def test_checkpoint_roundtrip(tmp_path):
-    s = suite()
-    model, trace = m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(epochs=2))
-    name = m.checkpoint_filename("stl", ["task0"], 5, trace.best_epoch)
-    assert name == f"stl_task0_seed5_epoch{trace.best_epoch:03d}.json"
-    path = tmp_path / name
-    m.save_checkpoint(model.snapshot(), path)
-    loaded = m.load_checkpoint(path)
-    for k, v in model.snapshot().items():
-        np.testing.assert_array_equal(loaded[k], v)
+# --- parameter snapshots ---
 
 
 def test_set_params_validates_keys_and_shapes():

@@ -237,7 +237,6 @@ def test_gradient_transference_means_and_conventions():
     t = trace_with(lookahead={"a": [(1.0, 1.0), (2.0, 1.0)]})
     got = scores.gradient_transference(t, "a")
     assert got == pytest.approx(0.25)  # epochs contribute 0.0 and 0.5
-    assert scores.transference_ratio(t, "a") == pytest.approx(0.75)
     unchanged = trace_with(lookahead={"a": [(3.0, 3.0)]})
     assert scores.gradient_transference(unchanged, "a") == 0.0
     halved = trace_with(lookahead={"a": [(2.0, 1.0), (4.0, 2.0)]})
@@ -359,15 +358,6 @@ def test_affinity_matrix_symmetric_set_guard():
     with pytest.raises(ValueError, match="symmetric"):
         m.set("b", "a", 0.25)
     m.set("b", "a", 0.5)  # agreeing mirror value is fine
-
-
-def test_affinity_matrix_json_roundtrip_with_null_diagonal():
-    m = scores.assemble_matrix("LI", ["a", "b"], {("a", "b"): 0.1, ("b", "a"): -0.2})
-    payload = m.to_json_dict()
-    assert payload["rows"][0][0] is None
-    assert payload["score_kind"] == "LI"
-    back = scores.AffinityMatrix.from_json_dict(payload)
-    assert back == m
 
 
 def test_affinity_matrix_csv_needs_kind():

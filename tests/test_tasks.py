@@ -1,4 +1,4 @@
-"""Synthetic suite generation, derived tasks, taxonomy loading, dataset I/O."""
+"""Synthetic suite generation, taxonomy loading, dataset I/O."""
 
 import numpy as np
 import pytest
@@ -6,16 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtl_affinity.tasks import (
-    DerivedOrigin,
-    LabelMapError,
     LatentOrigin,
     TaskSpec,
-    derive_task,
     generate_latent_factor_suite,
     load_dataset,
     load_taxonomy_distances,
     save_dataset,
-    with_derived_task,
 )
 
 
@@ -103,59 +99,6 @@ def test_taskspec_validation():
         TaskSpec("t", "classification", 3, loss_kind="mse")
     assert TaskSpec("t", "regression", 1).loss_kind == "mse"
     assert TaskSpec("t", "classification", 2).loss_kind == "cross_entropy"
-
-
-def ten_class_parent():
-    return TaskSpec("digits", "classification", 10)
-
-
-def test_derive_task_mod2():
-    spec = derive_task(ten_class_parent(), lambda c: c % 2, "parity")
-    assert spec.output_dim == 2
-    assert spec.kind == "classification"
-    assert spec.origin == DerivedOrigin("digits", {c: c % 2 for c in range(10)})
-
-
-def test_derive_task_identity_and_constant():
-    ident = derive_task(ten_class_parent(), lambda c: c, "copy")
-    assert ident.output_dim == 10
-    const = derive_task(ten_class_parent(), lambda c: 0, "always0")
-    assert const.output_dim == 2  # classification floor
-
-
-def test_derive_task_rejects_partial_or_bad_maps():
-    with pytest.raises(LabelMapError):
-        derive_task(ten_class_parent(), lambda c: {0: 0}[c], "partial")
-    with pytest.raises(LabelMapError):
-        derive_task(ten_class_parent(), lambda c: c / 2, "fractional")
-    with pytest.raises(LabelMapError):
-        derive_task(ten_class_parent(), lambda c: -1, "negative")
-    with pytest.raises(LabelMapError):
-        derive_task(TaskSpec("r", "regression", 1), lambda c: c, "fromreg")
-
-
-def test_with_derived_task_materializes_labels():
-    suite = small_suite(kinds=["classification", "classification", "classification"],
-                        n_classes=4)
-    parent = suite.spec("task1")
-    spec = derive_task(parent, lambda c: c % 2, "parity")
-    ds = with_derived_task(suite.dataset, spec)
-    np.testing.assert_array_equal(ds.labels["parity"], ds.labels["task1"] % 2)
-    assert "parity" not in suite.dataset.labels  # original untouched
-
-
-def test_with_derived_task_identity_copies_parent():
-    suite = small_suite(kinds=["classification"] * 3)
-    parent = suite.spec("task0")
-    ds = with_derived_task(suite.dataset, derive_task(parent, lambda c: c, "twin"))
-    np.testing.assert_array_equal(ds.labels["twin"], ds.labels["task0"])
-
-
-def test_with_derived_task_missing_parent():
-    suite = small_suite()
-    spec = TaskSpec("x", "classification", 2, origin=DerivedOrigin("ghost", {0: 0, 1: 1}))
-    with pytest.raises(LabelMapError, match="ghost"):
-        with_derived_task(suite.dataset, spec)
 
 
 TAXONOMY_OK = """task,A,B,C
