@@ -246,10 +246,11 @@ class _SeedRun:
 
         self.mtl: dict[tuple[str, str], object] = {}
         self.mtl_trace: dict[tuple[str, str], TrainTrace] = {}
+        probes = "GS" in config.scores or "GT" in config.scores
         for a, b in _pairs(self.names):
             model, trace = _train(f"mtl/{a}/{b}", train_mtl,
                                   (self.specs[a], self.specs[b]),
-                                  self.dataset, self.full, self.cfg)
+                                  self.dataset, self.full, self.cfg, probes)
             self.mtl[(a, b)] = model
             self.mtl_trace[(a, b)] = trace
 

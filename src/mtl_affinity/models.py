@@ -8,13 +8,16 @@ Three model families, all sharing one dense+ReLU backbone shape:
 * label-injected STL: an STL model for task ``a`` whose input is the
   original input concatenated with an encoding of task ``b``'s label.
 
-Training is plain minibatch SGD with an exponentially decaying learning
-rate. Every epoch the trainer records full train/validation losses, and
-for MTL runs the two per-epoch quantities the gradient-based scores are
-built from: the cosine between the two tasks' backbone gradients, and the
-look-ahead losses after a simulated one-step backbone update on the
-partner's loss alone. Both come from the same two backbone gradients,
-measured on one fixed evaluation batch so traces are deterministic.
+Parameters are plain float64 ndarrays; every loss and gradient comes from
+the explicit kernel in :mod:`autodiff`. Training is plain minibatch SGD
+with an exponentially decaying learning rate, one ``ad.backward`` and one
+``ad.sgd_step`` per step. Every epoch the trainer records full
+train/validation losses and, for MTL runs that ask for them, the two
+per-epoch quantities the gradient-based scores are built from: the cosine
+between the two tasks' backbone gradients, and the look-ahead losses after
+a simulated one-step backbone update on the partner's loss alone. Both
+come from the same two backbone gradients, measured on one fixed
+evaluation batch so traces are deterministic.
 
 The returned model carries the parameters of the epoch with the lowest
 validation loss (combined loss for MTL; ties go to the earliest epoch).
@@ -25,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import partial
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -135,9 +139,12 @@ class TrainTrace:
 
 
 class _LayerStack:
-    """Dense layers with ReLU between them; the final layer stays linear."""
+    """Dense layers with ReLU between them; the final layer stays linear.
 
-    def __init__(self, weights: list[ad.Tensor], biases: list[ad.Tensor], prefix: str):
+    A head is a stack of one layer.
+    """
+
+    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], prefix: str):
         self.weights = weights
         self.biases = biases
         self.prefix = prefix
@@ -148,28 +155,18 @@ class _LayerStack:
         # He initialization: N(0, sqrt(2 / fan_in)) weights, zero biases.
         ws, bs = [], []
         for fan_in, fan_out in widths:
-            ws.append(ad.Tensor(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out)),
-                                requires_grad=True))
-            bs.append(ad.Tensor(np.zeros(fan_out), requires_grad=True))
+            ws.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out)))
+            bs.append(np.zeros(fan_out))
         return cls(ws, bs, prefix)
 
     def copy_params_from(self, other: "_LayerStack") -> None:
-        for mine, theirs in zip(self.weights + self.biases, other.weights + other.biases):
-            mine.data = theirs.data.copy()
+        for mine, theirs in zip(self.params(), other.params()):
+            mine[...] = theirs
 
-    def forward(self, x: ad.Tensor) -> ad.Tensor:
-        out = x
-        last = len(self.weights) - 1
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            out = ad.add(ad.matmul(out, w), b)
-            if i != last:
-                out = ad.relu(out)
-        return out
-
-    def params(self) -> list[ad.Tensor]:
+    def params(self) -> list[np.ndarray]:
         return [*self.weights, *self.biases]
 
-    def named_params(self) -> dict[str, ad.Tensor]:
+    def named_params(self) -> dict[str, np.ndarray]:
         named = {}
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
             named[f"{self.prefix}.w{i}"] = w
@@ -178,9 +175,6 @@ class _LayerStack:
 
     def multiply_add_count(self) -> int:
         return sum(w.shape[0] * w.shape[1] for w in self.weights)
-
-    def shapes(self) -> list[tuple[int, int]]:
-        return [w.shape for w in self.weights]
 
 
 def encode_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
@@ -195,14 +189,8 @@ def encode_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels, dtype=np.float64).reshape(len(labels), -1)
 
 
-def _task_loss(pred: ad.Tensor, spec: TaskSpec, labels: np.ndarray) -> ad.Tensor:
-    if spec.kind == "classification":
-        return ad.softmax_cross_entropy(pred, np.asarray(labels).reshape(-1))
-    return ad.mse_loss(pred, ad.Tensor(np.asarray(labels, dtype=np.float64)))
-
-
 class _ModelBase:
-    """Shared plumbing: parameter access, snapshots, loss evaluation."""
+    """Shared plumbing: parameter access, snapshots, losses and gradients."""
 
     backbone: _LayerStack
     config: BackboneConfig
@@ -213,16 +201,14 @@ class _ModelBase:
     def _spec(self, task: str) -> TaskSpec:
         raise NotImplementedError
 
-    def params(self) -> list[ad.Tensor]:
+    def params(self) -> list[np.ndarray]:
+        """Every parameter, in the order of ``ad.Gradients.params``."""
         out = self.backbone.params()
         for head in self._heads().values():
             out.extend(head.params())
         return out
 
-    def backbone_params(self) -> list[ad.Tensor]:
-        return self.backbone.params()
-
-    def named_params(self) -> dict[str, ad.Tensor]:
+    def named_params(self) -> dict[str, np.ndarray]:
         named = self.backbone.named_params()
         for head in self._heads().values():
             named.update(head.named_params())
@@ -232,27 +218,46 @@ class _ModelBase:
         named = self.named_params()
         if set(named) != set(snapshot):
             raise ValueError(f"snapshot keys {sorted(snapshot)} != model keys {sorted(named)}")
-        for name, tensor in named.items():
-            if tensor.data.shape != snapshot[name].shape:
+        for name, param in named.items():
+            if param.shape != snapshot[name].shape:
                 raise ValueError(f"shape mismatch for {name}")
-            tensor.data = np.array(snapshot[name], dtype=np.float64)
+        for name, param in named.items():
+            param[...] = snapshot[name]
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: t.data.copy() for name, t in self.named_params().items()}
+        return {name: p.copy() for name, p in self.named_params().items()}
+
+    def _kernel_heads(self, labels: Mapping[str, np.ndarray]) -> list[ad.Head]:
+        """One kernel head per task in ``labels``, scored by that task's loss."""
+        heads = []
+        for task, y in labels.items():
+            head = self._heads()[task]
+            if self._spec(task).kind == "classification":
+                loss = partial(ad.softmax_cross_entropy, class_index=np.asarray(y).reshape(-1))
+            else:
+                loss = partial(ad.mse_loss, target=np.asarray(y, dtype=np.float64))
+            heads.append(ad.Head(head.weights[0], head.biases[0], loss))
+        return heads
 
     def latent(self, inputs: np.ndarray) -> np.ndarray:
-        """Backbone output for raw inputs, no gradient tracking."""
-        return self.backbone.forward(ad.Tensor(inputs)).data
+        """Backbone output for raw inputs."""
+        return ad.forward(self.backbone.weights, self.backbone.biases, inputs)
 
-    def task_prediction(self, task: str, inputs: ad.Tensor) -> ad.Tensor:
-        return self._heads()[task].forward(self.backbone.forward(inputs))
-
-    def task_loss_graph(self, task: str, inputs: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
-        """Loss node for one task; caller controls the tape and the input tensor."""
-        return _task_loss(self.task_prediction(task, inputs), self._spec(task), labels)
+    def task_losses(self, inputs: np.ndarray,
+                    labels: Mapping[str, np.ndarray]) -> dict[str, float]:
+        """Each named task's loss on one batch, from one backbone pass."""
+        values = ad.losses(self.backbone.weights, self.backbone.biases,
+                           self._kernel_heads(labels), inputs)
+        return dict(zip(labels, values))
 
     def task_loss_value(self, task: str, inputs: np.ndarray, labels: np.ndarray) -> float:
-        return self.task_loss_graph(task, ad.Tensor(inputs), labels).item()
+        return self.task_losses(inputs, {task: labels})[task]
+
+    def gradients(self, inputs: np.ndarray, labels: Mapping[str, np.ndarray],
+                  input_grad: bool = False) -> ad.Gradients:
+        """Losses and gradients of the summed losses of the named tasks."""
+        return ad.backward(self.backbone.weights, self.backbone.biases,
+                           self._kernel_heads(labels), inputs, input_grad=input_grad)
 
 
 class STLModel(_ModelBase):
@@ -278,9 +283,6 @@ class STLModel(_ModelBase):
         if task != self.spec.name:
             raise KeyError(f"model serves {self.spec.name!r}, not {task!r}")
         return self.spec
-
-    def loss_graph(self, inputs: ad.Tensor, labels: np.ndarray) -> ad.Tensor:
-        return self.task_loss_graph(self.spec.name, inputs, labels)
 
     def loss_value(self, inputs: np.ndarray, labels: np.ndarray) -> float:
         return self.task_loss_value(self.spec.name, inputs, labels)
@@ -421,19 +423,6 @@ def _eval_batch(dataset: MultiTaskDataset, size: int) -> np.ndarray:
     return test_idx[:min(size, len(test_idx))]
 
 
-def _backbone_grad_flat(model: _ModelBase, task: str, inputs: np.ndarray,
-                        labels: np.ndarray) -> np.ndarray:
-    ad.zero_grads(model.params())
-    with ad.Tape():
-        loss = model.task_loss_graph(task, ad.Tensor(inputs), labels)
-        ad.backward(loss)
-    flat = np.concatenate([
-        (np.zeros_like(p.data) if p.grad is None else p.grad).ravel()
-        for p in model.backbone_params()])
-    ad.zero_grads(model.params())
-    return flat
-
-
 def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
                  labels: Mapping[str, np.ndarray],
                  ) -> tuple[float, dict[str, tuple[float, float]]]:
@@ -441,29 +430,27 @@ def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
 
     Returns the cosine between the two tasks' backbone gradients, and per
     target task its evaluation loss before and after one backbone-only SGD
-    step on the partner's loss, as (pre, post). The backbone is restored
-    afterwards.
+    step on the partner's loss, as (pre, post). The "pre" loss is the one
+    the gradient pass returns. The model's parameters are not changed.
     """
     a, b = model.pair
-    grads = {t: _backbone_grad_flat(model, t, inputs, labels[t]) for t in (a, b)}
-    na, nb = np.linalg.norm(grads[a]), np.linalg.norm(grads[b])
+    grads = {t: model.gradients(inputs, {t: labels[t]}) for t in (a, b)}
+    flat = {t: np.concatenate([g.ravel() for g in grads[t].backbone()]) for t in (a, b)}
+    na, nb = np.linalg.norm(flat[a]), np.linalg.norm(flat[b])
     if na == 0.0 or nb == 0.0:
         cosine = 0.0  # no shared descent direction to speak of
     else:
-        cosine = float(np.clip(grads[a] @ grads[b] / (na * nb), -1.0, 1.0))
+        cosine = float(np.clip(flat[a] @ flat[b] / (na * nb), -1.0, 1.0))
 
-    params = model.backbone_params()
-    saved = [p.data for p in params]
+    weights, biases = model.backbone.weights, model.backbone.biases
     lookahead = {}
     for target, partner in ((a, b), (b, a)):
-        pre = model.task_loss_value(target, inputs, labels[target])
-        offset = 0
-        for p, s in zip(params, saved):
-            p.data = s - lr * grads[partner][offset:offset + s.size].reshape(s.shape)
-            offset += s.size
-        lookahead[target] = (pre, model.task_loss_value(target, inputs, labels[target]))
-        for p, s in zip(params, saved):
-            p.data = s
+        step = grads[partner]
+        moved_w = [w - lr * g for w, g in zip(weights, step.weights)]
+        moved_b = [v - lr * g for v, g in zip(biases, step.biases)]
+        [post] = ad.losses(moved_w, moved_b, model._kernel_heads({target: labels[target]}),
+                           inputs)
+        lookahead[target] = (grads[target].losses[0], post)
     return cosine, lookahead
 
 
@@ -480,8 +467,7 @@ def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset
     eval_labels = {t: labels_for[t][eval_idx] for t in tasks}
 
     def split_loss(idx: np.ndarray) -> dict[str, float]:
-        x = dataset.inputs[idx]
-        return {t: model.task_loss_value(t, x, labels_for[t][idx]) for t in tasks}
+        return model.task_losses(dataset.inputs[idx], {t: labels_for[t][idx] for t in tasks})
 
     trace = TrainTrace(train_loss=[], val_loss=[], combined_val=[], best_epoch=0)
     if record_pair_quantities:
@@ -492,15 +478,9 @@ def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset
         lr = cfg.lr_at(epoch)
         for batch in _epoch_batches(batch_rng, len(train_idx), cfg.batch_size):
             idx = train_idx[batch]
-            x = ad.Tensor(dataset.inputs[idx])
-            with ad.Tape():
-                losses = [model.task_loss_graph(t, x, labels_for[t][idx]) for t in tasks]
-                total = losses[0]
-                for extra in losses[1:]:
-                    total = ad.add(total, extra)
-                _check_finite(total.item(), epoch)
-                ad.backward(total)
-            ad.sgd_step(model.params(), lr)
+            grads = model.gradients(dataset.inputs[idx], {t: labels_for[t][idx] for t in tasks})
+            _check_finite(sum(grads.losses), epoch)
+            ad.sgd_step(model.params(), grads.params(), lr)
 
         epoch_train = split_loss(train_idx)
         epoch_val = split_loss(val_idx)
@@ -543,19 +523,22 @@ def train_stl(task: TaskSpec, dataset: MultiTaskDataset, backbone: BackboneConfi
 
 
 def train_mtl(pair: tuple[TaskSpec, TaskSpec], dataset: MultiTaskDataset,
-              backbone: BackboneConfig, cfg: TrainConfig) -> tuple[MTLModel, TrainTrace]:
+              backbone: BackboneConfig, cfg: TrainConfig,
+              probes: bool = True) -> tuple[MTLModel, TrainTrace]:
     """Train both tasks on a shared backbone, minimizing the plain loss sum.
 
-    The trace additionally carries, per epoch and measured on the fixed
-    evaluation batch: the backbone-gradient cosine between the tasks, and
-    look-ahead (pre, post) losses per direction.
+    With ``probes`` the trace additionally carries, per epoch and measured
+    on the fixed evaluation batch: the backbone-gradient cosine between the
+    tasks, and look-ahead (pre, post) losses per direction. Probes change
+    no parameter and draw no random numbers, so the trained model is the
+    same either way.
     """
     spec_a, spec_b = pair
     _require_tasks(dataset, [spec_a.name, spec_b.name])
     key = f"mtl/{spec_a.name}/{spec_b.name}"
     model = MTLModel.init(spec_a, spec_b, backbone, model_stream(cfg.seed, INIT, key))
     trace = _run_training(model, [spec_a.name, spec_b.name], dataset, cfg, key,
-                          dataset.labels, record_pair_quantities=True)
+                          dataset.labels, record_pair_quantities=probes)
     return model, trace
 
 

@@ -31,7 +31,6 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
 from .matrices import TaskMatrix
 from .models import STLModel, TrainTrace
 from .stats import spearman
@@ -132,11 +131,8 @@ def input_x_gradient(model: STLModel, inputs: np.ndarray, labels: np.ndarray) ->
     scales every row by the same positive constant relative to per-example
     losses; direction-based uses (cosines, zero checks) are unaffected.
     """
-    x = ad.Tensor(np.asarray(inputs, dtype=np.float64), requires_grad=True)
-    with ad.Tape():
-        loss = model.loss_graph(x, labels)
-        ad.backward(loss)
-    return x.data * x.grad
+    x = np.asarray(inputs, dtype=np.float64)
+    return x * model.gradients(x, {model.spec.name: labels}, input_grad=True).inputs
 
 
 def input_attribution_similarity(

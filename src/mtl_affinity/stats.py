@@ -58,15 +58,15 @@ def rankdata(values: Sequence[float]) -> np.ndarray:
         raise ValueError(f"values must be 1-D, got shape {va.shape}")
     if not np.all(np.isfinite(va)):
         raise ValueError("values must be finite")
+    n = va.shape[0]
     order = np.argsort(va, kind="stable")
-    ranks = np.empty(va.shape[0], dtype=np.float64)
-    i = 0
-    while i < va.shape[0]:
-        j = i
-        while j + 1 < va.shape[0] and va[order[j + 1]] == va[order[i]]:
-            j += 1
-        ranks[order[i:j + 1]] = (i + j) / 2.0 + 1.0
-        i = j + 1
+    ranked = va[order]
+    # Tie groups are the runs of equal values in sorted order; positions
+    # start..end of a group all get the rank (start + end) / 2 + 1.
+    first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
+    last = np.append(first[1:], n) - 1
+    ranks = np.empty(n, dtype=np.float64)
+    ranks[order] = np.repeat((first + last) / 2.0 + 1.0, last - first + 1)
     return ranks
 
 

@@ -9,6 +9,7 @@ real code paths end to end.
 import dataclasses
 import math
 import time
+from functools import partial
 
 import numpy as np
 import pytest
@@ -131,11 +132,14 @@ def test_criterion_2_cost_model():
 # --- criterion 3: gradient checks ---------------------------------------------
 
 def _random_mlp_case(rng: np.random.Generator):
-    """A random ReLU MLP loss plus its parameter tensors.
+    """A random MLP as a backbone, an identity head with its loss, and an input batch.
 
-    Depth and widths stay within 3 hidden layers and width 32. The fixed
-    suite seed keeps every preactivation away from the ReLU kink at the
-    finite-difference step size, so central differences are exact to O(h^2).
+    The drawn layers d_in -> hidden... -> d_out are all backbone, with a
+    ReLU after every hidden layer and a linear last layer; the identity
+    head passes that output to the loss unchanged. Depth and widths stay
+    within 3 hidden layers and width 32. The fixed suite seed keeps every
+    preactivation away from the ReLU kink at the finite-difference step
+    size, so central differences are exact to O(h^2).
     """
     d_in = int(rng.integers(1, 9))
     batch = int(rng.integers(2, 7))
@@ -143,49 +147,36 @@ def _random_mlp_case(rng: np.random.Generator):
     classify = bool(rng.integers(0, 2))
     d_out = int(rng.integers(2, 6)) if classify else int(rng.integers(1, 4))
 
-    params: list[ad.Tensor] = []
+    params: list[np.ndarray] = []
     for fan_in, fan_out in zip([d_in, *hidden], [*hidden, d_out]):
-        params.append(ad.Tensor(rng.normal(0.0, 0.5, (fan_in, fan_out)),
-                                requires_grad=True))
-        params.append(ad.Tensor(rng.normal(0.0, 0.1, fan_out), requires_grad=True))
+        params.append(rng.normal(0.0, 0.5, (fan_in, fan_out)))
+        params.append(rng.normal(0.0, 0.1, fan_out))
     inputs = rng.normal(0.0, 1.0, (batch, d_in))
     if classify:
-        target = rng.integers(0, d_out, batch)
+        loss = partial(ad.softmax_cross_entropy, class_index=rng.integers(0, d_out, batch))
     else:
-        target = rng.normal(0.0, 1.0, (batch, d_out))
-
-    def loss() -> ad.Tensor:
-        h = ad.Tensor(inputs)
-        for i in range(0, len(params) - 2, 2):
-            h = ad.relu(ad.add(ad.matmul(h, params[i]), params[i + 1]))
-        out = ad.add(ad.matmul(h, params[-2]), params[-1])
-        if classify:
-            return ad.softmax_cross_entropy(out, target)
-        return ad.mse_loss(out, ad.Tensor(target))
-
-    return loss, params
+        loss = partial(ad.mse_loss, target=rng.normal(0.0, 1.0, (batch, d_out)))
+    head = ad.Head(np.eye(d_out), np.zeros(d_out), loss)
+    return params[0::2], params[1::2], head, inputs
 
 
 def test_criterion_3_gradient_checks():
     rng = np.random.default_rng(31)
     started = time.monotonic()
     for case in range(100):
-        loss, params = _random_mlp_case(rng)
-        ad.zero_grads(params)
-        with ad.Tape():
-            ad.backward(loss())
-        for p in params:
-            original = p.data
+        weights, biases, head, inputs = _random_mlp_case(rng)
+        grads = ad.backward(weights, biases, [head], inputs, input_grad=True)
 
-            def loss_at(values: np.ndarray) -> float:
-                p.data = values
-                return loss().data.item()
+        def loss(_) -> float:
+            return ad.losses(weights, biases, [head], inputs)[0]
 
-            numeric = finite_difference_grad(loss_at, original.copy(), step=1e-6)
-            p.data = original
+        wrt = [*weights, *biases, head.weight, head.bias, inputs]
+        for got, values in zip([*grads.params(), grads.inputs], wrt):
+            # Perturbs ``values`` in place and restores it, so ``loss`` sees each step.
+            numeric = finite_difference_grad(loss, values, step=1e-6)
             np.testing.assert_allclose(
-                p.grad, numeric, rtol=1e-5, atol=1e-7,
-                err_msg=f"case {case}, tensor shape {original.shape}")
+                got, numeric, rtol=1e-5, atol=1e-7,
+                err_msg=f"case {case}, array shape {values.shape}")
     elapsed = time.monotonic() - started
     assert elapsed < 10.0, f"100 gradient checks took {elapsed:.2f}s"
 

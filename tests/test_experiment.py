@@ -11,6 +11,7 @@ from mtl_affinity.experiment import (
     ExperimentConfig,
     ExperimentError,
     ScatterRow,
+    _SeedRun,
     costs_csv,
     read_costs_csv,
     read_scatter_csv,
@@ -183,6 +184,15 @@ def test_divergence_names_the_model(tmp_path):
     cfg = tiny_config(tmp_path, initial_lr=1e6, scores=("GS",))
     with pytest.raises(ExperimentError, match="stl/"):
         run_experiment(cfg)
+
+
+@pytest.mark.parametrize("scores, probed", [(("IAS", "RSA", "LI"), False),
+                                            (("GS",), True), (("GT",), True)])
+def test_pair_probes_run_only_for_gs_or_gt(tmp_path, scores, probed):
+    run = _SeedRun(tiny_config(tmp_path, n_tasks=2, scores=scores), 0)
+    [trace] = run.mtl_trace.values()
+    assert (trace.gs_cosine is not None) == probed
+    assert (trace.lookahead is not None) == probed
 
 
 def test_two_task_run_skips_evaluation(tmp_path):

@@ -6,8 +6,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtl_affinity import models as m
+from mtl_affinity.scores import input_x_gradient
 from mtl_affinity.seeding import INIT, model_stream
 from mtl_affinity.tasks import TaskSpec, generate_latent_factor_suite
+from oracles import finite_difference_grad
 
 
 def suite(**overrides):
@@ -248,6 +250,19 @@ def test_train_mtl_recorded_quantities_recomputable_from_snapshot():
         assert lookahead[t] == pytest.approx(trace.lookahead[t][epoch], abs=1e-12)
 
 
+def test_train_mtl_without_probes_trains_the_same_model():
+    s = suite()
+    pair = (s.specs[0], s.specs[1])
+    probed, probed_trace = m.train_mtl(pair, s.dataset, BACKBONE, quick_cfg())
+    plain, plain_trace = m.train_mtl(pair, s.dataset, BACKBONE, quick_cfg(), probes=False)
+    assert plain_trace.gs_cosine is None
+    assert plain_trace.lookahead is None
+    assert plain_trace.val_loss == probed_trace.val_loss
+    want = probed.snapshot()
+    for name, value in plain.snapshot().items():
+        np.testing.assert_array_equal(value, want[name])
+
+
 def test_train_mtl_rejects_same_name_pair():
     s = suite()
     with pytest.raises(ValueError):
@@ -312,3 +327,45 @@ def test_set_params_validates_keys_and_shapes():
     snap["backbone.w0"] = np.zeros((1, 1))
     with pytest.raises(ValueError):
         model.set_params(snap)
+
+
+# --- gradients of whole models ---
+
+
+def _check_model_gradients(model, x, labels):
+    """Every parameter gradient of the summed task losses against central differences."""
+    grads = model.gradients(x, labels)
+    assert grads.losses == [model.task_loss_value(t, x, y) for t, y in labels.items()]
+
+    def loss(_) -> float:
+        return sum(model.task_losses(x, labels).values())
+
+    for i, (param, got) in enumerate(zip(model.params(), grads.params())):
+        # Perturbs the live parameter in place and restores it.
+        numeric = finite_difference_grad(loss, param)
+        np.testing.assert_allclose(got, numeric, rtol=1e-5, atol=1e-7,
+                                   err_msg=f"parameter {i}, shape {param.shape}")
+
+
+def test_model_gradients_match_central_differences():
+    rng = np.random.default_rng(3)
+    reg = TaskSpec("r", "regression", 2)
+    cls = TaskSpec("c", "classification", 3)
+    config = m.BackboneConfig(5, (7, 6), 4)
+    x = rng.normal(size=(9, 5))
+    y = {"r": rng.normal(size=(9, 2)), "c": rng.integers(0, 3, 9)}
+
+    for spec in (reg, cls):
+        stl = m.STLModel.init(spec, config, rng)
+        _check_model_gradients(stl, x, {spec.name: y[spec.name]})
+        # The IAS attribution is the input times the input gradient.
+        x_probe = x.copy()
+        numeric = finite_difference_grad(
+            lambda _: stl.loss_value(x_probe, y[spec.name]), x_probe)
+        np.testing.assert_allclose(input_x_gradient(stl, x, y[spec.name]), x * numeric,
+                                   rtol=1e-5, atol=1e-7)
+
+    _check_model_gradients(m.MTLModel.init(reg, cls, config, rng), x, y)
+
+    injected = m.InjectedSTLModel.init(cls, reg, config, rng)
+    _check_model_gradients(injected, injected.extend_inputs(x, y["r"]), {"c": y["c"]})

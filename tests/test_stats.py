@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from mtl_affinity import stats
@@ -34,6 +34,16 @@ def test_pearson_constant_input_raises():
 def test_rankdata_ties_average():
     np.testing.assert_array_equal(stats.rankdata([10.0, 20.0, 20.0, 30.0]),
                                   [1.0, 2.5, 2.5, 4.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.sampled_from([-1.5, 0.0, 2.0]), min_size=0, max_size=40))
+@example([])
+@example([3.0])
+@example([2.0, 2.0])
+@example([2.0, -1.0])
+def test_rankdata_ties_heavy_and_short_match_loop(values):
+    np.testing.assert_array_equal(stats.rankdata(values), rankdata_naive(values))
 
 
 def test_kendall_variants_on_tied_data():
