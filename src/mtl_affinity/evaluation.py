@@ -21,10 +21,9 @@ import csv
 import io
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .matrices import MatrixFormatError, TaskMatrix
-from .scores import SCORE_KINDS
 from .stats import kendall_tau, pearson
 
 __all__ = [
@@ -41,6 +40,8 @@ __all__ = [
     "level3_best_partner",
     "evaluate",
     "CostModel",
+    "MODEL_FAMILIES",
+    "SCORE_FAMILIES",
     "score_cost",
     "score_cost_expression",
     "level1_csv",
@@ -258,46 +259,50 @@ class CostModel:
         if not self.c_s > 0:
             raise ValueError(f"c_s must be positive, got {self.c_s!r}")
 
-    @property
-    def pairs(self) -> int:
-        return math.comb(self.n, 2)
+
+class ModelFamily(NamedTuple):
+    """``count(n)`` models of ``unit`` * c_s multiply-adds each, at ``capacity``."""
+    count_term: str                        # ``count`` spelled in n
+    count: Callable[[int], int]
+    unit: int
+    capacity: str                          # "half" or "full" backbone
 
 
-# Training cost of estimating a score for all pairs of n tasks, as a
-# closed-form expression in n and c_s. C(n,2) is the unordered pair count.
-_COST_EXPRESSIONS = {
-    "TD": "0",
-    "IAS": "n*c_s",
-    "RSA": "n*c_s",
-    "LI": "n*c_s + 2*C(n,2)*c_s",
-    "GS": "C(n,2)*2*c_s",
-    "GT": "C(n,2)*2*c_s",
+# The roster table: the families of trained models, keyed as in
+# models.model_key, and the families each score needs. Training a score
+# for all pairs of n tasks costs the sum of its families' terms; C(n,2) is
+# the unordered pair count.
+MODEL_FAMILIES = {
+    "stl": ModelFamily("n", lambda n: n, 1, "half"),
+    "mtl": ModelFamily("C(n,2)", lambda n: math.comb(n, 2), 2, "full"),
+    "inj": ModelFamily("2*C(n,2)", lambda n: 2 * math.comb(n, 2), 1, "half"),
+}
+SCORE_FAMILIES = {
+    "TD": (),
+    "IAS": ("stl",),
+    "RSA": ("stl",),
+    "LI": ("stl", "inj"),
+    "GS": ("mtl",),
+    "GT": ("mtl",),
 }
 
 
-def _check_kind(score_kind: str) -> str:
-    if score_kind not in SCORE_KINDS:
+def _families(score_kind: str) -> list[ModelFamily]:
+    if score_kind not in SCORE_FAMILIES:
         raise ValueError(f"unknown score kind {score_kind!r}; "
-                         f"expected one of {sorted(SCORE_KINDS)}")
-    return score_kind
+                         f"expected one of {sorted(SCORE_FAMILIES)}")
+    return [MODEL_FAMILIES[f] for f in SCORE_FAMILIES[score_kind]]
 
 
 def score_cost_expression(score_kind: str) -> str:
     """The symbolic multiply-add cost of a score across all task pairs."""
-    return _COST_EXPRESSIONS[_check_kind(score_kind)]
+    return " + ".join(f"{f.count_term}*{f'{f.unit}*' if f.unit > 1 else ''}c_s"
+                      for f in _families(score_kind)) or "0"
 
 
 def score_cost(score_kind: str, cost: CostModel) -> float:
     """Evaluate the score's training cost for a concrete n and c_s."""
-    _check_kind(score_kind)
-    n, c_s, pairs = cost.n, cost.c_s, cost.pairs
-    if score_kind == "TD":
-        return 0.0
-    if score_kind in ("IAS", "RSA"):
-        return n * c_s
-    if score_kind == "LI":
-        return n * c_s + 2 * pairs * c_s
-    return pairs * 2 * c_s  # GS, GT
+    return sum((f.count(cost.n) * f.unit * cost.c_s for f in _families(score_kind)), 0.0)
 
 
 # --- CSV table emission (one file per level, score kinds as rows) ---

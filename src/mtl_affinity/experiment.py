@@ -1,11 +1,12 @@
 """End-to-end experiment harness: train, score, evaluate, emit reports.
 
 One run covers a list of seeds. Per seed the harness builds (or loads) the
-task suite, trains the whole model roster (single-task models at half
-capacity, pairwise shared-backbone models at full capacity, label-injected
-models when LI is requested), assembles the requested affinity matrices
-next to the measured gain matrix, runs the three evaluation levels, and
-writes one directory of CSV/JSON report files.
+task suite and trains the roster ``plan_roster`` lists: STL and pair models
+always, injected models and pair probes only for the scores that need them
+(the roster table in :mod:`evaluation`), each model under its job key. It
+then assembles the requested affinity matrices next to the measured gain
+matrix, runs the three evaluation levels, and writes one directory of
+CSV/JSON report files.
 
 Everything is deterministic in the config: rerunning a seed produces
 byte-identical files.
@@ -20,13 +21,16 @@ import io
 import json
 import platform
 from dataclasses import dataclass
+from itertools import combinations, permutations
 from pathlib import Path
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from . import __version__
 from .evaluation import (
+    MODEL_FAMILIES,
+    SCORE_FAMILIES,
     CostModel,
     EvaluationReport,
     GainMatrix,
@@ -44,7 +48,9 @@ from .models import (
     TrainConfig,
     TrainingDivergedError,
     TrainTrace,
+    eval_batch,
     half_capacity,
+    model_key,
     multiply_add_count,
     train_injected,
     train_mtl,
@@ -73,10 +79,12 @@ __all__ = [
     "CostRow",
     "ExperimentConfig",
     "ExperimentError",
+    "Job",
     "ScatterRow",
     "SeedResult",
     "costs_csv",
     "manifest_json",
+    "plan_roster",
     "read_costs_csv",
     "read_scatter_csv",
     "run_experiment",
@@ -143,6 +151,9 @@ class ExperimentConfig:
             raise ValueError("score TD needs taxonomy_path (a taxonomy-distance CSV)")
         if self.dataset_path is None and self.n_tasks < 2:
             raise ValueError(f"n_tasks must be >= 2 to form pairs, got {self.n_tasks}")
+        # The configs built from these fields check them; 1 stands in for d_in.
+        self.train_config(seed=0)
+        BackboneConfig(1, self.hidden, self.latent_dim)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -202,16 +213,30 @@ def _load_suite(config: ExperimentConfig, seed: int) -> TaskSuite:
         overlap=config.overlap, noise_std=config.noise_std)
 
 
-def _train(kind_key: str, trainer: Callable, *args):
-    try:
-        return trainer(*args)
-    except TrainingDivergedError as exc:
-        raise ExperimentError(
-            f"training diverged for {kind_key} at epoch {exc.epoch}") from exc
+class Job(NamedTuple):
+    """One model of the roster: its family, its tasks in order, its probes."""
+    family: str                            # a key of MODEL_FAMILIES
+    tasks: tuple[str, ...]
+    probes: bool = False                   # record the GS/GT probes (pair only)
+
+    @property
+    def key(self) -> str:
+        return model_key(self.family, self.tasks)
 
 
-def _pairs(names: Sequence[str]) -> list[tuple[str, str]]:
-    return [(a, b) for i, a in enumerate(names) for b in names[i + 1:]]
+def plan_roster(names: Sequence[str], scores: Sequence[str]) -> tuple[Job, ...]:
+    """Every model one seed trains, in training order.
+
+    STL and pair (``mtl``) models always, as the gain matrix needs them;
+    injected models and the pair probes exactly when a requested score
+    needs the ``inj`` or ``mtl`` family.
+    """
+    needed = {family for kind in scores for family in SCORE_FAMILIES[kind]}
+    jobs = [Job("stl", (t,)) for t in names]
+    jobs += [Job("mtl", pair, probes="mtl" in needed) for pair in combinations(names, 2)]
+    if "inj" in needed:
+        jobs += [Job("inj", pair) for pair in permutations(names, 2)]
+    return tuple(jobs)
 
 
 def _note_skips(notes: dict[str, str], label: str, value) -> None:
@@ -221,66 +246,50 @@ def _note_skips(notes: dict[str, str], label: str, value) -> None:
 
 
 class _SeedRun:
-    """Working state for one seed: trained models, losses, traces."""
+    """Working state for one seed: the trained roster and its test losses."""
 
     def __init__(self, config: ExperimentConfig, seed: int):
-        self.config = config
-        self.seed = seed
         suite = _load_suite(config, seed)
         self.specs = {s.name: s for s in suite.specs}
         self.names = tuple(s.name for s in suite.specs)
         if len(self.names) < 2:
             raise ExperimentError(f"need at least 2 tasks, dataset has {len(self.names)}")
         self.dataset = suite.dataset
-        self.cfg = config.train_config(seed)
+        cfg = config.train_config(seed)
         full = BackboneConfig(self.dataset.d_in, config.hidden, config.latent_dim)
-        self.half = half_capacity(full)
-        self.full = full
+        backbones = {"half": half_capacity(full), "full": full}
         self.notes: dict[str, str] = {}
 
-        self.stl: dict[str, object] = {}
-        for name in self.names:
-            model, _ = _train(f"stl/{name}", train_stl,
-                              self.specs[name], self.dataset, self.half, self.cfg)
-            self.stl[name] = model
+        # The trainers are looked up in this module's namespace at call
+        # time, so a wrapper installed there (a tracer) sees every call.
+        self.trained: dict[str, tuple[object, TrainTrace]] = {}
+        for job in plan_roster(self.names, config.scores):
+            specs = [self.specs[t] for t in job.tasks]
+            backbone = backbones[MODEL_FAMILIES[job.family].capacity]
+            try:
+                if job.family == "stl":
+                    trained = train_stl(*specs, self.dataset, backbone, cfg)
+                elif job.family == "mtl":
+                    trained = train_mtl(tuple(specs), self.dataset, backbone, cfg, job.probes)
+                else:
+                    trained = train_injected(*specs, self.dataset, backbone, cfg)
+            except TrainingDivergedError as exc:
+                raise ExperimentError(str(exc)) from exc
+            self.trained[job.key] = trained
 
-        self.mtl: dict[tuple[str, str], object] = {}
-        self.mtl_trace: dict[tuple[str, str], TrainTrace] = {}
-        probes = "GS" in config.scores or "GT" in config.scores
-        for a, b in _pairs(self.names):
-            model, trace = _train(f"mtl/{a}/{b}", train_mtl,
-                                  (self.specs[a], self.specs[b]),
-                                  self.dataset, self.full, self.cfg, probes)
-            self.mtl[(a, b)] = model
-            self.mtl_trace[(a, b)] = trace
+        self.test_x, self.test_y = self.dataset.batch(self.dataset.splits["test"], self.names)
+        self.eval_x, self.eval_y = eval_batch(self.dataset, cfg.eval_batch_size, self.names)
 
-        test = self.dataset.splits["test"]
-        self.test_x = self.dataset.split_inputs("test")
-        self.test_y = {t: self.dataset.split_labels(t, "test") for t in self.names}
-        eval_idx = test[:min(self.cfg.eval_batch_size, len(test))]
-        self.eval_x = self.dataset.inputs[eval_idx]
-        self.eval_y = {t: self.dataset.labels[t][eval_idx] for t in self.names}
-
-        self.stl_loss = {t: self.stl[t].loss_value(self.test_x, self.test_y[t])
+        self.stl_loss = {t: self.model("stl", t).loss_value(self.test_x, self.test_y[t])
                          for t in self.names}
 
-        self.injected_loss: dict[tuple[str, str], float] = {}
-        if "LI" in config.scores:
-            for target in self.names:
-                for partner in self.names:
-                    if partner == target:
-                        continue
-                    model, _ = _train(f"inj/{target}/{partner}", train_injected,
-                                      self.specs[target], self.specs[partner],
-                                      self.dataset, self.half, self.cfg)
-                    partner_y = self.dataset.split_labels(partner, "test")
-                    self.injected_loss[(target, partner)] = model.loss_value(
-                        self.test_x, self.test_y[target], partner_y)
+    def model(self, family: str, *tasks: str):
+        return self.trained[model_key(family, tasks)][0]
 
     def gain_matrix(self) -> GainMatrix:
         gain = GainMatrix(self.names, unit="fraction")
-        for a, b in _pairs(self.names):
-            model = self.mtl[(a, b)]
+        for a, b in combinations(self.names, 2):
+            model = self.model("mtl", a, b)
             for target, partner in ((a, b), (b, a)):
                 mtl_loss = model.task_loss_value(target, self.test_x, self.test_y[target])
                 gain.set(partner, target, mtl_gain(self.stl_loss[target], mtl_loss))
@@ -290,28 +299,29 @@ class _SeedRun:
         values: dict[tuple[str, str], float] = {}
         if kind == "TD":
             assert taxonomy is not None
-            for a, b in _pairs(self.names):
+            for a, b in combinations(self.names, 2):
                 values[(a, b)] = taxonomical_distance(taxonomy, a, b)
         elif kind == "IAS":
-            for a, b in _pairs(self.names):
+            for a, b in combinations(self.names, 2):
                 v = input_attribution_similarity(
-                    self.stl[a], self.stl[b], self.eval_x,
+                    self.model("stl", a), self.model("stl", b), self.eval_x,
                     self.eval_y[a], self.eval_y[b])
                 _note_skips(self.notes, f"IAS {a}/{b}", v)
                 values[(a, b)] = float(v)
         elif kind == "RSA":
-            for a, b in _pairs(self.names):
-                values[(a, b)] = rsa(self.stl[a], self.stl[b], self.eval_x)
+            for a, b in combinations(self.names, 2):
+                values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
         elif kind == "LI":
-            for (target, partner), loss in self.injected_loss.items():
-                values[(partner, target)] = label_injection(
-                    self.stl_loss[target], loss)
+            for target, partner in permutations(self.names, 2):
+                loss = self.model("inj", target, partner).loss_value(
+                    self.test_x, self.test_y[target], self.test_y[partner])
+                values[(partner, target)] = label_injection(self.stl_loss[target], loss)
         elif kind == "GS":
-            for pair in _pairs(self.names):
-                values[pair] = gradient_similarity(self.mtl_trace[pair])
+            for pair in combinations(self.names, 2):
+                values[pair] = gradient_similarity(self.trained[model_key("mtl", pair)][1])
         elif kind == "GT":
-            for a, b in _pairs(self.names):
-                trace = self.mtl_trace[(a, b)]
+            for a, b in combinations(self.names, 2):
+                trace = self.trained[model_key("mtl", (a, b))][1]
                 for target, partner in ((a, b), (b, a)):
                     v = gradient_transference(trace, target)
                     _note_skips(self.notes, f"GT {target}|{partner}", v)
@@ -323,7 +333,7 @@ class _SeedRun:
     def measured_c_s(self) -> float:
         # The cost unit: mean per-example multiply-adds of one single-task
         # model. Heads differ by output width, hence the mean.
-        return float(np.mean([multiply_add_count(m) for m in self.stl.values()]))
+        return float(np.mean([multiply_add_count(self.model("stl", t)) for t in self.names]))
 
 
 @dataclass(frozen=True)

@@ -11,13 +11,13 @@ Three model families, all sharing one dense+ReLU backbone shape:
 Parameters are plain float64 ndarrays; every loss and gradient comes from
 the explicit kernel in :mod:`autodiff`. Training is plain minibatch SGD
 with an exponentially decaying learning rate, one ``ad.backward`` and one
-``ad.sgd_step`` per step. Every epoch the trainer records full
-train/validation losses and, for MTL runs that ask for them, the two
-per-epoch quantities the gradient-based scores are built from: the cosine
-between the two tasks' backbone gradients, and the look-ahead losses after
-a simulated one-step backbone update on the partner's loss alone. Both
-come from the same two backbone gradients, measured on one fixed
-evaluation batch so traces are deterministic.
+``ad.sgd_step`` per step. A model's key (``model_key``: ``stl/a``,
+``mtl/a/b``, ``inj/target/partner``) seeds its weights and batch order and
+names it in a divergence error. Every epoch the trainer records per-task
+validation losses and, for MTL runs that ask for them, the GS cosine
+between the two tasks' backbone gradients and the GT look-ahead losses
+after a simulated backbone step on the partner's loss alone. Both come
+from the same two gradients on the fixed, deterministic ``eval_batch``.
 
 The returned model carries the parameters of the epoch with the lowest
 validation loss (combined loss for MTL; ties go to the earliest epoch).
@@ -27,7 +27,7 @@ The trainer keeps a copy of only that epoch's parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, Sequence
 
@@ -42,6 +42,8 @@ __all__ = [
     "TrainConfig",
     "TrainTrace",
     "TrainingDivergedError",
+    "model_key",
+    "eval_batch",
     "STLModel",
     "MTLModel",
     "InjectedSTLModel",
@@ -55,11 +57,17 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """A loss became non-finite; ``epoch`` is the 0-based epoch it happened in."""
+    """A loss of model ``key`` became non-finite in 0-based epoch ``epoch``."""
 
-    def __init__(self, epoch: int, message: str = ""):
-        super().__init__(message or f"training diverged at epoch {epoch}")
+    def __init__(self, key: str, epoch: int):
+        super().__init__(f"training diverged for {key} at epoch {epoch}")
+        self.key = key
         self.epoch = epoch
+
+
+def model_key(family: str, tasks: Sequence[str]) -> str:
+    """``stl/a``, ``mtl/a/b`` or ``inj/target/partner``: roster family, then tasks."""
+    return "/".join((family, *tasks))
 
 
 @dataclass(frozen=True)
@@ -74,9 +82,11 @@ class BackboneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
-        for w in (self.input_dim, *self.hidden_widths, self.latent_dim):
-            if w < 1:
-                raise ValueError(f"all widths must be positive, got {self}")
+        if any(w < 1 for w in self.hidden_widths):
+            raise ValueError(f"hidden widths must be positive, got {self.hidden_widths}")
+        for name in ("input_dim", "latent_dim"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def layer_widths(self) -> list[tuple[int, int]]:
         chain = [self.input_dim, *self.hidden_widths, self.latent_dim]
@@ -102,8 +112,9 @@ class TrainConfig:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if self.initial_lr <= 0:
             raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
-        if self.batch_size < 1 or self.eval_batch_size < 1:
-            raise ValueError("batch sizes must be >= 1")
+        for name in ("batch_size", "eval_batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         return self.initial_lr * self.lr_decay ** epoch
@@ -117,7 +128,6 @@ class TrainTrace:
     the target's evaluation-batch loss before and after a simulated
     backbone-only SGD step on the partner task's loss.
     """
-    train_loss: list[dict[str, float]]
     val_loss: list[dict[str, float]]
     combined_val: list[float]
     best_epoch: int
@@ -127,15 +137,6 @@ class TrainTrace:
     @property
     def epochs(self) -> int:
         return len(self.combined_val)
-
-    def to_json_dict(self) -> dict:
-        d = {"train_loss": self.train_loss, "val_loss": self.val_loss,
-             "combined_val": self.combined_val, "best_epoch": self.best_epoch}
-        if self.gs_cosine is not None:
-            d["gs_cosine"] = self.gs_cosine
-        if self.lookahead is not None:
-            d["lookahead"] = {t: [list(p) for p in pairs] for t, pairs in self.lookahead.items()}
-        return d
 
 
 class _LayerStack:
@@ -412,15 +413,10 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
         yield order[start:start + batch_size]
 
 
-def _check_finite(value: float, epoch: int) -> float:
-    if not math.isfinite(value):
-        raise TrainingDivergedError(epoch)
-    return value
-
-
-def _eval_batch(dataset: MultiTaskDataset, size: int) -> np.ndarray:
-    test_idx = dataset.splits["test"]
-    return test_idx[:min(size, len(test_idx))]
+def eval_batch(dataset: MultiTaskDataset, size: int,
+               tasks: Sequence[str]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+    """The fixed batch the GS/GT probes and IAS/RSA read: the first ``size`` test examples."""
+    return dataset.batch(dataset.splits["test"][:size], tasks)
 
 
 def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
@@ -455,21 +451,15 @@ def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
 
 
 def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset,
-                  cfg: TrainConfig, model_key: str,
-                  labels_for: Mapping[str, np.ndarray],
+                  cfg: TrainConfig, key: str,
                   record_pair_quantities: bool) -> TrainTrace:
-    """The shared epoch loop. ``labels_for`` maps task -> full label array."""
-    batch_rng = model_stream(cfg.seed, BATCHING, model_key)
+    """The shared epoch loop over ``dataset``'s splits and labels."""
+    batch_rng = model_stream(cfg.seed, BATCHING, key)
     train_idx = dataset.splits["train"]
-    val_idx = dataset.splits["val"]
-    eval_idx = _eval_batch(dataset, cfg.eval_batch_size)
-    eval_inputs = dataset.inputs[eval_idx]
-    eval_labels = {t: labels_for[t][eval_idx] for t in tasks}
+    val_inputs, val_labels = dataset.batch(dataset.splits["val"], tasks)
+    eval_inputs, eval_labels = eval_batch(dataset, cfg.eval_batch_size, tasks)
 
-    def split_loss(idx: np.ndarray) -> dict[str, float]:
-        return model.task_losses(dataset.inputs[idx], {t: labels_for[t][idx] for t in tasks})
-
-    trace = TrainTrace(train_loss=[], val_loss=[], combined_val=[], best_epoch=0)
+    trace = TrainTrace(val_loss=[], combined_val=[], best_epoch=0)
     if record_pair_quantities:
         trace.gs_cosine = []
         trace.lookahead = {t: [] for t in tasks}
@@ -477,16 +467,14 @@ def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
         for batch in _epoch_batches(batch_rng, len(train_idx), cfg.batch_size):
-            idx = train_idx[batch]
-            grads = model.gradients(dataset.inputs[idx], {t: labels_for[t][idx] for t in tasks})
-            _check_finite(sum(grads.losses), epoch)
+            grads = model.gradients(*dataset.batch(train_idx[batch], tasks))
+            if not math.isfinite(sum(grads.losses)):
+                raise TrainingDivergedError(key, epoch)
             ad.sgd_step(model.params(), grads.params(), lr)
 
-        epoch_train = split_loss(train_idx)
-        epoch_val = split_loss(val_idx)
-        for v in (*epoch_train.values(), *epoch_val.values()):
-            _check_finite(v, epoch)
-        trace.train_loss.append(epoch_train)
+        epoch_val = model.task_losses(val_inputs, val_labels)
+        if not all(map(math.isfinite, epoch_val.values())):
+            raise TrainingDivergedError(key, epoch)
         trace.val_loss.append(epoch_val)
         trace.combined_val.append(sum(epoch_val.values()))
         # Strictly lower, so the earliest epoch wins ties.
@@ -515,10 +503,9 @@ def train_stl(task: TaskSpec, dataset: MultiTaskDataset, backbone: BackboneConfi
               cfg: TrainConfig) -> tuple[STLModel, TrainTrace]:
     """Train a single-task model; returns it at its best validation epoch."""
     _require_tasks(dataset, [task.name])
-    key = f"stl/{task.name}"
+    key = model_key("stl", [task.name])
     model = STLModel.init(task, backbone, model_stream(cfg.seed, INIT, key))
-    trace = _run_training(model, [task.name], dataset, cfg, key,
-                          dataset.labels, record_pair_quantities=False)
+    trace = _run_training(model, [task.name], dataset, cfg, key, record_pair_quantities=False)
     return model, trace
 
 
@@ -535,10 +522,10 @@ def train_mtl(pair: tuple[TaskSpec, TaskSpec], dataset: MultiTaskDataset,
     """
     spec_a, spec_b = pair
     _require_tasks(dataset, [spec_a.name, spec_b.name])
-    key = f"mtl/{spec_a.name}/{spec_b.name}"
+    key = model_key("mtl", [spec_a.name, spec_b.name])
     model = MTLModel.init(spec_a, spec_b, backbone, model_stream(cfg.seed, INIT, key))
     trace = _run_training(model, [spec_a.name, spec_b.name], dataset, cfg, key,
-                          dataset.labels, record_pair_quantities=probes)
+                          record_pair_quantities=probes)
     return model, trace
 
 
@@ -553,14 +540,12 @@ def train_injected(target: TaskSpec, partner: TaskSpec, dataset: MultiTaskDatase
     label is the upper-bound case.
     """
     _require_tasks(dataset, [target.name, partner.name])
-    key = f"inj/{target.name}/{partner.name}"
+    key = model_key("inj", [target.name, partner.name])
     model = InjectedSTLModel.init(target, partner, half_backbone,
                                   model_stream(cfg.seed, INIT, key))
-    extended = np.concatenate(
-        [dataset.inputs, encode_labels(partner, dataset.labels[partner.name])], axis=1)
-    injected_view = MultiTaskDataset(extended, dict(dataset.labels), dataset.splits,
-                                     dataset.seed)
+    extended = model.extend_inputs(dataset.inputs, dataset.labels[partner.name])
+    injected_view = replace(dataset, inputs=extended)
     trace = _run_training(model, [target.name], injected_view, cfg, key,
-                          injected_view.labels, record_pair_quantities=False)
+                          record_pair_quantities=False)
     return model, trace
 

@@ -129,11 +129,10 @@ class MultiTaskDataset:
     def task_names(self) -> tuple[str, ...]:
         return tuple(self.labels)
 
-    def split_inputs(self, split: str) -> np.ndarray:
-        return self.inputs[self.splits[split]]
-
-    def split_labels(self, task: str, split: str) -> np.ndarray:
-        return self.labels[task][self.splits[split]]
+    def batch(self, idx: np.ndarray,
+              tasks: Sequence[str]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
+        """The inputs and the named tasks' labels of the examples ``idx``."""
+        return self.inputs[idx], {t: self.labels[t][idx] for t in tasks}
 
 
 class TaskSuite(NamedTuple):

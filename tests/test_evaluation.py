@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mtl_affinity import evaluation as ev
 from mtl_affinity.matrices import TaskMatrix
-from mtl_affinity.scores import AffinityMatrix, assemble_matrix
+from mtl_affinity.scores import SCORE_KINDS, AffinityMatrix, assemble_matrix
 from mtl_affinity.stats import DegenerateInputError
 from oracles import kendall_tau_naive, pearson_naive
 
@@ -227,7 +227,7 @@ def test_cost_model_validation():
         ev.CostModel(1, 10.0)
     with pytest.raises(ValueError, match="c_s"):
         ev.CostModel(3, 0.0)
-    assert ev.CostModel(5, 2.0).pairs == 10
+    assert ev.MODEL_FAMILIES["mtl"].count(5) == 10
 
 
 def test_cost_expressions_are_fixed_strings():
@@ -239,6 +239,7 @@ def test_cost_expressions_are_fixed_strings():
     assert ev.score_cost_expression("GT") == "C(n,2)*2*c_s"
     with pytest.raises(ValueError, match="kind"):
         ev.score_cost_expression("XX")
+    assert set(ev.SCORE_FAMILIES) == set(SCORE_KINDS)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])

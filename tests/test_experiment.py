@@ -1,11 +1,19 @@
 """Harness tests: config plumbing, file inventory, round trips, determinism."""
 
 import json
+import math
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from mtl_affinity.evaluation import GainMatrix
+from mtl_affinity.evaluation import (
+    MODEL_FAMILIES,
+    SCORE_FAMILIES,
+    CostModel,
+    GainMatrix,
+    score_cost,
+)
 from mtl_affinity.experiment import (
     CostRow,
     ExperimentConfig,
@@ -13,13 +21,14 @@ from mtl_affinity.experiment import (
     ScatterRow,
     _SeedRun,
     costs_csv,
+    plan_roster,
     read_costs_csv,
     read_scatter_csv,
     run_experiment,
     scatter_csv,
 )
 from mtl_affinity.evaluation import read_level1_csv, read_level2_csv, read_level3_csv
-from mtl_affinity.scores import AffinityMatrix
+from mtl_affinity.scores import SCORE_KINDS, AffinityMatrix
 from mtl_affinity.tasks import generate_latent_factor_suite, save_dataset
 
 
@@ -49,6 +58,12 @@ def test_config_rejects_bad_fields(tmp_path):
         tiny_config(tmp_path, scores=("TD",))
     with pytest.raises(ValueError, match="n_tasks"):
         tiny_config(tmp_path, n_tasks=1)
+    # Training fields fail at construction, naming the field.
+    for field, value in (("epochs", 0), ("initial_lr", -1.0), ("lr_decay", 0.0),
+                         ("batch_size", 0), ("eval_batch_size", 0),
+                         ("hidden", (0,)), ("hidden", (8, -1)), ("latent_dim", 0)):
+        with pytest.raises(ValueError, match=field):
+            tiny_config(tmp_path, **{field: value})
 
 
 def test_config_json_round_trip(tmp_path):
@@ -190,9 +205,42 @@ def test_divergence_names_the_model(tmp_path):
                                             (("GS",), True), (("GT",), True)])
 def test_pair_probes_run_only_for_gs_or_gt(tmp_path, scores, probed):
     run = _SeedRun(tiny_config(tmp_path, n_tasks=2, scores=scores), 0)
-    [trace] = run.mtl_trace.values()
+    assert list(run.trained) == [job.key for job in plan_roster(run.names, scores)]
+    _, trace = run.trained["mtl/task0/task1"]
     assert (trace.gs_cosine is not None) == probed
     assert (trace.lookahead is not None) == probed
+
+
+# --- the roster plan ---
+
+def test_plan_roster_order_and_keys():
+    jobs = plan_roster(("a", "b", "c"), ("GS", "LI"))
+    assert [job.key for job in jobs] == [
+        "stl/a", "stl/b", "stl/c", "mtl/a/b", "mtl/a/c", "mtl/b/c",
+        "inj/a/b", "inj/a/c", "inj/b/a", "inj/b/c", "inj/c/a", "inj/c/b"]
+    assert [job.probes for job in jobs] == [False] * 3 + [True] * 3 + [False] * 6
+    assert plan_roster(("a", "b", "c"), ("LI", "GS")) == jobs
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+@pytest.mark.parametrize("kind", sorted(SCORE_KINDS))
+def test_plan_roster_matches_cost_model(n, kind):
+    names = tuple(f"t{i}" for i in range(n))
+    jobs = plan_roster(names, (kind,))
+    counts = Counter(job.family for job in jobs)
+    closed_form = {"stl": n, "mtl": math.comb(n, 2), "inj": n * (n - 1)}
+    needed = SCORE_FAMILIES[kind]
+    # The gain matrix needs the STL and pair models whatever the score.
+    assert set(counts) == {"stl", "mtl"} | set(needed)
+    for family, count in counts.items():
+        assert count == closed_form[family] == MODEL_FAMILIES[family].count(n)
+    assert all(job.probes == (job.family == "mtl" and "mtl" in needed) for job in jobs)
+
+    c_s = 123.25
+    total = 0.0
+    for family in needed:
+        total += counts[family] * MODEL_FAMILIES[family].unit * c_s
+    assert total == score_cost(kind, CostModel(n, c_s))
 
 
 def test_two_task_run_skips_evaluation(tmp_path):

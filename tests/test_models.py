@@ -194,8 +194,9 @@ def test_train_stl_solves_noiseless_linear_task():
     s = suite(n_tasks=1, d_latent=3, d_in=3, n_examples=240, noise_std=0.0,
               kinds=["regression"], nonlinear=False)
     cfg = m.TrainConfig(seed=3, epochs=300, initial_lr=0.02, lr_decay=0.999, batch_size=16)
-    _, trace = m.train_stl(s.specs[0], s.dataset, m.BackboneConfig(3, (32,), 8), cfg)
-    assert trace.train_loss[-1]["task0"] < 1e-3
+    model, _ = m.train_stl(s.specs[0], s.dataset, m.BackboneConfig(3, (32,), 8), cfg)
+    idx = s.dataset.splits["train"]
+    assert model.loss_value(s.dataset.inputs[idx], s.dataset.labels["task0"][idx]) < 1e-3
 
 
 # --- MTL training ---
@@ -220,13 +221,13 @@ def test_train_mtl_deterministic_trace():
     s = suite()
     t1 = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, quick_cfg())[1]
     t2 = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, quick_cfg())[1]
-    assert t1.to_json_dict() == t2.to_json_dict()
+    assert t1 == t2
 
 
 def test_train_mtl_records_both_tasks_and_directions():
     s = suite()
     _, trace = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, quick_cfg())
-    assert set(trace.train_loss[0]) == {"task0", "task1"}
+    assert set(trace.val_loss[0]) == {"task0", "task1"}
     assert set(trace.lookahead) == {"task0", "task1"}
     assert len(trace.lookahead["task0"]) == trace.epochs
     assert trace.combined_val[0] == pytest.approx(sum(trace.val_loss[0].values()))

@@ -32,7 +32,7 @@ def linear_stl(name, wb, bb, wh, bh, kind="regression"):
 
 
 def trace_with(gs=None, lookahead=None):
-    return TrainTrace(train_loss=[], val_loss=[], combined_val=[0.0], best_epoch=0,
+    return TrainTrace(val_loss=[], combined_val=[0.0], best_epoch=0,
                       gs_cosine=gs, lookahead=lookahead)
 
 
