@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .matrices import MatrixFormatError, TaskMatrix
+from .scores import AffinityMatrix
 from .stats import kendall_tau, pearson
 
 __all__ = [
@@ -230,15 +231,13 @@ def level3_best_partner(gain: TaskMatrix, score: TaskMatrix) -> Level3Result:
     return Level3Result(per_target=out)
 
 
-def evaluate(gain: TaskMatrix, score: TaskMatrix, score_kind: str = "",
-             kendall_variant: str = "b") -> EvaluationReport:
-    """Run all three levels and bundle the results."""
-    kind = score_kind or getattr(score, "score_kind", "")
+def evaluate(gain: TaskMatrix, score: AffinityMatrix) -> EvaluationReport:
+    """Run all three levels, level 2 with Kendall tau-b, and bundle the results."""
     return EvaluationReport(
-        score_kind=kind,
+        score_kind=score.score_kind,
         tasks=tuple(gain.tasks),
         level1=level1_predictive(gain, score),
-        level2=level2_ranking(gain, score, variant=kendall_variant),
+        level2=level2_ranking(gain, score),
         level3=level3_best_partner(gain, score),
     )
 

@@ -45,10 +45,12 @@ from .evaluation import (
 from .matrices import MatrixFormatError
 from .models import (
     BackboneConfig,
+    Model,
     TrainConfig,
     TrainingDivergedError,
     TrainTrace,
     eval_batch,
+    extend_inputs,
     half_capacity,
     model_key,
     multiply_add_count,
@@ -151,9 +153,15 @@ class ExperimentConfig:
             raise ValueError("score TD needs taxonomy_path (a taxonomy-distance CSV)")
         if self.dataset_path is None and self.n_tasks < 2:
             raise ValueError(f"n_tasks must be >= 2 to form pairs, got {self.n_tasks}")
+        if not self.hidden:
+            raise ValueError("hidden must list at least one hidden width")
         # The configs built from these fields check them; 1 stands in for d_in.
         self.train_config(seed=0)
         BackboneConfig(1, self.hidden, self.latent_dim)
+        if self.dataset_path is None:
+            if self.d_in < 1:
+                raise ValueError(f"d_in must be positive, got {self.d_in}")
+            _backbones(self, self.d_in)
 
     def to_json_dict(self) -> dict:
         d = dataclasses.asdict(self)
@@ -202,6 +210,16 @@ class SeedResult:
     reports: dict[str, EvaluationReport]   # empty when n < MIN_EVAL_TASKS
     c_s: float                             # measured per-example multiply-adds
     notes: dict[str, str]
+
+
+def _backbones(config: ExperimentConfig, d_in: int) -> dict[str, BackboneConfig]:
+    """The full backbone for inputs of width ``d_in`` and its half-capacity version."""
+    full = BackboneConfig(d_in, config.hidden, config.latent_dim)
+    try:
+        return {"half": half_capacity(full), "full": full}
+    except ValueError as exc:
+        raise ValueError(f"hidden={config.hidden} has no half-capacity backbone "
+                         f"for input width {d_in}: {exc}") from None
 
 
 def _load_suite(config: ExperimentConfig, seed: int) -> TaskSuite:
@@ -256,13 +274,15 @@ class _SeedRun:
             raise ExperimentError(f"need at least 2 tasks, dataset has {len(self.names)}")
         self.dataset = suite.dataset
         cfg = config.train_config(seed)
-        full = BackboneConfig(self.dataset.d_in, config.hidden, config.latent_dim)
-        backbones = {"half": half_capacity(full), "full": full}
+        try:
+            backbones = _backbones(config, self.dataset.d_in)
+        except ValueError as exc:
+            raise ExperimentError(str(exc)) from exc
         self.notes: dict[str, str] = {}
 
         # The trainers are looked up in this module's namespace at call
         # time, so a wrapper installed there (a tracer) sees every call.
-        self.trained: dict[str, tuple[object, TrainTrace]] = {}
+        self.trained: dict[str, tuple[Model, TrainTrace]] = {}
         for job in plan_roster(self.names, config.scores):
             specs = [self.specs[t] for t in job.tasks]
             backbone = backbones[MODEL_FAMILIES[job.family].capacity]
@@ -280,19 +300,20 @@ class _SeedRun:
         self.test_x, self.test_y = self.dataset.batch(self.dataset.splits["test"], self.names)
         self.eval_x, self.eval_y = eval_batch(self.dataset, cfg.eval_batch_size, self.names)
 
-        self.stl_loss = {t: self.model("stl", t).loss_value(self.test_x, self.test_y[t])
+        self.stl_loss = {t: self.model("stl", t).task_losses(self.test_x, {t: self.test_y[t]})[t]
                          for t in self.names}
 
-    def model(self, family: str, *tasks: str):
+    def model(self, family: str, *tasks: str) -> Model:
         return self.trained[model_key(family, tasks)][0]
 
     def gain_matrix(self) -> GainMatrix:
         gain = GainMatrix(self.names, unit="fraction")
         for a, b in combinations(self.names, 2):
-            model = self.model("mtl", a, b)
+            # Both heads' losses from one backbone pass over the test split.
+            mtl_loss = self.model("mtl", a, b).task_losses(
+                self.test_x, {t: self.test_y[t] for t in (a, b)})
             for target, partner in ((a, b), (b, a)):
-                mtl_loss = model.task_loss_value(target, self.test_x, self.test_y[target])
-                gain.set(partner, target, mtl_gain(self.stl_loss[target], mtl_loss))
+                gain.set(partner, target, mtl_gain(self.stl_loss[target], mtl_loss[target]))
         return gain
 
     def affinity(self, kind: str, taxonomy: TaxonomyDistances | None) -> AffinityMatrix:
@@ -313,8 +334,9 @@ class _SeedRun:
                 values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
         elif kind == "LI":
             for target, partner in permutations(self.names, 2):
-                loss = self.model("inj", target, partner).loss_value(
-                    self.test_x, self.test_y[target], self.test_y[partner])
+                x = extend_inputs(self.test_x, self.specs[partner], self.test_y[partner])
+                loss = self.model("inj", target, partner).task_losses(
+                    x, {target: self.test_y[target]})[target]
                 values[(partner, target)] = label_injection(self.stl_loss[target], loss)
         elif kind == "GS":
             for pair in combinations(self.names, 2):

@@ -1,12 +1,14 @@
 """Tiny MLP models and the training loop the affinity scores observe.
 
-Three model families, all sharing one dense+ReLU backbone shape:
+Three model families, one class. A :class:`Model` is a dense+ReLU
+backbone with a linear latent and one dense head per task:
 
-* single-task (STL): backbone -> one head;
-* pairwise multi-task (MTL): one shared backbone -> two heads, trained on
-  the unweighted sum of the two task losses;
-* label-injected STL: an STL model for task ``a`` whose input is the
-  original input concatenated with an encoding of task ``b``'s label.
+* single-task (STL): a model with one task;
+* pairwise multi-task (MTL): a model with two tasks on the shared
+  backbone, trained on the unweighted sum of the two task losses;
+* label-injected STL: a one-task model for task ``a`` whose input is the
+  original input followed by an encoding of task ``b``'s label
+  (:func:`extend_inputs`), so its ``config.input_dim`` is widened by it.
 
 Parameters are plain float64 ndarrays; every loss and gradient comes from
 the explicit kernel in :mod:`autodiff`. Training is plain minibatch SGD
@@ -44,12 +46,11 @@ __all__ = [
     "TrainingDivergedError",
     "model_key",
     "eval_batch",
-    "STLModel",
-    "MTLModel",
-    "InjectedSTLModel",
+    "Model",
     "multiply_add_count",
     "half_capacity",
     "encode_labels",
+    "extend_inputs",
     "train_stl",
     "train_mtl",
     "train_injected",
@@ -91,9 +92,6 @@ class BackboneConfig:
     def layer_widths(self) -> list[tuple[int, int]]:
         chain = [self.input_dim, *self.hidden_widths, self.latent_dim]
         return list(zip(chain[:-1], chain[1:]))
-
-    def with_input_dim(self, input_dim: int) -> "BackboneConfig":
-        return BackboneConfig(input_dim, self.hidden_widths, self.latent_dim)
 
 
 @dataclass(frozen=True)
@@ -139,45 +137,6 @@ class TrainTrace:
         return len(self.combined_val)
 
 
-class _LayerStack:
-    """Dense layers with ReLU between them; the final layer stays linear.
-
-    A head is a stack of one layer.
-    """
-
-    def __init__(self, weights: list[np.ndarray], biases: list[np.ndarray], prefix: str):
-        self.weights = weights
-        self.biases = biases
-        self.prefix = prefix
-
-    @classmethod
-    def init(cls, rng: np.random.Generator, widths: Sequence[tuple[int, int]],
-             prefix: str) -> "_LayerStack":
-        # He initialization: N(0, sqrt(2 / fan_in)) weights, zero biases.
-        ws, bs = [], []
-        for fan_in, fan_out in widths:
-            ws.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out)))
-            bs.append(np.zeros(fan_out))
-        return cls(ws, bs, prefix)
-
-    def copy_params_from(self, other: "_LayerStack") -> None:
-        for mine, theirs in zip(self.params(), other.params()):
-            mine[...] = theirs
-
-    def params(self) -> list[np.ndarray]:
-        return [*self.weights, *self.biases]
-
-    def named_params(self) -> dict[str, np.ndarray]:
-        named = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            named[f"{self.prefix}.w{i}"] = w
-            named[f"{self.prefix}.b{i}"] = b
-        return named
-
-    def multiply_add_count(self) -> int:
-        return sum(w.shape[0] * w.shape[1] for w in self.weights)
-
-
 def encode_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
     """Labels as network-ready floats: one-hot for classes, raw for regression."""
     if spec.kind == "classification":
@@ -190,33 +149,71 @@ def encode_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
     return np.asarray(labels, dtype=np.float64).reshape(len(labels), -1)
 
 
-class _ModelBase:
-    """Shared plumbing: parameter access, snapshots, losses and gradients."""
+def extend_inputs(inputs: np.ndarray, partner: TaskSpec,
+                  partner_labels: np.ndarray) -> np.ndarray:
+    """An injected model's inputs: the raw inputs, then the partner's encoded labels."""
+    return np.concatenate([inputs, encode_labels(partner, partner_labels)], axis=1)
 
-    backbone: _LayerStack
-    config: BackboneConfig
 
-    def _heads(self) -> dict[str, _LayerStack]:
-        raise NotImplementedError
+def _he_init(rng: np.random.Generator,
+             widths: Sequence[tuple[int, int]]) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """He initialization: N(0, sqrt(2 / fan_in)) weights, zero biases."""
+    ws, bs = [], []
+    for fan_in, fan_out in widths:
+        ws.append(rng.normal(0.0, math.sqrt(2.0 / fan_in), (fan_in, fan_out)))
+        bs.append(np.zeros(fan_out))
+    return ws, bs
 
-    def _spec(self, task: str) -> TaskSpec:
-        raise NotImplementedError
+
+class Model:
+    """A dense ReLU backbone with a linear latent, and one dense head per task.
+
+    ``specs`` maps each task name to its spec, in task order; ``weights``
+    and ``biases`` are the backbone's layers and ``heads`` maps each task
+    to its (weight, bias). Parameters are drawn from ``rng``: the backbone
+    first, then each head in task order.
+    """
+
+    def __init__(self, specs: Sequence[TaskSpec], config: BackboneConfig,
+                 rng: np.random.Generator):
+        names = [s.name for s in specs]
+        if not names or len(set(names)) != len(names):
+            raise ValueError(f"a model needs one or more distinct task names, got {names}")
+        self.specs = {s.name: s for s in specs}
+        self.config = config
+        self.weights, self.biases = _he_init(rng, config.layer_widths())
+        self.heads: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+        for spec in specs:
+            [w], [b] = _he_init(rng, [(config.latent_dim, spec.output_dim)])
+            for earlier_w, earlier_b in self.heads.values():
+                if earlier_w.shape == w.shape:
+                    # Same-shape heads start from identical weights so that a
+                    # task paired with a copy of itself keeps bit-identical
+                    # heads, which is what makes the duplicated-task gradient
+                    # cosine exactly 1.
+                    w[...], b[...] = earlier_w, earlier_b
+                    break
+            self.heads[spec.name] = (w, b)
 
     def params(self) -> list[np.ndarray]:
         """Every parameter, in the order of ``ad.Gradients.params``."""
-        out = self.backbone.params()
-        for head in self._heads().values():
-            out.extend(head.params())
+        out = [*self.weights, *self.biases]
+        for w, b in self.heads.values():
+            out.extend((w, b))
         return out
 
-    def named_params(self) -> dict[str, np.ndarray]:
-        named = self.backbone.named_params()
-        for head in self._heads().values():
-            named.update(head.named_params())
+    def _named_params(self) -> dict[str, np.ndarray]:
+        named = {}
+        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
+            named[f"backbone.w{i}"] = w
+            named[f"backbone.b{i}"] = b
+        for task, (w, b) in self.heads.items():
+            named[f"head.{task}.w0"] = w
+            named[f"head.{task}.b0"] = b
         return named
 
     def set_params(self, snapshot: Mapping[str, np.ndarray]) -> None:
-        named = self.named_params()
+        named = self._named_params()
         if set(named) != set(snapshot):
             raise ValueError(f"snapshot keys {sorted(snapshot)} != model keys {sorted(named)}")
         for name, param in named.items():
@@ -226,147 +223,36 @@ class _ModelBase:
             param[...] = snapshot[name]
 
     def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.copy() for name, p in self.named_params().items()}
+        return {name: p.copy() for name, p in self._named_params().items()}
 
     def _kernel_heads(self, labels: Mapping[str, np.ndarray]) -> list[ad.Head]:
         """One kernel head per task in ``labels``, scored by that task's loss."""
         heads = []
         for task, y in labels.items():
-            head = self._heads()[task]
-            if self._spec(task).kind == "classification":
+            if task not in self.specs:
+                raise KeyError(f"model serves {list(self.specs)}, not {task!r}")
+            if self.specs[task].kind == "classification":
                 loss = partial(ad.softmax_cross_entropy, class_index=np.asarray(y).reshape(-1))
             else:
                 loss = partial(ad.mse_loss, target=np.asarray(y, dtype=np.float64))
-            heads.append(ad.Head(head.weights[0], head.biases[0], loss))
+            heads.append(ad.Head(*self.heads[task], loss))
         return heads
 
     def latent(self, inputs: np.ndarray) -> np.ndarray:
         """Backbone output for raw inputs."""
-        return ad.forward(self.backbone.weights, self.backbone.biases, inputs)
+        return ad.forward(self.weights, self.biases, inputs)
 
     def task_losses(self, inputs: np.ndarray,
                     labels: Mapping[str, np.ndarray]) -> dict[str, float]:
         """Each named task's loss on one batch, from one backbone pass."""
-        values = ad.losses(self.backbone.weights, self.backbone.biases,
-                           self._kernel_heads(labels), inputs)
+        values = ad.losses(self.weights, self.biases, self._kernel_heads(labels), inputs)
         return dict(zip(labels, values))
-
-    def task_loss_value(self, task: str, inputs: np.ndarray, labels: np.ndarray) -> float:
-        return self.task_losses(inputs, {task: labels})[task]
 
     def gradients(self, inputs: np.ndarray, labels: Mapping[str, np.ndarray],
                   input_grad: bool = False) -> ad.Gradients:
         """Losses and gradients of the summed losses of the named tasks."""
-        return ad.backward(self.backbone.weights, self.backbone.biases,
-                           self._kernel_heads(labels), inputs, input_grad=input_grad)
-
-
-class STLModel(_ModelBase):
-    """One backbone, one head, one task."""
-
-    def __init__(self, spec: TaskSpec, config: BackboneConfig,
-                 backbone: _LayerStack, head: _LayerStack):
-        self.spec = spec
-        self.config = config
-        self.backbone = backbone
-        self.head = head
-
-    @classmethod
-    def init(cls, spec: TaskSpec, config: BackboneConfig, rng: np.random.Generator) -> "STLModel":
-        backbone = _LayerStack.init(rng, config.layer_widths(), "backbone")
-        head = _LayerStack.init(rng, [(config.latent_dim, spec.output_dim)], f"head.{spec.name}")
-        return cls(spec, config, backbone, head)
-
-    def _heads(self) -> dict[str, _LayerStack]:
-        return {self.spec.name: self.head}
-
-    def _spec(self, task: str) -> TaskSpec:
-        if task != self.spec.name:
-            raise KeyError(f"model serves {self.spec.name!r}, not {task!r}")
-        return self.spec
-
-    def loss_value(self, inputs: np.ndarray, labels: np.ndarray) -> float:
-        return self.task_loss_value(self.spec.name, inputs, labels)
-
-
-class MTLModel(_ModelBase):
-    """Shared backbone, two heads; the objective is loss_a + loss_b."""
-
-    def __init__(self, spec_a: TaskSpec, spec_b: TaskSpec, config: BackboneConfig,
-                 backbone: _LayerStack, head_a: _LayerStack, head_b: _LayerStack):
-        if spec_a.name == spec_b.name:
-            raise ValueError("an MTL pair needs two distinct task names")
-        self.spec_a = spec_a
-        self.spec_b = spec_b
-        self.config = config
-        self.backbone = backbone
-        self.head_a = head_a
-        self.head_b = head_b
-
-    @classmethod
-    def init(cls, spec_a: TaskSpec, spec_b: TaskSpec, config: BackboneConfig,
-             rng: np.random.Generator) -> "MTLModel":
-        backbone = _LayerStack.init(rng, config.layer_widths(), "backbone")
-        head_a = _LayerStack.init(rng, [(config.latent_dim, spec_a.output_dim)],
-                                  f"head.{spec_a.name}")
-        head_b = _LayerStack.init(rng, [(config.latent_dim, spec_b.output_dim)],
-                                  f"head.{spec_b.name}")
-        if spec_a.output_dim == spec_b.output_dim:
-            # Same-shape heads start from identical weights so that a task
-            # paired with a copy of itself keeps bit-identical heads, which
-            # is what makes the duplicated-task gradient cosine exactly 1.
-            head_b.copy_params_from(head_a)
-        return cls(spec_a, spec_b, config, backbone, head_a, head_b)
-
-    @property
-    def pair(self) -> tuple[str, str]:
-        return (self.spec_a.name, self.spec_b.name)
-
-    def _heads(self) -> dict[str, _LayerStack]:
-        return {self.spec_a.name: self.head_a, self.spec_b.name: self.head_b}
-
-    def _spec(self, task: str) -> TaskSpec:
-        for s in (self.spec_a, self.spec_b):
-            if s.name == task:
-                return s
-        raise KeyError(f"model serves {self.pair}, not {task!r}")
-
-
-class InjectedSTLModel(_ModelBase):
-    """STL for a target task over inputs extended with a partner's label."""
-
-    def __init__(self, spec: TaskSpec, partner: TaskSpec, config: BackboneConfig,
-                 backbone: _LayerStack, head: _LayerStack):
-        self.spec = spec
-        self.partner = partner
-        self.config = config  # input_dim already includes the encoding width
-        self.backbone = backbone
-        self.head = head
-
-    @classmethod
-    def init(cls, spec: TaskSpec, partner: TaskSpec, half_config: BackboneConfig,
-             rng: np.random.Generator) -> "InjectedSTLModel":
-        enc_width = partner.output_dim
-        config = half_config.with_input_dim(half_config.input_dim + enc_width)
-        backbone = _LayerStack.init(rng, config.layer_widths(), "backbone")
-        head = _LayerStack.init(rng, [(config.latent_dim, spec.output_dim)], f"head.{spec.name}")
-        return cls(spec, partner, config, backbone, head)
-
-    def _heads(self) -> dict[str, _LayerStack]:
-        return {self.spec.name: self.head}
-
-    def _spec(self, task: str) -> TaskSpec:
-        if task != self.spec.name:
-            raise KeyError(f"model serves {self.spec.name!r}, not {task!r}")
-        return self.spec
-
-    def extend_inputs(self, inputs: np.ndarray, partner_labels: np.ndarray) -> np.ndarray:
-        return np.concatenate([inputs, encode_labels(self.partner, partner_labels)], axis=1)
-
-    def loss_value(self, inputs: np.ndarray, labels: np.ndarray,
-                   partner_labels: np.ndarray) -> float:
-        extended = self.extend_inputs(inputs, partner_labels)
-        return self.task_loss_value(self.spec.name, extended, labels)
+        return ad.backward(self.weights, self.biases, self._kernel_heads(labels), inputs,
+                           input_grad=input_grad)
 
 
 def multiply_add_count(obj) -> int:
@@ -377,11 +263,8 @@ def multiply_add_count(obj) -> int:
     """
     if isinstance(obj, BackboneConfig):
         return sum(fi * fo for fi, fo in obj.layer_widths())
-    if isinstance(obj, _ModelBase):
-        total = obj.backbone.multiply_add_count()
-        for head in obj._heads().values():
-            total += head.multiply_add_count()
-        return total
+    if isinstance(obj, Model):
+        return sum(w.size for w in obj.weights) + sum(w.size for w, _ in obj.heads.values())
     raise TypeError(f"expected BackboneConfig or a model, got {type(obj).__name__}")
 
 
@@ -419,7 +302,7 @@ def eval_batch(dataset: MultiTaskDataset, size: int,
     return dataset.batch(dataset.splits["test"][:size], tasks)
 
 
-def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
+def _pair_probes(model: Model, lr: float, inputs: np.ndarray,
                  labels: Mapping[str, np.ndarray],
                  ) -> tuple[float, dict[str, tuple[float, float]]]:
     """The GS cosine and both look-ahead directions from one gradient per task.
@@ -429,7 +312,7 @@ def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
     step on the partner's loss, as (pre, post). The "pre" loss is the one
     the gradient pass returns. The model's parameters are not changed.
     """
-    a, b = model.pair
+    a, b = model.specs
     grads = {t: model.gradients(inputs, {t: labels[t]}) for t in (a, b)}
     flat = {t: np.concatenate([g.ravel() for g in grads[t].backbone()]) for t in (a, b)}
     na, nb = np.linalg.norm(flat[a]), np.linalg.norm(flat[b])
@@ -438,29 +321,39 @@ def _pair_probes(model: MTLModel, lr: float, inputs: np.ndarray,
     else:
         cosine = float(np.clip(flat[a] @ flat[b] / (na * nb), -1.0, 1.0))
 
-    weights, biases = model.backbone.weights, model.backbone.biases
     lookahead = {}
     for target, partner in ((a, b), (b, a)):
         step = grads[partner]
-        moved_w = [w - lr * g for w, g in zip(weights, step.weights)]
-        moved_b = [v - lr * g for v, g in zip(biases, step.biases)]
+        moved_w = [w - lr * g for w, g in zip(model.weights, step.weights)]
+        moved_b = [v - lr * g for v, g in zip(model.biases, step.biases)]
         [post] = ad.losses(moved_w, moved_b, model._kernel_heads({target: labels[target]}),
                            inputs)
         lookahead[target] = (grads[target].losses[0], post)
     return cosine, lookahead
 
 
-def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset,
-                  cfg: TrainConfig, key: str,
-                  record_pair_quantities: bool) -> TrainTrace:
-    """The shared epoch loop over ``dataset``'s splits and labels."""
+def _job_key(family: str, dataset: MultiTaskDataset, specs: Sequence[TaskSpec]) -> str:
+    """The job key for ``specs``, once ``dataset`` is known to label each of them."""
+    names = [s.name for s in specs]
+    missing = [n for n in names if n not in dataset.labels]
+    if missing:
+        raise KeyError(f"dataset lacks labels for {missing}; has {sorted(dataset.labels)}")
+    return model_key(family, names)
+
+
+def _train(key: str, specs: Sequence[TaskSpec], dataset: MultiTaskDataset,
+           backbone: BackboneConfig, cfg: TrainConfig,
+           probes: bool = False) -> tuple[Model, TrainTrace]:
+    """Build the model for ``specs``, seeded by its job key, and train it on ``dataset``."""
+    model = Model(specs, backbone, model_stream(cfg.seed, INIT, key))
+    tasks = list(model.specs)
     batch_rng = model_stream(cfg.seed, BATCHING, key)
     train_idx = dataset.splits["train"]
     val_inputs, val_labels = dataset.batch(dataset.splits["val"], tasks)
     eval_inputs, eval_labels = eval_batch(dataset, cfg.eval_batch_size, tasks)
 
     trace = TrainTrace(val_loss=[], combined_val=[], best_epoch=0)
-    if record_pair_quantities:
+    if probes:
         trace.gs_cosine = []
         trace.lookahead = {t: [] for t in tasks}
 
@@ -482,36 +375,25 @@ def _run_training(model: _ModelBase, tasks: list[str], dataset: MultiTaskDataset
             trace.best_epoch = epoch
             best_params = model.snapshot()
 
-        if record_pair_quantities:
-            assert isinstance(model, MTLModel)
+        if probes:
             cosine, lookahead = _pair_probes(model, lr, eval_inputs, eval_labels)
             trace.gs_cosine.append(cosine)
             for target, pair in lookahead.items():
                 trace.lookahead[target].append(pair)
 
     model.set_params(best_params)
-    return trace
-
-
-def _require_tasks(dataset: MultiTaskDataset, names: list[str]) -> None:
-    missing = [n for n in names if n not in dataset.labels]
-    if missing:
-        raise KeyError(f"dataset lacks labels for {missing}; has {sorted(dataset.labels)}")
+    return model, trace
 
 
 def train_stl(task: TaskSpec, dataset: MultiTaskDataset, backbone: BackboneConfig,
-              cfg: TrainConfig) -> tuple[STLModel, TrainTrace]:
+              cfg: TrainConfig) -> tuple[Model, TrainTrace]:
     """Train a single-task model; returns it at its best validation epoch."""
-    _require_tasks(dataset, [task.name])
-    key = model_key("stl", [task.name])
-    model = STLModel.init(task, backbone, model_stream(cfg.seed, INIT, key))
-    trace = _run_training(model, [task.name], dataset, cfg, key, record_pair_quantities=False)
-    return model, trace
+    return _train(_job_key("stl", dataset, [task]), [task], dataset, backbone, cfg)
 
 
 def train_mtl(pair: tuple[TaskSpec, TaskSpec], dataset: MultiTaskDataset,
               backbone: BackboneConfig, cfg: TrainConfig,
-              probes: bool = True) -> tuple[MTLModel, TrainTrace]:
+              probes: bool = True) -> tuple[Model, TrainTrace]:
     """Train both tasks on a shared backbone, minimizing the plain loss sum.
 
     With ``probes`` the trace additionally carries, per epoch and measured
@@ -520,32 +402,20 @@ def train_mtl(pair: tuple[TaskSpec, TaskSpec], dataset: MultiTaskDataset,
     no parameter and draw no random numbers, so the trained model is the
     same either way.
     """
-    spec_a, spec_b = pair
-    _require_tasks(dataset, [spec_a.name, spec_b.name])
-    key = model_key("mtl", [spec_a.name, spec_b.name])
-    model = MTLModel.init(spec_a, spec_b, backbone, model_stream(cfg.seed, INIT, key))
-    trace = _run_training(model, [spec_a.name, spec_b.name], dataset, cfg, key,
-                          record_pair_quantities=probes)
-    return model, trace
+    return _train(_job_key("mtl", dataset, pair), pair, dataset, backbone, cfg, probes)
 
 
 def train_injected(target: TaskSpec, partner: TaskSpec, dataset: MultiTaskDataset,
                    half_backbone: BackboneConfig, cfg: TrainConfig,
-                   ) -> tuple[InjectedSTLModel, TrainTrace]:
+                   ) -> tuple[Model, TrainTrace]:
     """Train STL for ``target`` with ``partner``'s label appended to the input.
 
     The backbone keeps the half-capacity hidden widths; only the input layer
     widens by the label encoding (one-hot for classification, raw values for
-    regression). ``partner`` may equal ``target``: injecting a task's own
-    label is the upper-bound case.
+    regression; see :func:`extend_inputs`). ``partner`` may equal
+    ``target``: injecting a task's own label is the upper-bound case.
     """
-    _require_tasks(dataset, [target.name, partner.name])
-    key = model_key("inj", [target.name, partner.name])
-    model = InjectedSTLModel.init(target, partner, half_backbone,
-                                  model_stream(cfg.seed, INIT, key))
-    extended = model.extend_inputs(dataset.inputs, dataset.labels[partner.name])
-    injected_view = replace(dataset, inputs=extended)
-    trace = _run_training(model, [target.name], injected_view, cfg, key,
-                          record_pair_quantities=False)
-    return model, trace
-
+    key = _job_key("inj", dataset, [target, partner])
+    extended = extend_inputs(dataset.inputs, partner, dataset.labels[partner.name])
+    backbone = replace(half_backbone, input_dim=half_backbone.input_dim + partner.output_dim)
+    return _train(key, [target], replace(dataset, inputs=extended), backbone, cfg)

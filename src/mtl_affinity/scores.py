@@ -27,12 +27,12 @@ as 1 - score.
 
 from __future__ import annotations
 
-from typing import Callable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
 from .matrices import TaskMatrix
-from .models import STLModel, TrainTrace
+from .models import Model, TrainTrace
 from .stats import spearman
 from .tasks import TaxonomyDistances
 
@@ -124,26 +124,26 @@ def taxonomical_distance(distances: TaxonomyDistances, a: str, b: str) -> float:
     return distances.distance(a, b)
 
 
-def input_x_gradient(model: STLModel, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Attribution maps: input elementwise times d(test loss)/d(input).
+def input_x_gradient(model: Model, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Attribution maps of a single-task model: input elementwise times d(loss)/d(input).
 
     One row per example. The batch-mean loss is differentiated, which
     scales every row by the same positive constant relative to per-example
     losses; direction-based uses (cosines, zero checks) are unaffected.
     """
+    [task] = model.specs
     x = np.asarray(inputs, dtype=np.float64)
-    return x * model.gradients(x, {model.spec.name: labels}, input_grad=True).inputs
+    return x * model.gradients(x, {task: labels}, input_grad=True).inputs
 
 
 def input_attribution_similarity(
-    model_a: STLModel,
-    model_b: STLModel,
+    model_a: Model,
+    model_b: Model,
     inputs: np.ndarray,
     labels_a: np.ndarray,
     labels_b: np.ndarray,
-    attribution: Callable[[STLModel, np.ndarray, np.ndarray], np.ndarray] = input_x_gradient,
 ) -> ScoreValue:
-    """Mean per-example cosine between the two models' attribution maps.
+    """Mean per-example cosine between two single-task models' attribution maps.
 
     Symmetric, in [-1, 1]. Examples where either map has zero norm are
     skipped; the returned value records how many.
@@ -158,8 +158,8 @@ def input_attribution_similarity(
         if model.config.input_dim != inputs.shape[1]:
             raise ValueError(f"{name} model expects input width {model.config.input_dim}, "
                              f"batch has {inputs.shape[1]}")
-    attr_a = attribution(model_a, inputs, labels_a)
-    attr_b = attribution(model_b, inputs, labels_b)
+    attr_a = input_x_gradient(model_a, inputs, labels_a)
+    attr_b = input_x_gradient(model_b, inputs, labels_b)
     norm_a = np.linalg.norm(attr_a, axis=1)
     norm_b = np.linalg.norm(attr_b, axis=1)
     usable = (norm_a > 0.0) & (norm_b > 0.0)
@@ -194,7 +194,7 @@ def representation_dissimilarity(latents: np.ndarray) -> np.ndarray:
     return 1.0 - np.clip(corr, -1.0, 1.0)
 
 
-def rsa(model_a: STLModel, model_b: STLModel, inputs: np.ndarray) -> float:
+def rsa(model_a: Model, model_b: Model, inputs: np.ndarray) -> float:
     """Spearman correlation of the two backbones' RDM upper triangles.
 
     Symmetric, in [-1, 1]. Needs at least 3 examples so the triangles have

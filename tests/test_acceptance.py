@@ -195,11 +195,11 @@ def _random_rsa_case(rng: np.random.Generator):
         d_in = int(rng.integers(3, 10))
         config = models.BackboneConfig(d_in, (int(rng.integers(2, 9)),),
                                        int(rng.integers(3, 7)))
-        model_a = models.STLModel.init(
-            TaskSpec("one", "regression", 1), config,
+        model_a = models.Model(
+            [TaskSpec("one", "regression", 1)], config,
             np.random.default_rng(int(rng.integers(1 << 32))))
-        model_b = models.STLModel.init(
-            TaskSpec("other", "regression", 1), config,
+        model_b = models.Model(
+            [TaskSpec("other", "regression", 1)], config,
             np.random.default_rng(int(rng.integers(1 << 32))))
         batch = int(rng.integers(5, 20))
         for _ in range(20):
@@ -372,8 +372,10 @@ def test_criterion_7_end_to_end(tmp_path):
         inputs = dataset.inputs[test_idx]
         labels = dataset.labels[spec_a.name][test_idx]
         injected, _ = models.train_injected(spec_a, spec_a, dataset, half, cfg)
-        li_values.append(label_injection(stl_a.loss_value(inputs, labels),
-                                         injected.loss_value(inputs, labels, labels)))
+        injected_inputs = models.extend_inputs(inputs, spec_a, labels)
+        task = {spec_a.name: labels}
+        li_values.append(label_injection(stl_a.task_losses(inputs, task)[spec_a.name],
+                                         injected.task_losses(injected_inputs, task)[spec_a.name]))
     assert np.mean(li_values) > 0.0
 
     # (iii) the full default pipeline finishes quickly and reproduces itself

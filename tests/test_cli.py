@@ -79,6 +79,12 @@ def test_run_rejects_unknown_score(tmp_path, capsys):
     assert "NOPE" in capsys.readouterr().err
 
 
+def test_run_rejects_hidden_without_half_capacity(tmp_path, capsys):
+    cfg = write_config(tmp_path, d_in=24, latent_dim=16, hidden=[1])
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "hidden" in capsys.readouterr().err
+
+
 def test_run_verbose_env_prints_progress(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MTL_AFFINITY_VERBOSE", "1")
     cfg = write_config(tmp_path, n_tasks=2)

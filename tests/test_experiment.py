@@ -61,9 +61,26 @@ def test_config_rejects_bad_fields(tmp_path):
     # Training fields fail at construction, naming the field.
     for field, value in (("epochs", 0), ("initial_lr", -1.0), ("lr_decay", 0.0),
                          ("batch_size", 0), ("eval_batch_size", 0),
-                         ("hidden", (0,)), ("hidden", (8, -1)), ("latent_dim", 0)):
+                         ("hidden", ()), ("hidden", (0,)), ("hidden", (8, -1)),
+                         ("latent_dim", 0), ("d_in", 0)):
         with pytest.raises(ValueError, match=field):
             tiny_config(tmp_path, **{field: value})
+    # The half-capacity backbone must exist. At the default widths (d_in=24,
+    # latent_dim=16) one hidden unit is too few and two are enough.
+    with pytest.raises(ValueError, match="hidden"):
+        ExperimentConfig(hidden=(1,))
+    assert ExperimentConfig(hidden=(2,)).hidden == (2,)
+    # A dataset directory fixes the input width, so the run checks it; an
+    # empty hidden tuple fails at construction all the same.
+    suite = generate_latent_factor_suite(seed=0, n_tasks=2, d_latent=2, d_in=2,
+                                         n_examples=30, overlap=0.5, noise_std=0.1)
+    save_dataset(suite, tmp_path / "suite")
+    with pytest.raises(ValueError, match="hidden"):
+        tiny_config(tmp_path, dataset_path=str(tmp_path / "suite"), hidden=())
+    loaded = tiny_config(tmp_path, dataset_path=str(tmp_path / "suite"), hidden=(1,),
+                         latent_dim=16)
+    with pytest.raises(ExperimentError, match="hidden"):
+        _SeedRun(loaded, 0)
 
 
 def test_config_json_round_trip(tmp_path):

@@ -1,5 +1,7 @@
 """Model construction, capacity accounting, and the training loop."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -40,13 +42,13 @@ def test_multiply_add_count_mtl_model():
     cfg = m.BackboneConfig(4, (), 8)
     a = TaskSpec("a", "classification", 2)
     b = TaskSpec("b", "classification", 3)
-    model = m.MTLModel.init(a, b, cfg, np.random.default_rng(0))
+    model = m.Model([a, b], cfg, np.random.default_rng(0))
     assert m.multiply_add_count(model) == 32 + 16 + 24
 
 
 def test_multiply_add_count_stl_model():
-    model = m.STLModel.init(TaskSpec("a", "regression", 2),
-                            m.BackboneConfig(4, (8,), 2), np.random.default_rng(0))
+    model = m.Model([TaskSpec("a", "regression", 2)],
+                    m.BackboneConfig(4, (8,), 2), np.random.default_rng(0))
     assert m.multiply_add_count(model) == 48 + 4
 
 
@@ -105,9 +107,9 @@ def test_two_half_stls_fit_one_full_mtl_budget():
     a = TaskSpec("a", "regression", 1)
     b = TaskSpec("b", "classification", 3)
     rng = np.random.default_rng(0)
-    stl_a = m.STLModel.init(a, half, rng)
-    stl_b = m.STLModel.init(b, half, rng)
-    mtl = m.MTLModel.init(a, b, full, rng)
+    stl_a = m.Model([a], half, rng)
+    stl_b = m.Model([b], half, rng)
+    mtl = m.Model([a, b], full, rng)
     assert (m.multiply_add_count(stl_a) + m.multiply_add_count(stl_b)
             <= m.multiply_add_count(mtl))
 
@@ -153,8 +155,8 @@ def test_train_stl_deterministic():
 def val_loss(model, dataset, tasks):
     """The combined validation loss the trainer records, recomputed from a model."""
     idx = dataset.splits["val"]
-    return sum(model.task_loss_value(t, dataset.inputs[idx], dataset.labels[t][idx])
-               for t in tasks)
+    labels = {t: dataset.labels[t][idx] for t in tasks}
+    return sum(model.task_losses(dataset.inputs[idx], labels).values())
 
 
 def test_train_stl_single_epoch_uses_that_snapshot():
@@ -196,7 +198,8 @@ def test_train_stl_solves_noiseless_linear_task():
     cfg = m.TrainConfig(seed=3, epochs=300, initial_lr=0.02, lr_decay=0.999, batch_size=16)
     model, _ = m.train_stl(s.specs[0], s.dataset, m.BackboneConfig(3, (32,), 8), cfg)
     idx = s.dataset.splits["train"]
-    assert model.loss_value(s.dataset.inputs[idx], s.dataset.labels["task0"][idx]) < 1e-3
+    labels = {"task0": s.dataset.labels["task0"][idx]}
+    assert model.task_losses(s.dataset.inputs[idx], labels)["task0"] < 1e-3
 
 
 # --- MTL training ---
@@ -239,7 +242,7 @@ def test_train_mtl_recorded_quantities_recomputable_from_snapshot():
     model, trace = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, cfg)
 
     epoch = trace.best_epoch
-    fresh = m.MTLModel.init(s.specs[0], s.specs[1], BACKBONE, np.random.default_rng(99))
+    fresh = m.Model([s.specs[0], s.specs[1]], BACKBONE, np.random.default_rng(99))
     fresh.set_params(model.snapshot())
     eval_idx = s.dataset.splits["test"][:cfg.eval_batch_size]
     eval_inputs = s.dataset.inputs[eval_idx]
@@ -267,7 +270,7 @@ def test_train_mtl_without_probes_trains_the_same_model():
 def test_train_mtl_rejects_same_name_pair():
     s = suite()
     with pytest.raises(ValueError):
-        m.MTLModel.init(s.specs[0], s.specs[0], BACKBONE, np.random.default_rng(0))
+        m.Model([s.specs[0], s.specs[0]], BACKBONE, np.random.default_rng(0))
 
 
 # --- injected training ---
@@ -301,8 +304,8 @@ def test_injecting_own_label_beats_plain_stl():
 
     test_idx = s.dataset.splits["test"]
     x, y = s.dataset.inputs[test_idx], s.dataset.labels["task0"][test_idx]
-    stl_loss = stl.loss_value(x, y)
-    inj_loss = inj.loss_value(x, y, y)
+    stl_loss = stl.task_losses(x, {"task0": y})["task0"]
+    inj_loss = inj.task_losses(m.extend_inputs(x, target, y), {"task0": y})["task0"]
     assert inj_loss <= stl_loss
 
 
@@ -336,7 +339,7 @@ def test_set_params_validates_keys_and_shapes():
 def _check_model_gradients(model, x, labels):
     """Every parameter gradient of the summed task losses against central differences."""
     grads = model.gradients(x, labels)
-    assert grads.losses == [model.task_loss_value(t, x, y) for t, y in labels.items()]
+    assert grads.losses == [model.task_losses(x, {t: y})[t] for t, y in labels.items()]
 
     def loss(_) -> float:
         return sum(model.task_losses(x, labels).values())
@@ -357,16 +360,26 @@ def test_model_gradients_match_central_differences():
     y = {"r": rng.normal(size=(9, 2)), "c": rng.integers(0, 3, 9)}
 
     for spec in (reg, cls):
-        stl = m.STLModel.init(spec, config, rng)
+        stl = m.Model([spec], config, rng)
         _check_model_gradients(stl, x, {spec.name: y[spec.name]})
         # The IAS attribution is the input times the input gradient.
         x_probe = x.copy()
         numeric = finite_difference_grad(
-            lambda _: stl.loss_value(x_probe, y[spec.name]), x_probe)
+            lambda _: stl.task_losses(x_probe, {spec.name: y[spec.name]})[spec.name], x_probe)
         np.testing.assert_allclose(input_x_gradient(stl, x, y[spec.name]), x * numeric,
                                    rtol=1e-5, atol=1e-7)
 
-    _check_model_gradients(m.MTLModel.init(reg, cls, config, rng), x, y)
+    _check_model_gradients(m.Model([reg, cls], config, rng), x, y)
 
-    injected = m.InjectedSTLModel.init(cls, reg, config, rng)
-    _check_model_gradients(injected, injected.extend_inputs(x, y["r"]), {"c": y["c"]})
+    widened = replace(config, input_dim=config.input_dim + reg.output_dim)
+    injected = m.Model([cls], widened, rng)
+    _check_model_gradients(injected, m.extend_inputs(x, reg, y["r"]), {"c": y["c"]})
+
+
+def test_model_rejects_a_task_it_does_not_serve():
+    a, b = TaskSpec("a", "regression", 1), TaskSpec("b", "classification", 3)
+    model = m.Model([a, b], BACKBONE, np.random.default_rng(0))
+    x = np.zeros((2, 6))
+    for call in (model.task_losses, model.gradients):
+        with pytest.raises(KeyError, match=r"\['a', 'b'\], not 'c'"):
+            call(x, {"c": np.zeros((2, 1))})

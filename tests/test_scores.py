@@ -9,8 +9,7 @@ from mtl_affinity import scores
 from mtl_affinity.stats import DegenerateInputError
 from mtl_affinity.models import (
     BackboneConfig,
-    MTLModel,
-    STLModel,
+    Model,
     TrainConfig,
     TrainTrace,
     train_mtl,
@@ -24,8 +23,8 @@ def linear_stl(name, wb, bb, wh, bh, kind="regression"):
     """An STL model with explicit single-layer backbone and head weights."""
     wb, bb, wh, bh = (np.asarray(a, dtype=np.float64) for a in (wb, bb, wh, bh))
     spec = TaskSpec(name, kind, wh.shape[1] if kind == "regression" else max(2, wh.shape[1]))
-    model = STLModel.init(spec, BackboneConfig(wb.shape[0], (), wb.shape[1]),
-                          np.random.default_rng(0))
+    model = Model([spec], BackboneConfig(wb.shape[0], (), wb.shape[1]),
+                  np.random.default_rng(0))
     model.set_params({"backbone.w0": wb, "backbone.b0": bb,
                       f"head.{name}.w0": wh, f"head.{name}.b0": bh})
     return model
@@ -90,34 +89,27 @@ def test_ias_same_model_is_one():
 
 
 def test_ias_orthogonal_maps_is_zero():
+    # Each model reads one input coordinate, so its maps lie on that axis.
     model_a = linear_stl("a", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
-    model_b = linear_stl("b", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
-    fixed = {id(model_a): np.array([1.0, 0.0]), id(model_b): np.array([0.0, 1.0])}
-
-    def attribution(model, inputs, labels):
-        return np.tile(fixed[id(model)], (inputs.shape[0], 1))
-
+    model_b = linear_stl("b", np.eye(2), [0.0, 0.0], [[0.0], [1.0]], [0.0])
     x = np.ones((5, 2))
-    y = np.ones((5, 1))
-    got = scores.input_attribution_similarity(model_a, model_b, x, y, y,
-                                              attribution=attribution)
+    y = np.zeros((5, 1))
+    for model, axis in ((model_a, 0), (model_b, 1)):
+        maps = scores.input_x_gradient(model, x, y)
+        assert np.all(maps[:, axis] != 0.0) and np.all(maps[:, 1 - axis] == 0.0)
+    got = scores.input_attribution_similarity(model_a, model_b, x, y, y)
     assert got == pytest.approx(0.0, abs=1e-12)
 
 
 def test_ias_skips_zero_norm_examples_and_counts():
-    model_a = linear_stl("a", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
-    model_b = linear_stl("b", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
-
-    def attribution(model, inputs, labels):
-        maps = np.ones((inputs.shape[0], 2))
-        if model is model_a:
-            maps[0] = 0.0  # one dead example on one side only
-        return maps
-
-    x = np.ones((4, 2))
-    y = np.ones((4, 1))
-    got = scores.input_attribution_similarity(model_a, model_b, x, y, y,
-                                              attribution=attribution)
+    model_a = linear_stl("a", np.eye(2), [0.0, 0.0], [[1.0], [1.0]], [0.0])
+    model_b = linear_stl("b", np.eye(2), [0.0, 0.0], [[1.0], [1.0]], [0.0])
+    x = np.ones((4, 2))  # both models predict 2.0 for every example
+    # One dead example on one side only: model a predicts example 0 exactly.
+    y_a = np.array([[2.0], [0.0], [0.0], [0.0]])
+    y_b = np.zeros((4, 1))
+    assert np.all(scores.input_x_gradient(model_a, x, y_a)[0] == 0.0)
+    got = scores.input_attribution_similarity(model_a, model_b, x, y_a, y_b)
     assert got == pytest.approx(1.0)
     assert got.skipped == 1
     assert got.used == 3
@@ -126,11 +118,10 @@ def test_ias_skips_zero_norm_examples_and_counts():
 def test_ias_all_skipped_raises():
     model_a = linear_stl("a", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
     model_b = linear_stl("b", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
-    zero = lambda model, inputs, labels: np.zeros((inputs.shape[0], 2))
+    # Both models predict every label exactly, so every map is zero.
     with pytest.raises(scores.DegenerateScoreError, match="zero-norm"):
         scores.input_attribution_similarity(model_a, model_b, np.ones((3, 2)),
-                                            np.ones((3, 1)), np.ones((3, 1)),
-                                            attribution=zero)
+                                            np.ones((3, 1)), np.ones((3, 1)))
 
 
 def test_ias_input_width_mismatch():
@@ -270,8 +261,8 @@ def test_gs_gt_single_epoch_match_hand_simulation():
 
     # Reproduce the initial parameters and the (single) batch order.
     key = "mtl/task0/task1"
-    init = MTLModel.init(suite.specs[0], suite.specs[1], backbone,
-                         model_stream(cfg.seed, INIT, key)).snapshot()
+    init = Model([suite.specs[0], suite.specs[1]], backbone,
+                 model_stream(cfg.seed, INIT, key)).snapshot()
     order = model_stream(cfg.seed, BATCHING, key).permutation(len(ds.splits["train"]))
     idx = ds.splits["train"][order]
     x = ds.inputs[idx]
