@@ -242,6 +242,15 @@ class Job(NamedTuple):
         return model_key(self.family, self.tasks)
 
 
+def _name_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
+    """Every unordered pair of ``names``, each sorted by name.
+
+    A pair model's key and head order follow this order, so a seed's
+    results do not depend on the order in which its tasks are listed.
+    """
+    return list(combinations(sorted(names), 2))
+
+
 def plan_roster(names: Sequence[str], scores: Sequence[str]) -> tuple[Job, ...]:
     """Every model one seed trains, in training order.
 
@@ -251,7 +260,7 @@ def plan_roster(names: Sequence[str], scores: Sequence[str]) -> tuple[Job, ...]:
     """
     needed = {family for kind in scores for family in SCORE_FAMILIES[kind]}
     jobs = [Job("stl", (t,)) for t in names]
-    jobs += [Job("mtl", pair, probes="mtl" in needed) for pair in combinations(names, 2)]
+    jobs += [Job("mtl", pair, probes="mtl" in needed) for pair in _name_pairs(names)]
     if "inj" in needed:
         jobs += [Job("inj", pair) for pair in permutations(names, 2)]
     return tuple(jobs)
@@ -270,6 +279,7 @@ class _SeedRun:
         suite = _load_suite(config, seed)
         self.specs = {s.name: s for s in suite.specs}
         self.names = tuple(s.name for s in suite.specs)
+        self.pairs = _name_pairs(self.names)
         if len(self.names) < 2:
             raise ExperimentError(f"need at least 2 tasks, dataset has {len(self.names)}")
         self.dataset = suite.dataset
@@ -308,7 +318,7 @@ class _SeedRun:
 
     def gain_matrix(self) -> GainMatrix:
         gain = GainMatrix(self.names, unit="fraction")
-        for a, b in combinations(self.names, 2):
+        for a, b in self.pairs:
             # Both heads' losses from one backbone pass over the test split.
             mtl_loss = self.model("mtl", a, b).task_losses(
                 self.test_x, {t: self.test_y[t] for t in (a, b)})
@@ -320,17 +330,17 @@ class _SeedRun:
         values: dict[tuple[str, str], float] = {}
         if kind == "TD":
             assert taxonomy is not None
-            for a, b in combinations(self.names, 2):
+            for a, b in self.pairs:
                 values[(a, b)] = taxonomical_distance(taxonomy, a, b)
         elif kind == "IAS":
-            for a, b in combinations(self.names, 2):
+            for a, b in self.pairs:
                 v = input_attribution_similarity(
                     self.model("stl", a), self.model("stl", b), self.eval_x,
                     self.eval_y[a], self.eval_y[b])
                 _note_skips(self.notes, f"IAS {a}/{b}", v)
                 values[(a, b)] = float(v)
         elif kind == "RSA":
-            for a, b in combinations(self.names, 2):
+            for a, b in self.pairs:
                 values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
         elif kind == "LI":
             for target, partner in permutations(self.names, 2):
@@ -339,10 +349,10 @@ class _SeedRun:
                     x, {target: self.test_y[target]})[target]
                 values[(partner, target)] = label_injection(self.stl_loss[target], loss)
         elif kind == "GS":
-            for pair in combinations(self.names, 2):
+            for pair in self.pairs:
                 values[pair] = gradient_similarity(self.trained[model_key("mtl", pair)][1])
         elif kind == "GT":
-            for a, b in combinations(self.names, 2):
+            for a, b in self.pairs:
                 trace = self.trained[model_key("mtl", (a, b))][1]
                 for target, partner in ((a, b), (b, a)):
                     v = gradient_transference(trace, target)

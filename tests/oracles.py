@@ -2,12 +2,14 @@
 
 Everything here is deliberately naive: central finite differences for
 gradients, O(n^2) pair counting for rank correlations, and exhaustive
-enumeration for the grouping optimizer. Slow is fine; these only run in
+enumeration (or, for the best total at larger n, a DP over task subsets)
+for the grouping optimizer. Slow is fine; these only run in
 tests.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from typing import Callable, Sequence
@@ -99,13 +101,16 @@ def kendall_tau_naive(x: Sequence[float], y: Sequence[float],
 
 
 def enumerate_groupings(task_names: Sequence[str], stl_cost: float,
-                        budget: float):
+                        budget: float, mtl_cost: float | None = None):
     """Yield every way to serve each task exactly once within the budget.
 
     Candidates are single-task models (cost ``stl_cost``) and one two-task
-    model per unordered pair (cost ``2 * stl_cost``) which may serve one or
-    both of its tasks. A grouping is a set of (kind, tasks, serves) triples.
+    model per unordered pair (cost ``mtl_cost``, default ``2 * stl_cost``)
+    which may serve one or both of its tasks. A grouping is a set of
+    (kind, tasks, serves) triples.
     """
+    if mtl_cost is None:
+        mtl_cost = 2.0 * stl_cost
     names = list(task_names)
     candidates = [("stl", (t,), (t,)) for t in names]
     for a, b in itertools.combinations(names, 2):
@@ -113,7 +118,7 @@ def enumerate_groupings(task_names: Sequence[str], stl_cost: float,
             candidates.append(("mtl", (a, b), serves))
 
     def cost(c):
-        return stl_cost if c[0] == "stl" else 2.0 * stl_cost
+        return stl_cost if c[0] == "stl" else mtl_cost
 
     def rec(remaining: frozenset, chosen: tuple, spent: float):
         if not remaining:
@@ -137,7 +142,7 @@ def enumerate_groupings(task_names: Sequence[str], stl_cost: float,
 
 
 def best_grouping_naive(task_names: Sequence[str], gains: dict,
-                        stl_cost: float, budget: float):
+                        stl_cost: float, budget: float, mtl_cost: float | None = None):
     """Exhaustively maximize summed served-task gain; None when infeasible.
 
     ``gains[(a, b)]`` is the gain of task ``a`` served by the two-task
@@ -147,7 +152,7 @@ def best_grouping_naive(task_names: Sequence[str], gains: dict,
     """
     best = None
     best_key = None
-    for grouping in enumerate_groupings(task_names, stl_cost, budget):
+    for grouping in enumerate_groupings(task_names, stl_cost, budget, mtl_cost):
         total = 0.0
         for kind, tasks, serves in grouping:
             if kind == "mtl":
@@ -160,3 +165,44 @@ def best_grouping_naive(task_names: Sequence[str], gains: dict,
             best = (total, grouping)
             best_key = key
     return best
+
+
+def best_total_by_subsets(task_names: Sequence[str], gains: dict, stl_cost: float,
+                          budget: float, mtl_cost: float) -> float | None:
+    """The best summed served-task gain by a DP over task subsets; None if infeasible.
+
+    ``gains`` is keyed as in :func:`best_grouping_naive`. Each task is served
+    by its single-task model (gain 0), alone by a two-task model with its
+    best partner, or together with another task by one two-task model. The
+    rule that a pair trains at most one model is dropped: two models of one
+    pair that each serve one task are never better than one model serving
+    both, so the best total is the same.
+    """
+    names = list(task_names)
+    solo = [max(gains[(t, w)] for w in names if w != t) for t in names]
+
+    @functools.lru_cache(maxsize=None)
+    def table(mask: int) -> dict:
+        """(two-task models, single-task models) -> best gain of serving ``mask``."""
+        if not mask:
+            return {(0, 0): 0.0}
+        p = (mask & -mask).bit_length() - 1
+        rest = mask & ~(1 << p)
+        out: dict = {}
+
+        def offer(key, value):
+            if value > out.get(key, -math.inf):
+                out[key] = value
+        for (m, k), v in table(rest).items():
+            offer((m, k + 1), v)
+            offer((m + 1, k), v + solo[p])
+        for q in range(len(names)):
+            if rest >> q & 1:
+                pair = gains[(names[p], names[q])] + gains[(names[q], names[p])]
+                for (m, k), v in table(rest & ~(1 << q)).items():
+                    offer((m + 1, k), v + pair)
+        return out
+
+    totals = [v for (m, k), v in table((1 << len(names)) - 1).items()
+              if m * mtl_cost + k * stl_cost <= budget + 1e-9]
+    return max(totals) if totals else None

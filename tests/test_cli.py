@@ -3,10 +3,12 @@
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mtl_affinity.cli import main
-from mtl_affinity.grouping import Grouping, is_valid_grouping
+from mtl_affinity.evaluation import GainMatrix
+from mtl_affinity.grouping import Grouping, is_valid_grouping, optimize_grouping
 from mtl_affinity.paper_data import TASKS
 from oracles import best_grouping_naive
 
@@ -142,6 +144,29 @@ def test_group_matches_oracle_on_small_file(tmp_path, capsys):
     oracle_key = tuple(sorted((tuple(sorted(t)), tuple(sorted(s)))
                               for _, t, s in best))
     assert grouping.encoding() == oracle_key
+
+
+def test_group_ten_tasks_from_file(tmp_path, capsys):
+    tasks = tuple(f"t{i}" for i in range(10))
+    rng = np.random.default_rng(10)
+    gains = GainMatrix(tasks, {(w, t): float(rng.uniform(-20.0, 30.0))
+                               for w in tasks for t in tasks if w != t}, unit="percent")
+    gain_path = tmp_path / "gain.csv"
+    gain_path.write_text(gains.to_csv_text(), encoding="utf-8")
+    assert main(["group", "--gain", str(gain_path), "--budget", "15"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    grouping = Grouping.from_json_dict({k: payload[k]
+                                        for k in ("models", "budget", "total_cost")})
+    assert is_valid_grouping(tasks, grouping) == []
+    loaded = GainMatrix.from_csv_text(gain_path.read_text(encoding="utf-8"), unit="percent")
+    assert (grouping, payload["total_gain"]) == optimize_grouping(tasks, loaded, 15.0)
+
+
+@pytest.mark.parametrize("flag", ["--budget", "--stl-cost", "--mtl-cost"])
+def test_group_rejects_nan(flag, capsys):
+    args = ["group", "--budget", "5"] + [flag, "nan"]
+    assert main(args) == 2
+    assert flag[2:].replace("-", "_") in capsys.readouterr().err
 
 
 def test_missing_subcommand_exits_2():

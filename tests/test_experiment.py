@@ -5,6 +5,7 @@ import math
 from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mtl_affinity.evaluation import (
@@ -29,7 +30,7 @@ from mtl_affinity.experiment import (
 )
 from mtl_affinity.evaluation import read_level1_csv, read_level2_csv, read_level3_csv
 from mtl_affinity.scores import SCORE_KINDS, AffinityMatrix
-from mtl_affinity.tasks import generate_latent_factor_suite, save_dataset
+from mtl_affinity.tasks import TaskSuite, generate_latent_factor_suite, save_dataset
 
 
 def tiny_config(tmp_path, **overrides):
@@ -293,3 +294,39 @@ def test_dataset_path_matches_inline_generation(tmp_path):
     (res_loaded,) = run_experiment(loaded)
     assert res_inline.gain == res_loaded.gain
     assert res_inline.affinities["GS"] == res_loaded.affinities["GS"]
+
+
+def test_results_do_not_depend_on_task_listing_order(tmp_path):
+    """One saved suite, listed in three orders, gives the same results by name."""
+    suite = generate_latent_factor_suite(seed=2, n_tasks=4, d_latent=6, d_in=10,
+                                         n_examples=120, overlap=0.5, noise_std=0.1)
+    shuffled = [int(i) for i in np.random.default_rng(0).permutation(4)]
+    assert shuffled not in ([0, 1, 2, 3], [3, 2, 1, 0])
+    orders = {"listed": suite.specs, "reversed": suite.specs[::-1],
+              "shuffled": tuple(suite.specs[i] for i in shuffled)}
+    results = {}
+    for label, specs in orders.items():
+        save_dataset(TaskSuite(specs, suite.dataset), tmp_path / label)
+        config = tiny_config(tmp_path, dataset_path=str(tmp_path / label),
+                             out_dir=str(tmp_path / f"out-{label}"))
+        (results[label],) = run_experiment(config)
+    names = sorted(s.name for s in suite.specs)
+    cells = [(w, t) for w in names for t in names if w != t]
+    base = results["listed"]
+    for label in ("reversed", "shuffled"):
+        other = results[label]
+        assert other.gain.tasks == tuple(s.name for s in orders[label])
+        assert [other.gain.get(*c) for c in cells] == [base.gain.get(*c) for c in cells]
+        for kind, matrix in base.affinities.items():
+            assert ([other.affinities[kind].get(*c) for c in cells]
+                    == [matrix.get(*c) for c in cells]), kind
+        for kind, report in base.reports.items():
+            got = other.reports[kind]
+            assert got.level1.pooled == pytest.approx(report.level1.pooled, abs=1e-12)
+            assert got.level2.mean == pytest.approx(report.level2.mean, abs=1e-12)
+            for t in names:
+                assert got.level1.per_target[t] == pytest.approx(
+                    report.level1.per_target[t], abs=1e-12)
+                assert got.level2.per_target[t] == pytest.approx(
+                    report.level2.per_target[t], abs=1e-12)
+                assert got.level3.per_target[t].selected == report.level3.per_target[t].selected

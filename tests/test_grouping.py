@@ -1,5 +1,8 @@
-"""Grouping validity, aggregate gain, and the exhaustive optimizer."""
+"""Grouping validity, aggregate gain, and the optimizer against exhaustive oracles."""
 
+import time
+
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,7 +17,7 @@ from mtl_affinity.grouping import (
     optimize_grouping,
 )
 from mtl_affinity.matrices import TaskMatrix
-from oracles import best_grouping_naive
+from oracles import best_grouping_naive, best_total_by_subsets
 
 ABC = ("a", "b", "c")
 
@@ -219,3 +222,130 @@ def test_optimizer_all_nonpositive_gains_hits_zero():
     gains = gain_matrix([-3.0, -1.0, 0.0, -2.0, -5.0, 0.0])
     _, total = optimize_grouping(ABC, gains, budget=3.0)
     assert total == 0.0
+
+
+# --- optimizer at its bound ---
+
+
+def oracle_key(grouping):
+    return tuple(sorted((tuple(sorted(t)), tuple(sorted(s))) for _, t, s in grouping))
+
+
+def seeded_gains(seed, tasks, low=-0.2, high=0.3):
+    rng = np.random.default_rng(seed)
+    return TaskMatrix(tasks, {(w, t): float(rng.uniform(low, high))
+                              for w in tasks for t in tasks if w != t})
+
+
+def check_against_oracle(tasks, gains, budget, mtl_cost):
+    """The oracle's grouping and total, or no grouping for either."""
+    oracle = best_grouping_naive(tasks, oracle_gains_dict(gains), 1.0, budget, mtl_cost)
+    if oracle is None:
+        with pytest.raises(InfeasibleGroupingError):
+            optimize_grouping(tasks, gains, budget, mtl_cost=mtl_cost)
+        return
+    grouping, total = optimize_grouping(tasks, gains, budget, mtl_cost=mtl_cost)
+    assert total == pytest.approx(oracle[0], abs=1e-12)
+    assert grouping.encoding() == oracle_key(oracle[1])
+    assert aggregate_performance(grouping, gains) == total
+
+
+COST_RATIOS = st.sampled_from([2.0, 1.5, 3.0])
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=5, max_value=6), st.integers(min_value=0, max_value=2**32 - 1),
+       COST_RATIOS, st.data())
+def test_optimizer_matches_oracle_at_five_and_six_tasks(n, seed, mtl_cost, data):
+    """Continuous gains: one best grouping, found for any cost ratio."""
+    tasks = tuple(f"t{i}" for i in range(n))
+    budget = data.draw(st.sampled_from([n - 1.0, float(n), 1.5 * n, 2.0 * n]))
+    check_against_oracle(tasks, seeded_gains(seed, tasks), budget, mtl_cost)
+
+
+@settings(max_examples=15, deadline=None)
+@given(st.integers(min_value=5, max_value=6), COST_RATIOS, st.data())
+def test_optimizer_breaks_ties_like_oracle_at_five_and_six_tasks(n, mtl_cost, data):
+    """Gains in steps of 0.25 tie often, and sum exactly in any order."""
+    tasks = tuple(f"t{i}" for i in range(n))
+    steps = data.draw(st.lists(st.integers(min_value=-2, max_value=2),
+                               min_size=n * (n - 1), max_size=n * (n - 1)))
+    budget = data.draw(st.sampled_from([n - 1.0, float(n), 1.5 * n, 2.0 * n]))
+    check_against_oracle(tasks, gain_matrix([0.25 * s for s in steps], tasks=tasks),
+                         budget, mtl_cost)
+
+
+def test_optimizer_matches_oracle_on_mostly_negative_gains():
+    """200 fixed instances whose partial totals often fall below 0.
+
+    A bound that counts the total so far twice prunes good branches here.
+    """
+    for seed in range(200):
+        n = 4 + seed % 2
+        tasks = tuple(f"t{i}" for i in range(n))
+        check_against_oracle(tasks, seeded_gains(seed, tasks, low=-0.3, high=0.2),
+                             float(n - 1 + seed % (n + 2)), (1.5, 2.0, 3.0)[seed % 3])
+
+
+TEN = tuple(f"t{i}" for i in range(10))
+
+
+def solve_within(seconds, gains, budget):
+    start = time.perf_counter()
+    grouping, total = optimize_grouping(TEN, gains, budget)
+    assert time.perf_counter() - start < seconds
+    assert is_valid_grouping(TEN, grouping) == []
+    assert aggregate_performance(grouping, gains) == total
+    return grouping, total
+
+
+@pytest.mark.parametrize("budget", [10.0, 15.0, 20.0])
+def test_optimizer_ten_random_tasks(budget):
+    gains = seeded_gains(int(budget), TEN)
+    _, total = solve_within(5.0, gains, budget)
+    best = best_total_by_subsets(TEN, oracle_gains_dict(gains), 1.0, budget, 2.0)
+    assert total == pytest.approx(best, abs=1e-12)
+
+
+def pair(a, b, *serving):
+    return ((f"t{a}", f"t{b}"), tuple(f"t{s}" for s in serving))
+
+
+@pytest.mark.parametrize("budget, expected", [
+    # Every task in a two-task model that serves both, paired in name order.
+    (10.0, (pair(0, 1, 0, 1), pair(2, 3, 2, 3), pair(4, 5, 4, 5), pair(6, 7, 6, 7),
+            pair(8, 9, 8, 9))),
+    # Models serving one task sort first: t0 with t1, then t2..t4 served with
+    # t0 spend 8 of 15, which leaves just enough for pairs serving both.
+    (15.0, (pair(0, 1, 0), pair(0, 2, 2), pair(0, 3, 3), pair(0, 4, 4),
+            pair(1, 5, 1, 5), pair(6, 7, 6, 7), pair(8, 9, 8, 9))),
+    # Ten one-task-serving models: t1 cannot reuse the pair {t0, t1}.
+    (20.0, (pair(0, 1, 0), *(pair(0, k, k) for k in range(2, 10)), pair(1, 2, 1))),
+])
+def test_optimizer_ten_equal_gains_takes_smallest_tie(budget, expected):
+    """All gains 0.1: every task can gain 0.1, in many tied groupings.
+
+    Sums of 0.1 differ in the last bits with their order, so these ties
+    are only ties within the optimizer's slack.
+    """
+    gains = TaskMatrix(TEN, {(w, t): 0.1 for w in TEN for t in TEN if w != t})
+    grouping, total = solve_within(5.0, gains, budget)
+    assert total == pytest.approx(1.0, abs=1e-12)
+    assert grouping.encoding() == expected
+
+
+@pytest.mark.parametrize("field", ["budget", "stl_cost", "mtl_cost"])
+def test_optimizer_rejects_nan_budget_and_costs(field):
+    gains = gain_matrix([1.0] * 6)
+    kwargs = {"budget": 6.0, field: float("nan")}
+    with pytest.raises(ValueError, match=field):
+        optimize_grouping(ABC, gains, **kwargs)
+
+
+def test_optimizer_allows_infinite_budget_and_costs():
+    gains = gain_matrix([1.0, -1.0, 2.0, 0.5, -3.0, 0.25])
+    _, total = optimize_grouping(ABC, gains, budget=float("inf"))
+    assert total == best_grouping_naive(ABC, oracle_gains_dict(gains), 1.0, 100.0)[0]
+    # An unaffordable two-task model leaves the single-task models.
+    grouping, total = optimize_grouping(ABC, gains, budget=3.0, mtl_cost=float("inf"))
+    assert (grouping.encoding(), total) == (tuple(((t,), (t,)) for t in ABC), 0.0)
