@@ -10,10 +10,18 @@ returns the losses, every parameter gradient and, on request, the gradient
 with respect to the input. :func:`sgd_step` applies one plain SGD update in
 place. Parameters are plain float64 ndarrays owned by the caller.
 
-The arithmetic is fixed so that results repeat to the bit: a layer is
+The same calls serve a *stack* of M models of one backbone shape: every
+backbone parameter and the input batch then carry a leading ``(M, ...)``
+axis, and each head position (a *slot*) is a sequence of :class:`Head`
+groups, one per (output width, loss) over the stack slices listed in its
+``slices``. A slot's latent gradient is assembled over the whole stack from
+its groups and backpropagated once; the losses come back per slice.
+
+The arithmetic is fixed so that results repeat to the bit, and a stack
+slice gets the bits its model would get on its own: a layer is
 ``x @ W + b``; ReLU is ``np.where(z > 0.0, z, 0.0)`` with derivative
-``g * (z > 0.0)``, so 0 at the kink; a layer's gradients are ``a.T @ g``,
-``g.sum(axis=0)`` and ``g @ W.T``.
+``g * (z > 0.0)``, so 0 at the kink; a layer's gradients are
+``a.swapaxes(-1, -2) @ g``, ``g.sum(axis=-2)`` and ``g @ W.swapaxes(-1, -2)``.
 """
 
 from __future__ import annotations
@@ -39,11 +47,16 @@ Loss = Callable[..., tuple[float, np.ndarray | None]]
 
 
 class Head(NamedTuple):
-    """One dense linear head on the latent, and the loss scoring its output."""
+    """One dense linear head on the latent, and the loss scoring its output.
+
+    In a stack, ``weight`` and ``bias`` hold one head per slice in
+    ``slices`` (all slices when None), in that order.
+    """
 
     weight: np.ndarray
     bias: np.ndarray
     loss: Loss
+    slices: np.ndarray | None = None
 
 
 @dataclass
@@ -51,13 +64,14 @@ class Gradients:
     """Result of one :func:`backward` call.
 
     Attributes:
-        losses: each head's loss, in head order.
+        losses: each head slot's loss, in head order; per slice in a stack.
         weights, biases: backbone gradients, layer by layer.
-        heads: (weight, bias) gradient of each head, in head order.
+        heads: (weight, bias) gradient of each head, in head order; in a
+            stack, of each group of each slot.
         inputs: gradient with respect to the input batch, when requested.
     """
 
-    losses: list[float]
+    losses: list
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     heads: list[tuple[np.ndarray, np.ndarray]]
@@ -75,35 +89,48 @@ class Gradients:
         return out
 
 
+def _swap(a: np.ndarray) -> np.ndarray:
+    """The transpose of each matrix, stacked or not."""
+    return a.swapaxes(-1, -2)
+
+
 def mse_loss(pred: np.ndarray, target: np.ndarray,
-             grad: bool = False) -> tuple[float, np.ndarray | None]:
-    """Mean squared error over all elements, and its gradient when ``grad``."""
+             grad: bool = False) -> tuple[float | np.ndarray, np.ndarray | None]:
+    """Mean squared error over all elements, and its gradient when ``grad``.
+
+    A 3-D ``pred`` is a stack of M batches and gives M losses, each over
+    its own batch's elements.
+    """
     if pred.shape != target.shape:
         raise ValueError(f"mse_loss: shapes differ, {pred.shape} vs {target.shape}")
     if pred.size == 0:
         raise ValueError("mse_loss: empty batch")
     diff = pred - target
-    loss = float(np.mean(diff * diff))
-    return loss, ((2.0 / pred.size) * diff if grad else None)
+    if pred.ndim == 3:
+        loss, size = np.mean(diff * diff, axis=(-2, -1)), pred[0].size
+    else:
+        loss, size = float(np.mean(diff * diff)), pred.size
+    return loss, ((2.0 / size) * diff if grad else None)
 
 
 def softmax_cross_entropy(logits: np.ndarray, class_index: Sequence[int] | np.ndarray,
-                          grad: bool = False) -> tuple[float, np.ndarray | None]:
+                          grad: bool = False) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean negative log-softmax of the true class over the batch.
 
     Args:
-        logits: m x C scores.
-        class_index: m integer class ids in [0, C).
+        logits: m x C scores, or M x m x C for a stack, which gives M losses.
+        class_index: integer class ids in [0, C), shaped like ``logits``
+            without its last axis.
         grad: also return d loss / d logits, (softmax - onehot) / m.
     """
-    if logits.ndim != 2:
-        raise ValueError(f"softmax_cross_entropy needs 2-D logits, got {logits.shape}")
-    m, c = logits.shape
+    if logits.ndim not in (2, 3):
+        raise ValueError(f"softmax_cross_entropy needs 2-D or stacked logits, got {logits.shape}")
+    *lead, m, c = logits.shape
     if m == 0:
         raise ValueError("softmax_cross_entropy: empty batch")
     idx = np.asarray(class_index)
-    if idx.shape != (m,):
-        raise ValueError(f"class_index must have shape ({m},), got {idx.shape}")
+    if idx.shape != (*lead, m):
+        raise ValueError(f"class_index must have shape {(*lead, m)}, got {idx.shape}")
     if not np.issubdtype(idx.dtype, np.integer):
         if not np.all(idx == idx.astype(np.int64)):
             raise ValueError("class_index must be integers")
@@ -111,15 +138,16 @@ def softmax_cross_entropy(logits: np.ndarray, class_index: Sequence[int] | np.nd
     if idx.min() < 0 or idx.max() >= c:
         raise ValueError(f"class_index out of range [0, {c})")
 
-    shifted = logits - logits.max(axis=1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=1, keepdims=True))
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
     log_probs = shifted - log_z
-    rows = np.arange(m)
-    loss = float(-log_probs[rows, idx].mean())
+    picked = (*np.indices(idx.shape, sparse=True), idx)
+    loss = -log_probs[picked].mean(axis=-1)
+    loss = float(loss) if not lead else loss
     if not grad:
         return loss, None
     soft = np.exp(log_probs)
-    soft[rows, idx] -= 1.0
+    soft[picked] -= 1.0
     return loss, soft / m
 
 
@@ -130,7 +158,7 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     masks = []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b
+        z = acts[-1] @ w + b[..., None, :]
         if i != last:
             mask = z > 0.0
             masks.append(mask)
@@ -145,37 +173,62 @@ def forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     return _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))[0][-1]
 
 
+def _head_output(head: Head, latent: np.ndarray) -> np.ndarray:
+    return latent @ head.weight + head.bias[..., None, :]
+
+
 def losses(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
            heads: Sequence[Head], x: np.ndarray) -> list[float]:
     """Each head's loss on one batch, from a single backbone forward pass."""
     latent = forward(weights, biases, x)
-    return [h.loss(latent @ h.weight + h.bias)[0] for h in heads]
+    return [h.loss(_head_output(h, latent))[0] for h in heads]
+
+
+def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads: Gradients,
+               ) -> np.ndarray:
+    """One head slot: append its loss and head gradients; return its latent gradient."""
+    groups = [slot] if isinstance(slot, Head) else list(slot)
+    whole = len(groups) == 1 and groups[0].slices is None
+    if not whole:
+        slot_loss = np.empty(latent.shape[0])
+        slot_grad = np.empty_like(latent)
+    for h in groups:
+        z = latent if h.slices is None else latent[h.slices]
+        loss, g = h.loss(_head_output(h, z), grad=True)
+        grads.heads.append((_swap(z) @ g, g.sum(axis=-2)))
+        g = g @ _swap(h.weight)
+        if whole:
+            slot_loss, slot_grad = loss, g
+        else:
+            slot_loss[h.slices] = loss
+            slot_grad[h.slices] = g
+    grads.losses.append(slot_loss)
+    return slot_grad
 
 
 def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-             heads: Sequence[Head], x: np.ndarray, input_grad: bool = False) -> Gradients:
+             heads: Sequence[Head | Sequence[Head]], x: np.ndarray,
+             input_grad: bool = False) -> Gradients:
     """Losses and gradients of the summed head losses on one batch.
 
-    Each head's backbone gradients are computed on their own and then
-    added, head by head; summing the latent gradients first would reorder
-    float sums and change the results in the last bits.
+    ``heads`` lists the head slots in order: a :class:`Head`, or in a stack
+    the head groups that together cover every slice once. Each slot's
+    backbone gradients are computed on their own and then added, slot by
+    slot; summing the latent gradients first would reorder float sums and
+    change the results in the last bits.
     """
     acts, masks = _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))
-    latent = acts[-1]
     out = Gradients(losses=[], weights=[], biases=[], heads=[])
-    for h in heads:
-        loss, g = h.loss(latent @ h.weight + h.bias, grad=True)
-        out.losses.append(loss)
-        out.heads.append((latent.T @ g, g.sum(axis=0)))
-        g = g @ h.weight.T
+    for slot in heads:
+        g = _slot_pass(slot, acts[-1], out)
         gws, gbs = [], []
         for i in range(len(weights) - 1, -1, -1):
-            gws.append(acts[i].T @ g)
-            gbs.append(g.sum(axis=0))
+            gws.append(_swap(acts[i]) @ g)
+            gbs.append(g.sum(axis=-2))
             if i > 0:
-                g = (g @ weights[i].T) * masks[i - 1]
+                g = (g @ _swap(weights[i])) * masks[i - 1]
             elif input_grad:
-                g = g @ weights[0].T
+                g = g @ _swap(weights[0])
                 out.inputs = g if out.inputs is None else out.inputs + g
         gws.reverse()
         gbs.reverse()

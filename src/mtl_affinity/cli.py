@@ -127,7 +127,7 @@ def cmd_group(args) -> int:
         return _fail(str(exc))
     payload = grouping.to_json_dict()
     payload["total_gain"] = total
-    text = json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
         print(f"wrote grouping to {args.out}")

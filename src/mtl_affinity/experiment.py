@@ -3,10 +3,10 @@
 One run covers a list of seeds. Per seed the harness builds (or loads) the
 task suite and trains the roster ``plan_roster`` lists: STL and pair models
 always, injected models and pair probes only for the scores that need them
-(the roster table in :mod:`evaluation`), each model under its job key. It
-then assembles the requested affinity matrices next to the measured gain
-matrix, runs the three evaluation levels, and writes one directory of
-CSV/JSON report files.
+(the roster table in :mod:`evaluation`), each model under its job key, with
+one stacked trainer call per model family. It then assembles the requested
+affinity matrices next to the measured gain matrix, runs the three
+evaluation levels, and writes one directory of CSV/JSON report files.
 
 Everything is deterministic in the config: rerunning a seed produces
 byte-identical files.
@@ -290,22 +290,26 @@ class _SeedRun:
             raise ExperimentError(str(exc)) from exc
         self.notes: dict[str, str] = {}
 
-        # The trainers are looked up in this module's namespace at call
-        # time, so a wrapper installed there (a tracer) sees every call.
-        self.trained: dict[str, tuple[Model, TrainTrace]] = {}
-        for job in plan_roster(self.names, config.scores):
-            specs = [self.specs[t] for t in job.tasks]
-            backbone = backbones[MODEL_FAMILIES[job.family].capacity]
-            try:
-                if job.family == "stl":
-                    trained = train_stl(*specs, self.dataset, backbone, cfg)
-                elif job.family == "mtl":
-                    trained = train_mtl(tuple(specs), self.dataset, backbone, cfg, job.probes)
-                else:
-                    trained = train_injected(*specs, self.dataset, backbone, cfg)
-            except TrainingDivergedError as exc:
-                raise ExperimentError(str(exc)) from exc
-            self.trained[job.key] = trained
+        # One trainer call per model family. The trainers are looked up in
+        # this module's namespace at call time, so a wrapper installed there
+        # (a tracer) sees every call.
+        jobs = {f: [j for j in plan_roster(self.names, config.scores) if j.family == f]
+                for f in MODEL_FAMILIES}
+        specs = {f: [tuple(self.specs[t] for t in j.tasks) for j in group]
+                 for f, group in jobs.items()}
+        backbone = {f: backbones[row.capacity] for f, row in MODEL_FAMILIES.items()}
+        try:
+            trained = {
+                "stl": train_stl([t for t, in specs["stl"]], self.dataset, backbone["stl"], cfg),
+                "mtl": train_mtl(specs["mtl"], self.dataset, backbone["mtl"], cfg,
+                                 any(j.probes for j in jobs["mtl"])),
+                "inj": (train_injected(specs["inj"], self.dataset, backbone["inj"], cfg)
+                        if jobs["inj"] else []),
+            }
+        except TrainingDivergedError as exc:
+            raise ExperimentError(str(exc)) from exc
+        self.trained: dict[str, tuple[Model, TrainTrace]] = {
+            job.key: model for f, group in jobs.items() for job, model in zip(group, trained[f])}
 
         self.test_x, self.test_y = self.dataset.batch(self.dataset.splits["test"], self.names)
         self.eval_x, self.eval_y = eval_batch(self.dataset, cfg.eval_batch_size, self.names)

@@ -132,13 +132,16 @@ class Grouping:
         return tuple(c.encoding for c in self.candidates)
 
     def to_json_dict(self) -> dict:
+        """JSON-ready fields; an unlimited (infinite) budget is written as null."""
+        budget = None if self.budget == math.inf else self.budget
         return {"models": [c.to_json_dict() for c in self.candidates],
-                "budget": self.budget, "total_cost": self.total_cost}
+                "budget": budget, "total_cost": self.total_cost}
 
     @classmethod
     def from_json_dict(cls, payload: Mapping) -> "Grouping":
+        budget = payload["budget"]
         return cls(tuple(ModelCandidate.from_json_dict(m) for m in payload["models"]),
-                   payload["budget"])
+                   math.inf if budget is None else budget)
 
 
 def is_valid_grouping(tasks: Iterable[str], grouping: Grouping) -> list[Violation]:

@@ -12,14 +12,26 @@ backbone with a linear latent and one dense head per task:
 
 Parameters are plain float64 ndarrays; every loss and gradient comes from
 the explicit kernel in :mod:`autodiff`. Training is plain minibatch SGD
-with an exponentially decaying learning rate, one ``ad.backward`` and one
-``ad.sgd_step`` per step. A model's key (``model_key``: ``stl/a``,
-``mtl/a/b``, ``inj/target/partner``) seeds its weights and batch order and
-names it in a divergence error. Every epoch the trainer records per-task
-validation losses and, for MTL runs that ask for them, the GS cosine
-between the two tasks' backbone gradients and the GT look-ahead losses
-after a simulated backbone step on the partner's loss alone. Both come
-from the same two gradients on the fixed, deterministic ``eval_batch``.
+with an exponentially decaying learning rate. A model's key
+(``model_key``: ``stl/a``, ``mtl/a/b``, ``inj/target/partner``) seeds its
+weights and batch order and names it in a divergence error.
+
+Each trainer (:func:`train_stl`, :func:`train_mtl`, :func:`train_injected`)
+takes a sequence of models of its family and trains them as *stacks*: the
+models that share a backbone shape keep their parameters on a leading
+``(M, ...)`` axis, and each batch is one ``ad.backward`` and one
+``ad.sgd_step`` for the whole stack. A head *slot* (the first or second
+head of every model) holds one head group per output width and kind, over
+the stack slices whose task has it. Every model is built exactly as it
+would be alone and then pointed at views into the stack, and each slice
+reads its own batches in its own order, so every model comes out bit for
+bit as if trained on its own.
+
+Every epoch the trainer records, per model, the per-task validation losses
+and, for MTL runs that ask for them, the GS cosine between the two tasks'
+backbone gradients and the GT look-ahead losses after a simulated backbone
+step on the partner's loss alone. Both come from the same two gradients on
+the fixed, deterministic ``eval_batch``.
 
 The returned model carries the parameters of the epoch with the lowest
 validation loss (combined loss for MTL; ties go to the earliest epoch).
@@ -31,7 +43,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import partial
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -231,11 +243,10 @@ class Model:
         for task, y in labels.items():
             if task not in self.specs:
                 raise KeyError(f"model serves {list(self.specs)}, not {task!r}")
-            if self.specs[task].kind == "classification":
-                loss = partial(ad.softmax_cross_entropy, class_index=np.asarray(y).reshape(-1))
-            else:
-                loss = partial(ad.mse_loss, target=np.asarray(y, dtype=np.float64))
-            heads.append(ad.Head(*self.heads[task], loss))
+            spec = self.specs[task]
+            if spec.kind == "classification":
+                y = np.asarray(y).reshape(-1)
+            heads.append(ad.Head(*self.heads[task], _loss(spec, y)))
         return heads
 
     def latent(self, inputs: np.ndarray) -> np.ndarray:
@@ -290,10 +301,11 @@ def half_capacity(full: BackboneConfig) -> BackboneConfig:
 # --- training loop ---
 
 
-def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
-    order = rng.permutation(n)
-    for start in range(0, n, batch_size):
-        yield order[start:start + batch_size]
+def _loss(spec: TaskSpec, labels: np.ndarray) -> ad.Loss:
+    """The kernel loss of ``spec`` against ``labels`` (one batch, or one per stack slice)."""
+    if spec.kind == "classification":
+        return partial(ad.softmax_cross_entropy, class_index=labels)
+    return partial(ad.mse_loss, target=np.asarray(labels, dtype=np.float64))
 
 
 def eval_batch(dataset: MultiTaskDataset, size: int,
@@ -332,90 +344,209 @@ def _pair_probes(model: Model, lr: float, inputs: np.ndarray,
     return cosine, lookahead
 
 
-def _job_key(family: str, dataset: MultiTaskDataset, specs: Sequence[TaskSpec]) -> str:
-    """The job key for ``specs``, once ``dataset`` is known to label each of them."""
-    names = [s.name for s in specs]
-    missing = [n for n in names if n not in dataset.labels]
-    if missing:
-        raise KeyError(f"dataset lacks labels for {missing}; has {sorted(dataset.labels)}")
-    return model_key(family, names)
+class _Job(NamedTuple):
+    """One model to train: its key, its tasks in head order, its backbone and inputs."""
+    key: str
+    specs: tuple[TaskSpec, ...]
+    backbone: BackboneConfig
+    inputs: np.ndarray                     # every example's input row, as the model reads it
 
 
-def _train(key: str, specs: Sequence[TaskSpec], dataset: MultiTaskDataset,
-           backbone: BackboneConfig, cfg: TrainConfig,
-           probes: bool = False) -> tuple[Model, TrainTrace]:
-    """Build the model for ``specs``, seeded by its job key, and train it on ``dataset``."""
-    model = Model(specs, backbone, model_stream(cfg.seed, INIT, key))
-    tasks = list(model.specs)
-    batch_rng = model_stream(cfg.seed, BATCHING, key)
+class _HeadGroup(NamedTuple):
+    """The heads of one slot that share an output width and kind, over some slices."""
+    spec: TaskSpec                         # the first member's task: width and kind
+    slices: np.ndarray                     # stack slices, in stack order
+    labels: np.ndarray                     # each member's task labels, stacked
+    weight: np.ndarray                     # (len(slices), latent, width)
+    bias: np.ndarray                       # (len(slices), width)
+
+    def head(self, rows: np.ndarray, whole: bool) -> ad.Head:
+        """The kernel head on the dataset rows ``rows`` of every stack slice."""
+        picked = rows[self.slices]
+        labels = self.labels[np.arange(len(self.slices))[:, None], picked]
+        return ad.Head(self.weight, self.bias, _loss(self.spec, labels),
+                       None if whole else self.slices)
+
+
+class _Stack:
+    """The models of one backbone shape, trained as one.
+
+    Each backbone parameter is one ``(M, ...)`` array, and each head slot
+    holds one :class:`_HeadGroup` per (output width, kind) of its slices'
+    tasks. Every model's parameters are views into these arrays, so a step
+    of the stack is a step of each model. ``members`` are the models' plan
+    indices; slice ``i`` reads its inputs from ``sources[source[i]]``.
+    """
+
+    def __init__(self, members: Sequence[int], models: Sequence[Model],
+                 jobs: Sequence[_Job], dataset: MultiTaskDataset):
+        self.members = np.asarray(members)
+        distinct = {id(job.inputs): job.inputs for job in jobs}
+        position = {key: p for p, key in enumerate(distinct)}
+        self.source = np.array([[position[id(job.inputs)]] for job in jobs])
+        arrays = list(distinct.values())
+        self.sources = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
+        self.weights = [np.stack(ws) for ws in zip(*(m.weights for m in models))]
+        self.biases = [np.stack(bs) for bs in zip(*(m.biases for m in models))]
+        for k, model in enumerate(models):
+            model.weights = [w[k] for w in self.weights]
+            model.biases = [b[k] for b in self.biases]
+
+        self.slots: list[list[_HeadGroup]] = []
+        for slot in range(len(jobs[0].specs)):
+            groups: dict[tuple[int, str], list[int]] = {}
+            for k, job in enumerate(jobs):
+                spec = job.specs[slot]
+                groups.setdefault((spec.output_dim, spec.kind), []).append(k)
+            self.slots.append([])
+            for slices in groups.values():
+                specs = [jobs[k].specs[slot] for k in slices]
+                heads = [models[k].heads[s.name] for k, s in zip(slices, specs)]
+                group = _HeadGroup(specs[0], np.asarray(slices),
+                                   np.stack([dataset.labels[s.name] for s in specs]),
+                                   np.stack([w for w, _ in heads]),
+                                   np.stack([b for _, b in heads]))
+                for i, (k, s) in enumerate(zip(slices, specs)):
+                    models[k].heads[s.name] = (group.weight[i], group.bias[i])
+                self.slots[-1].append(group)
+        self.params = [*self.weights, *self.biases]
+        for slot in self.slots:
+            for group in slot:
+                self.params.extend((group.weight, group.bias))
+
+    def gradients(self, rows: np.ndarray) -> ad.Gradients:
+        """One stacked backward pass; slice ``i`` trains on the dataset rows ``rows[i]``."""
+        heads = [[g.head(rows, len(slot) == 1) for g in slot] for slot in self.slots]
+        return ad.backward(self.weights, self.biases, heads, self.sources[self.source, rows])
+
+
+def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfig,
+                probes: bool = False) -> list[tuple[Model, TrainTrace]]:
+    """Build each job's model, seeded by its key, and train them all on ``dataset``.
+
+    Jobs with the same backbone and head count share a :class:`_Stack`;
+    the stacks take their steps in lockstep, so a divergence is reported
+    for the model that went non-finite at the earliest (epoch, step), the
+    first in ``jobs`` order on a tie. Each model keeps its own batch order,
+    validation losses, probes and best epoch.
+    """
+    if not jobs:
+        raise ValueError("no models to train")
+    keys = [job.key for job in jobs]
+    repeated = sorted({k for k in keys if keys.count(k) > 1})
+    if repeated:
+        raise ValueError(f"model keys must be unique, got {repeated} more than once")
+
+    models = [Model(job.specs, job.backbone, model_stream(cfg.seed, INIT, job.key))
+              for job in jobs]
+    shapes: dict[tuple[BackboneConfig, int], list[int]] = {}
+    for i, job in enumerate(jobs):
+        shapes.setdefault((job.backbone, len(job.specs)), []).append(i)
+    stacks = [_Stack(members, [models[i] for i in members], [jobs[i] for i in members],
+                     dataset) for members in shapes.values()]
+
+    batch_rngs = [model_stream(cfg.seed, BATCHING, key) for key in keys]
     train_idx = dataset.splits["train"]
-    val_inputs, val_labels = dataset.batch(dataset.splits["val"], tasks)
-    eval_inputs, eval_labels = eval_batch(dataset, cfg.eval_batch_size, tasks)
-
-    trace = TrainTrace(val_loss=[], combined_val=[], best_epoch=0)
+    val_idx = dataset.splits["val"]
+    val_batches = [(job.inputs[val_idx], dataset.batch(val_idx, list(model.specs))[1])
+                   for job, model in zip(jobs, models)]
+    traces = [TrainTrace(val_loss=[], combined_val=[], best_epoch=0) for _ in jobs]
     if probes:
-        trace.gs_cosine = []
-        trace.lookahead = {t: [] for t in tasks}
+        probe_batches = [eval_batch(dataset, cfg.eval_batch_size, list(model.specs))
+                         for model in models]
+        for trace, model in zip(traces, models):
+            trace.gs_cosine = []
+            trace.lookahead = {t: [] for t in model.specs}
+    best_params: list[dict[str, np.ndarray]] = [{} for _ in jobs]
 
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
-        for batch in _epoch_batches(batch_rng, len(train_idx), cfg.batch_size):
-            grads = model.gradients(*dataset.batch(train_idx[batch], tasks))
-            if not math.isfinite(sum(grads.losses)):
-                raise TrainingDivergedError(key, epoch)
-            ad.sgd_step(model.params(), grads.params(), lr)
+        order = train_idx[np.stack([rng.permutation(len(train_idx)) for rng in batch_rngs])]
+        for start in range(0, len(train_idx), cfg.batch_size):
+            rows = order[:, start:start + cfg.batch_size]
+            diverged = []
+            for stack in stacks:
+                grads = stack.gradients(rows[stack.members])
+                finite = np.isfinite(sum(grads.losses))
+                if finite.all():
+                    ad.sgd_step(stack.params, grads.params(), lr)
+                else:
+                    diverged.extend(stack.members[~finite])
+            if diverged:
+                raise TrainingDivergedError(keys[min(diverged)], epoch)
 
-        epoch_val = model.task_losses(val_inputs, val_labels)
-        if not all(map(math.isfinite, epoch_val.values())):
-            raise TrainingDivergedError(key, epoch)
-        trace.val_loss.append(epoch_val)
-        trace.combined_val.append(sum(epoch_val.values()))
-        # Strictly lower, so the earliest epoch wins ties.
-        if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
-            trace.best_epoch = epoch
-            best_params = model.snapshot()
+        for i, (model, trace) in enumerate(zip(models, traces)):
+            epoch_val = model.task_losses(*val_batches[i])
+            if not all(map(math.isfinite, epoch_val.values())):
+                raise TrainingDivergedError(keys[i], epoch)
+            trace.val_loss.append(epoch_val)
+            trace.combined_val.append(sum(epoch_val.values()))
+            # Strictly lower, so the earliest epoch wins ties.
+            if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
+                trace.best_epoch = epoch
+                best_params[i] = model.snapshot()
 
-        if probes:
-            cosine, lookahead = _pair_probes(model, lr, eval_inputs, eval_labels)
-            trace.gs_cosine.append(cosine)
-            for target, pair in lookahead.items():
-                trace.lookahead[target].append(pair)
+            if probes:
+                cosine, lookahead = _pair_probes(model, lr, *probe_batches[i])
+                trace.gs_cosine.append(cosine)
+                for target, pair in lookahead.items():
+                    trace.lookahead[target].append(pair)
 
-    model.set_params(best_params)
-    return model, trace
-
-
-def train_stl(task: TaskSpec, dataset: MultiTaskDataset, backbone: BackboneConfig,
-              cfg: TrainConfig) -> tuple[Model, TrainTrace]:
-    """Train a single-task model; returns it at its best validation epoch."""
-    return _train(_job_key("stl", dataset, [task]), [task], dataset, backbone, cfg)
+    for model, best in zip(models, best_params):
+        model.set_params(best)
+    return list(zip(models, traces))
 
 
-def train_mtl(pair: tuple[TaskSpec, TaskSpec], dataset: MultiTaskDataset,
+def _check_labels(dataset: MultiTaskDataset, specs: Sequence[TaskSpec]) -> None:
+    missing = sorted({s.name for s in specs if s.name not in dataset.labels})
+    if missing:
+        raise KeyError(f"dataset lacks labels for {missing}; has {sorted(dataset.labels)}")
+
+
+def train_stl(tasks: Sequence[TaskSpec], dataset: MultiTaskDataset,
+              backbone: BackboneConfig, cfg: TrainConfig) -> list[tuple[Model, TrainTrace]]:
+    """Train one single-task model per task, each returned at its best validation epoch."""
+    _check_labels(dataset, tasks)
+    return _train_jobs([_Job(model_key("stl", [t.name]), (t,), backbone, dataset.inputs)
+                        for t in tasks], dataset, cfg)
+
+
+def train_mtl(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskDataset,
               backbone: BackboneConfig, cfg: TrainConfig,
-              probes: bool = True) -> tuple[Model, TrainTrace]:
-    """Train both tasks on a shared backbone, minimizing the plain loss sum.
+              probes: bool = True) -> list[tuple[Model, TrainTrace]]:
+    """Train each pair's two tasks on a shared backbone, minimizing the plain loss sum.
 
-    With ``probes`` the trace additionally carries, per epoch and measured
+    With ``probes`` each trace additionally carries, per epoch and measured
     on the fixed evaluation batch: the backbone-gradient cosine between the
     tasks, and look-ahead (pre, post) losses per direction. Probes change
-    no parameter and draw no random numbers, so the trained model is the
+    no parameter and draw no random numbers, so the trained models are the
     same either way.
     """
-    return _train(_job_key("mtl", dataset, pair), pair, dataset, backbone, cfg, probes)
+    _check_labels(dataset, [s for pair in pairs for s in pair])
+    return _train_jobs([_Job(model_key("mtl", [a.name, b.name]), (a, b), backbone,
+                             dataset.inputs) for a, b in pairs], dataset, cfg, probes)
 
 
-def train_injected(target: TaskSpec, partner: TaskSpec, dataset: MultiTaskDataset,
+def train_injected(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskDataset,
                    half_backbone: BackboneConfig, cfg: TrainConfig,
-                   ) -> tuple[Model, TrainTrace]:
-    """Train STL for ``target`` with ``partner``'s label appended to the input.
+                   ) -> list[tuple[Model, TrainTrace]]:
+    """Train, per (target, partner), STL for ``target`` with ``partner``'s label appended.
 
     The backbone keeps the half-capacity hidden widths; only the input layer
     widens by the label encoding (one-hot for classification, raw values for
-    regression; see :func:`extend_inputs`). ``partner`` may equal
-    ``target``: injecting a task's own label is the upper-bound case.
+    regression; see :func:`extend_inputs`). A partner may equal its target:
+    injecting a task's own label is the upper-bound case. Models with the
+    same partner share one extended-input array.
     """
-    key = _job_key("inj", dataset, [target, partner])
-    extended = extend_inputs(dataset.inputs, partner, dataset.labels[partner.name])
-    backbone = replace(half_backbone, input_dim=half_backbone.input_dim + partner.output_dim)
-    return _train(key, [target], replace(dataset, inputs=extended), backbone, cfg)
+    _check_labels(dataset, [s for pair in pairs for s in pair])
+    extended: dict[str, np.ndarray] = {}
+    jobs = []
+    for target, partner in pairs:
+        if partner.name not in extended:
+            extended[partner.name] = extend_inputs(dataset.inputs, partner,
+                                                   dataset.labels[partner.name])
+        backbone = replace(half_backbone,
+                           input_dim=half_backbone.input_dim + partner.output_dim)
+        jobs.append(_Job(model_key("inj", [target.name, partner.name]), (target,), backbone,
+                         extended[partner.name]))
+    return _train_jobs(jobs, dataset, cfg)

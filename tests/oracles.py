@@ -3,8 +3,9 @@
 Everything here is deliberately naive: central finite differences for
 gradients, O(n^2) pair counting for rank correlations, and exhaustive
 enumeration (or, for the best total at larger n, a DP over task subsets)
-for the grouping optimizer. Slow is fine; these only run in
-tests.
+for the grouping optimizer, and a trainer that trains one model at a
+time, against which the stacked trainer must match bit for bit. Slow is
+fine; these only run in tests.
 """
 
 from __future__ import annotations
@@ -12,9 +13,25 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+from dataclasses import replace
 from typing import Callable, Sequence
 
 import numpy as np
+
+from mtl_affinity import autodiff as ad
+from mtl_affinity.models import (
+    BackboneConfig,
+    Model,
+    TrainConfig,
+    TrainingDivergedError,
+    TrainTrace,
+    _pair_probes,
+    eval_batch,
+    extend_inputs,
+    model_key,
+)
+from mtl_affinity.seeding import BATCHING, INIT, model_stream
+from mtl_affinity.tasks import MultiTaskDataset, TaskSpec
 
 
 def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
@@ -206,3 +223,69 @@ def best_total_by_subsets(task_names: Sequence[str], gains: dict, stl_cost: floa
     totals = [v for (m, k), v in table((1 << len(names)) - 1).items()
               if m * mtl_cost + k * stl_cost <= budget + 1e-9]
     return max(totals) if totals else None
+
+
+# --- one model at a time: the reference for the stacked trainer ---
+
+
+def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
+    order = rng.permutation(n)
+    for start in range(0, n, batch_size):
+        yield order[start:start + batch_size]
+
+
+def reference_train(key: str, specs: Sequence[TaskSpec], dataset: MultiTaskDataset,
+                    backbone: BackboneConfig, cfg: TrainConfig,
+                    probes: bool = False) -> tuple[Model, TrainTrace]:
+    """Build the model for ``specs``, seeded by its job key, and train it on ``dataset``.
+
+    One ``backward`` and one ``sgd_step`` per model per batch.
+    """
+    model = Model(specs, backbone, model_stream(cfg.seed, INIT, key))
+    tasks = list(model.specs)
+    batch_rng = model_stream(cfg.seed, BATCHING, key)
+    train_idx = dataset.splits["train"]
+    val_inputs, val_labels = dataset.batch(dataset.splits["val"], tasks)
+    eval_inputs, eval_labels = eval_batch(dataset, cfg.eval_batch_size, tasks)
+
+    trace = TrainTrace(val_loss=[], combined_val=[], best_epoch=0)
+    if probes:
+        trace.gs_cosine = []
+        trace.lookahead = {t: [] for t in tasks}
+
+    for epoch in range(cfg.epochs):
+        lr = cfg.lr_at(epoch)
+        for batch in _epoch_batches(batch_rng, len(train_idx), cfg.batch_size):
+            grads = model.gradients(*dataset.batch(train_idx[batch], tasks))
+            if not math.isfinite(sum(grads.losses)):
+                raise TrainingDivergedError(key, epoch)
+            ad.sgd_step(model.params(), grads.params(), lr)
+
+        epoch_val = model.task_losses(val_inputs, val_labels)
+        if not all(map(math.isfinite, epoch_val.values())):
+            raise TrainingDivergedError(key, epoch)
+        trace.val_loss.append(epoch_val)
+        trace.combined_val.append(sum(epoch_val.values()))
+        # Strictly lower, so the earliest epoch wins ties.
+        if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
+            trace.best_epoch = epoch
+            best_params = model.snapshot()
+
+        if probes:
+            cosine, lookahead = _pair_probes(model, lr, eval_inputs, eval_labels)
+            trace.gs_cosine.append(cosine)
+            for target, pair in lookahead.items():
+                trace.lookahead[target].append(pair)
+
+    model.set_params(best_params)
+    return model, trace
+
+
+def reference_train_injected(target: TaskSpec, partner: TaskSpec, dataset: MultiTaskDataset,
+                             half_backbone: BackboneConfig, cfg: TrainConfig,
+                             ) -> tuple[Model, TrainTrace]:
+    """The injected model for ``target`` with ``partner``'s label appended, alone."""
+    key = model_key("inj", [target.name, partner.name])
+    extended = extend_inputs(dataset.inputs, partner, dataset.labels[partner.name])
+    backbone = replace(half_backbone, input_dim=half_backbone.input_dim + partner.output_dim)
+    return reference_train(key, [target], replace(dataset, inputs=extended), backbone, cfg)

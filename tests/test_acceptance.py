@@ -236,7 +236,7 @@ def test_criterion_4_score_properties(tmp_path):
             overlap=float(seed % 3) / 2.0, noise_std=0.1)
         backbone = models.BackboneConfig(suite.dataset.d_in, (4,), 3)
         cfg = models.TrainConfig(seed=seed, epochs=2, initial_lr=0.01, batch_size=16)
-        _, trace = models.train_mtl(tuple(suite.specs), suite.dataset, backbone, cfg)
+        [(_, trace)] = models.train_mtl([tuple(suite.specs)], suite.dataset, backbone, cfg)
         value = gradient_similarity(trace)
         assert -1.0 <= value <= 1.0
 
@@ -342,8 +342,8 @@ def _probe_pair(seed: int, overlap: float):
     cfg = models.TrainConfig(seed=seed, epochs=100, initial_lr=0.05,
                              lr_decay=0.98, batch_size=32)
     spec_a, spec_b = suite.specs
-    stl_a, _ = models.train_stl(spec_a, dataset, half, cfg)
-    stl_b, _ = models.train_stl(spec_b, dataset, half, cfg)
+    [(stl_a, _)] = models.train_stl([spec_a], dataset, half, cfg)
+    [(stl_b, _)] = models.train_stl([spec_b], dataset, half, cfg)
 
     batch = dataset.splits["test"][:256]
     inputs = dataset.inputs[batch]
@@ -371,7 +371,7 @@ def test_criterion_7_end_to_end(tmp_path):
         test_idx = dataset.splits["test"]
         inputs = dataset.inputs[test_idx]
         labels = dataset.labels[spec_a.name][test_idx]
-        injected, _ = models.train_injected(spec_a, spec_a, dataset, half, cfg)
+        [(injected, _)] = models.train_injected([(spec_a, spec_a)], dataset, half, cfg)
         injected_inputs = models.extend_inputs(inputs, spec_a, labels)
         task = {spec_a.name: labels}
         li_values.append(label_injection(stl_a.task_losses(inputs, task)[spec_a.name],

@@ -160,3 +160,56 @@ def test_backward_is_deterministic():
             for _ in range(2)]
     for a, b in zip(runs[0].params(), runs[1].params()):
         np.testing.assert_array_equal(a, b)
+
+
+def _loss_for(kind: str, labels) -> ad.Loss:
+    if kind == "cls":
+        return partial(ad.softmax_cross_entropy, class_index=labels)
+    return partial(ad.mse_loss, target=labels)
+
+
+def test_stacked_backward_matches_each_slice_to_the_bit():
+    """One stacked call with grouped head slots gives each slice its own 2-D result."""
+    rng = np.random.default_rng(7)
+    stack, batch = 5, 9
+    layers = [(4, 6), (6, 5), (5, 3)]
+    weights = [rng.normal(size=(stack, a, b)) for a, b in layers]
+    biases = [rng.normal(size=(stack, b)) for _, b in layers]
+    x = rng.normal(size=(stack, batch, 4))
+    # Per slot: (kind, width, slices) groups that cover the stack once.
+    slots = [[("reg", 2, [0, 2, 3]), ("cls", 3, [1, 4])],
+             [("cls", 4, [0, 1, 2, 3, 4])]]
+    params = {}
+    for s, slot in enumerate(slots):
+        for kind, width, slices in slot:
+            labels = (rng.integers(0, width, (len(slices), batch)) if kind == "cls"
+                      else rng.normal(size=(len(slices), batch, width)))
+            params[s, kind] = (rng.normal(size=(len(slices), 3, width)),
+                               rng.normal(size=(len(slices), width)), labels)
+
+    heads = [[ad.Head(*params[s, kind][:2], _loss_for(kind, params[s, kind][2]),
+                      None if len(slot) == 1 else np.array(slices))
+              for kind, _, slices in slot] for s, slot in enumerate(slots)]
+    got = ad.backward(weights, biases, heads, x, input_grad=True)
+    # Head gradients come slot by slot, group by group.
+    group_grads = dict(zip([(s, kind) for s, slot in enumerate(slots) for kind, _, _ in slot],
+                           got.heads))
+
+    for i in range(stack):
+        alone, head_grads = [], []
+        for s, slot in enumerate(slots):
+            for kind, _, slices in slot:
+                if i in slices:
+                    j = slices.index(i)
+                    w, b, labels = params[s, kind]
+                    alone.append(ad.Head(w[j], b[j], _loss_for(kind, labels[j])))
+                    gw, gb = group_grads[s, kind]
+                    head_grads.append((gw[j], gb[j]))
+        want = ad.backward([w[i] for w in weights], [b[i] for b in biases], alone, x[i],
+                           input_grad=True)
+        assert [float(loss[i]) for loss in got.losses] == want.losses
+        for a, b in zip([*got.weights, *got.biases, got.inputs],
+                        [*want.weights, *want.biases, want.inputs]):
+            assert a[i].tobytes() == b.tobytes()
+        for (gw, gb), (ww, wb) in zip(head_grads, want.heads):
+            assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()

@@ -1,6 +1,7 @@
 """CLI behavior: exit codes, file effects, output shape."""
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -160,6 +161,24 @@ def test_group_ten_tasks_from_file(tmp_path, capsys):
     assert is_valid_grouping(tasks, grouping) == []
     loaded = GainMatrix.from_csv_text(gain_path.read_text(encoding="utf-8"), unit="percent")
     assert (grouping, payload["total_gain"]) == optimize_grouping(tasks, loaded, 15.0)
+
+
+def strict_json(text: str):
+    """Parse standard JSON only: NaN and Infinity tokens are errors."""
+    def reject(token):
+        raise ValueError(f"non-standard JSON token {token}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_group_unlimited_budget_writes_standard_json(capsys):
+    assert main(["group", "--budget", "inf"]) == 0
+    payload = strict_json(capsys.readouterr().out)
+    assert payload["budget"] is None
+    grouping = Grouping.from_json_dict({k: payload[k]
+                                        for k in ("models", "budget", "total_cost")})
+    assert grouping.budget == math.inf
+    assert is_valid_grouping(TASKS, grouping) == []
+    assert grouping.to_json_dict() == {k: payload[k] for k in ("models", "budget", "total_cost")}
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--stl-cost", "--mtl-cost"])

@@ -2,12 +2,16 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import mtl_affinity
 from mtl_affinity.evaluation import (
     MODEL_FAMILIES,
     SCORE_FAMILIES,
@@ -210,6 +214,31 @@ def test_rerun_is_byte_identical(tmp_path):
             continue  # embeds out_dir via the config
         path_b = res_b.directory / path_a.name
         assert path_a.read_bytes() == path_b.read_bytes(), path_a.name
+
+
+RUN_IN_SUBPROCESS = """
+import json, sys
+from mtl_affinity.experiment import ExperimentConfig, run_experiment
+run_experiment(ExperimentConfig.from_json_dict(json.loads(sys.argv[1])))
+"""
+
+
+def test_rerun_is_byte_identical_across_blas_thread_counts(tmp_path):
+    # A relative out_dir, so that the manifests of both runs record the same config.
+    config = json.dumps(tiny_config(tmp_path, out_dir="out").to_json_dict())
+    src = Path(mtl_affinity.__file__).resolve().parents[1]
+    files = {}
+    for threads in ("1", "2"):
+        cwd = tmp_path / f"threads{threads}"
+        cwd.mkdir()
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads,
+               "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+        subprocess.run([sys.executable, "-c", RUN_IN_SUBPROCESS, config],
+                       cwd=cwd, env=env, check=True, timeout=120)
+        seed_dir = cwd / "out" / "seed0"
+        files[threads] = {p.name: p.read_bytes() for p in sorted(seed_dir.iterdir())}
+    assert "manifest.json" in files["1"]
+    assert files["1"] == files["2"]
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")

@@ -1,5 +1,7 @@
 """Grouping validity, aggregate gain, and the optimizer against exhaustive oracles."""
 
+import json
+import math
 import time
 
 import numpy as np
@@ -52,6 +54,14 @@ def test_grouping_sorts_candidates_and_round_trips():
     payload = g.to_json_dict()
     assert payload["models"][0]["training_tasks"] == ["a"]
     assert payload["budget"] == 3.0
+    assert Grouping.from_json_dict(payload) == g
+
+
+def test_grouping_unlimited_budget_round_trips_as_null():
+    g = Grouping((ModelCandidate(("a",), ("a",), 1.0),), budget=math.inf)
+    payload = g.to_json_dict()
+    assert payload["budget"] is None
+    assert json.loads(json.dumps(payload, allow_nan=False)) == payload
     assert Grouping.from_json_dict(payload) == g
 
 

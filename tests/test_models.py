@@ -146,7 +146,7 @@ def test_backbone_config_rejects_nonpositive_widths():
 
 def test_train_stl_deterministic():
     s = suite()
-    runs = [m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg()) for _ in range(2)]
+    runs = [m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg())[0] for _ in range(2)]
     assert runs[0][1].val_loss == runs[1][1].val_loss
     for k, v in runs[0][0].snapshot().items():
         np.testing.assert_array_equal(v, runs[1][0].snapshot()[k])
@@ -161,7 +161,7 @@ def val_loss(model, dataset, tasks):
 
 def test_train_stl_single_epoch_uses_that_snapshot():
     s = suite()
-    model, trace = m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(epochs=1))
+    [(model, trace)] = m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg(epochs=1))
     assert trace.epochs == 1
     assert trace.best_epoch == 0
     assert val_loss(model, s.dataset, ["task0"]) == trace.combined_val[0]
@@ -169,7 +169,7 @@ def test_train_stl_single_epoch_uses_that_snapshot():
 
 def test_train_stl_best_epoch_minimizes_val():
     s = suite()
-    model, trace = m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(epochs=12))
+    [(model, trace)] = m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg(epochs=12))
     best = trace.best_epoch
     assert 0 < best < trace.epochs - 1  # so the returned model is a restored one
     assert all(trace.combined_val[best] <= v for v in trace.combined_val)
@@ -181,14 +181,14 @@ def test_train_stl_missing_task():
     s = suite()
     ghost = TaskSpec("ghost", "regression", 1)
     with pytest.raises(KeyError):
-        m.train_stl(ghost, s.dataset, BACKBONE, quick_cfg())
+        m.train_stl([ghost], s.dataset, BACKBONE, quick_cfg())
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_stl_divergence_carries_epoch():
     s = suite()
     with pytest.raises(m.TrainingDivergedError) as info:
-        m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(initial_lr=1e6))
+        m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg(initial_lr=1e6))
     assert info.value.epoch == 0
 
 
@@ -196,7 +196,7 @@ def test_train_stl_solves_noiseless_linear_task():
     s = suite(n_tasks=1, d_latent=3, d_in=3, n_examples=240, noise_std=0.0,
               kinds=["regression"], nonlinear=False)
     cfg = m.TrainConfig(seed=3, epochs=300, initial_lr=0.02, lr_decay=0.999, batch_size=16)
-    model, _ = m.train_stl(s.specs[0], s.dataset, m.BackboneConfig(3, (32,), 8), cfg)
+    [(model, _)] = m.train_stl([s.specs[0]], s.dataset, m.BackboneConfig(3, (32,), 8), cfg)
     idx = s.dataset.splits["train"]
     labels = {"task0": s.dataset.labels["task0"][idx]}
     assert model.task_losses(s.dataset.inputs[idx], labels)["task0"] < 1e-3
@@ -214,7 +214,7 @@ def duplicated_task_suite():
 
 def test_train_mtl_duplicated_tasks_cosine_one():
     s = duplicated_task_suite()
-    _, trace = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, quick_cfg())
+    [(_, trace)] = m.train_mtl([(s.specs[0], s.specs[1])], s.dataset, BACKBONE, quick_cfg())
     assert trace.gs_cosine is not None
     for c in trace.gs_cosine:
         assert c == pytest.approx(1.0, abs=1e-9)
@@ -222,14 +222,14 @@ def test_train_mtl_duplicated_tasks_cosine_one():
 
 def test_train_mtl_deterministic_trace():
     s = suite()
-    t1 = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, quick_cfg())[1]
-    t2 = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, quick_cfg())[1]
+    t1 = m.train_mtl([(s.specs[0], s.specs[1])], s.dataset, BACKBONE, quick_cfg())[0][1]
+    t2 = m.train_mtl([(s.specs[0], s.specs[1])], s.dataset, BACKBONE, quick_cfg())[0][1]
     assert t1 == t2
 
 
 def test_train_mtl_records_both_tasks_and_directions():
     s = suite()
-    _, trace = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, quick_cfg())
+    [(_, trace)] = m.train_mtl([(s.specs[0], s.specs[1])], s.dataset, BACKBONE, quick_cfg())
     assert set(trace.val_loss[0]) == {"task0", "task1"}
     assert set(trace.lookahead) == {"task0", "task1"}
     assert len(trace.lookahead["task0"]) == trace.epochs
@@ -239,7 +239,7 @@ def test_train_mtl_records_both_tasks_and_directions():
 def test_train_mtl_recorded_quantities_recomputable_from_snapshot():
     s = suite()
     cfg = quick_cfg(epochs=3)
-    model, trace = m.train_mtl((s.specs[0], s.specs[1]), s.dataset, BACKBONE, cfg)
+    [(model, trace)] = m.train_mtl([(s.specs[0], s.specs[1])], s.dataset, BACKBONE, cfg)
 
     epoch = trace.best_epoch
     fresh = m.Model([s.specs[0], s.specs[1]], BACKBONE, np.random.default_rng(99))
@@ -257,8 +257,8 @@ def test_train_mtl_recorded_quantities_recomputable_from_snapshot():
 def test_train_mtl_without_probes_trains_the_same_model():
     s = suite()
     pair = (s.specs[0], s.specs[1])
-    probed, probed_trace = m.train_mtl(pair, s.dataset, BACKBONE, quick_cfg())
-    plain, plain_trace = m.train_mtl(pair, s.dataset, BACKBONE, quick_cfg(), probes=False)
+    [(probed, probed_trace)] = m.train_mtl([pair], s.dataset, BACKBONE, quick_cfg())
+    [(plain, plain_trace)] = m.train_mtl([pair], s.dataset, BACKBONE, quick_cfg(), probes=False)
     assert plain_trace.gs_cosine is None
     assert plain_trace.lookahead is None
     assert plain_trace.val_loss == probed_trace.val_loss
@@ -279,7 +279,7 @@ def test_train_mtl_rejects_same_name_pair():
 def test_injected_input_width_is_d_in_plus_onehot():
     s = suite(kinds=["regression", "classification"], n_classes=4)
     half = m.half_capacity(BACKBONE)
-    model, _ = m.train_injected(s.specs[0], s.specs[1], s.dataset, half,
+    [(model, _)] = m.train_injected([(s.specs[0], s.specs[1])], s.dataset, half,
                                 quick_cfg(epochs=1))
     assert model.config.input_dim == s.dataset.d_in + 4
     assert model.config.hidden_widths == half.hidden_widths
@@ -288,7 +288,7 @@ def test_injected_input_width_is_d_in_plus_onehot():
 def test_injected_regression_partner_raw_width():
     s = suite(kinds=["classification", "regression"])
     half = m.half_capacity(BACKBONE)
-    model, _ = m.train_injected(s.specs[0], s.specs[1], s.dataset, half,
+    [(model, _)] = m.train_injected([(s.specs[0], s.specs[1])], s.dataset, half,
                                 quick_cfg(epochs=1))
     assert model.config.input_dim == s.dataset.d_in + 1
 
@@ -299,8 +299,8 @@ def test_injecting_own_label_beats_plain_stl():
     half = m.half_capacity(m.BackboneConfig(6, (16,), 8))
     cfg = m.TrainConfig(seed=7, epochs=12, initial_lr=0.1, lr_decay=0.95, batch_size=32)
     target = s.specs[0]
-    stl, _ = m.train_stl(target, s.dataset, half, cfg)
-    inj, _ = m.train_injected(target, target, s.dataset, half, cfg)
+    [(stl, _)] = m.train_stl([target], s.dataset, half, cfg)
+    [(inj, _)] = m.train_injected([(target, target)], s.dataset, half, cfg)
 
     test_idx = s.dataset.splits["test"]
     x, y = s.dataset.inputs[test_idx], s.dataset.labels["task0"][test_idx]
@@ -324,7 +324,7 @@ def test_encode_labels_shapes_and_validation():
 
 def test_set_params_validates_keys_and_shapes():
     s = suite()
-    model, _ = m.train_stl(s.specs[0], s.dataset, BACKBONE, quick_cfg(epochs=1))
+    [(model, _)] = m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg(epochs=1))
     with pytest.raises(ValueError):
         model.set_params({"nope": np.zeros(3)})
     snap = model.snapshot()

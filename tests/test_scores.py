@@ -257,7 +257,7 @@ def test_gs_gt_single_epoch_match_hand_simulation():
     ds = suite.dataset
     backbone = BackboneConfig(3, (), 2)
     cfg = TrainConfig(seed=21, epochs=1, initial_lr=0.05, lr_decay=0.95, batch_size=64)
-    _, trace = train_mtl((suite.specs[0], suite.specs[1]), ds, backbone, cfg)
+    [(_, trace)] = train_mtl([(suite.specs[0], suite.specs[1])], ds, backbone, cfg)
 
     # Reproduce the initial parameters and the (single) batch order.
     key = "mtl/task0/task1"
