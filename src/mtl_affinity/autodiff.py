@@ -178,32 +178,33 @@ def _head_output(head: Head, latent: np.ndarray) -> np.ndarray:
 
 
 def losses(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
-           heads: Sequence[Head], x: np.ndarray) -> list[float]:
-    """Each head's loss on one batch, from a single backbone forward pass."""
+           heads: Sequence[Head | Sequence[Head]], x: np.ndarray) -> list:
+    """Each head slot's loss (per slice in a stack) on one batch, from one forward pass."""
     latent = forward(weights, biases, x)
-    return [h.loss(_head_output(h, latent))[0] for h in heads]
+    return [_slot_pass(slot, latent)[0] for slot in heads]
 
 
-def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads: Gradients,
-               ) -> np.ndarray:
-    """One head slot: append its loss and head gradients; return its latent gradient."""
+def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads: Gradients | None = None,
+               ) -> tuple[float | np.ndarray, np.ndarray | None]:
+    """One head slot's loss; with ``grads``, its head gradients (appended) and latent gradient."""
     groups = [slot] if isinstance(slot, Head) else list(slot)
     whole = len(groups) == 1 and groups[0].slices is None
     if not whole:
         slot_loss = np.empty(latent.shape[0])
-        slot_grad = np.empty_like(latent)
+        slot_grad = np.empty_like(latent) if grads is not None else None
     for h in groups:
         z = latent if h.slices is None else latent[h.slices]
-        loss, g = h.loss(_head_output(h, z), grad=True)
-        grads.heads.append((_swap(z) @ g, g.sum(axis=-2)))
-        g = g @ _swap(h.weight)
+        loss, g = h.loss(_head_output(h, z), grad=grads is not None)
+        if g is not None:
+            grads.heads.append((_swap(z) @ g, g.sum(axis=-2)))
+            g = g @ _swap(h.weight)
         if whole:
             slot_loss, slot_grad = loss, g
         else:
             slot_loss[h.slices] = loss
-            slot_grad[h.slices] = g
-    grads.losses.append(slot_loss)
-    return slot_grad
+            if g is not None:
+                slot_grad[h.slices] = g
+    return slot_loss, slot_grad
 
 
 def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
@@ -220,7 +221,8 @@ def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     acts, masks = _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))
     out = Gradients(losses=[], weights=[], biases=[], heads=[])
     for slot in heads:
-        g = _slot_pass(slot, acts[-1], out)
+        loss, g = _slot_pass(slot, acts[-1], out)
+        out.losses.append(loss)
         gws, gbs = [], []
         for i in range(len(weights) - 1, -1, -1):
             gws.append(_swap(acts[i]) @ g)

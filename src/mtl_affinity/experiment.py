@@ -49,7 +49,7 @@ from .models import (
     TrainConfig,
     TrainingDivergedError,
     TrainTrace,
-    eval_batch,
+    eval_rows,
     extend_inputs,
     half_capacity,
     model_key,
@@ -312,7 +312,8 @@ class _SeedRun:
             job.key: model for f, group in jobs.items() for job, model in zip(group, trained[f])}
 
         self.test_x, self.test_y = self.dataset.batch(self.dataset.splits["test"], self.names)
-        self.eval_x, self.eval_y = eval_batch(self.dataset, cfg.eval_batch_size, self.names)
+        self.eval_x, self.eval_y = self.dataset.batch(
+            eval_rows(self.dataset, cfg.eval_batch_size), self.names)
 
         self.stl_loss = {t: self.model("stl", t).task_losses(self.test_x, {t: self.test_y[t]})[t]
                          for t in self.names}

@@ -27,15 +27,15 @@ would be alone and then pointed at views into the stack, and each slice
 reads its own batches in its own order, so every model comes out bit for
 bit as if trained on its own.
 
-Every epoch the trainer records, per model, the per-task validation losses
-and, for MTL runs that ask for them, the GS cosine between the two tasks'
-backbone gradients and the GT look-ahead losses after a simulated backbone
-step on the partner's loss alone. Both come from the same two gradients on
-the fixed, deterministic ``eval_batch``.
+After every epoch each stack takes its validation losses from one forward
+pass and, for MTL runs that ask for them, its GS/GT probes on the fixed
+``eval_rows``: one backward pass per head slot gives the GS cosine between
+the tasks' backbone gradients, and one forward pass per direction the GT
+look-ahead loss after a backbone step on the partner's loss alone.
 
 The returned model carries the parameters of the epoch with the lowest
-validation loss (combined loss for MTL; ties go to the earliest epoch).
-The trainer keeps a copy of only that epoch's parameters.
+validation loss (combined loss for MTL; ties go to the earliest epoch),
+which its stack keeps in one stack-shaped copy.
 """
 
 from __future__ import annotations
@@ -57,7 +57,7 @@ __all__ = [
     "TrainTrace",
     "TrainingDivergedError",
     "model_key",
-    "eval_batch",
+    "eval_rows",
     "Model",
     "multiply_add_count",
     "half_capacity",
@@ -214,29 +214,6 @@ class Model:
             out.extend((w, b))
         return out
 
-    def _named_params(self) -> dict[str, np.ndarray]:
-        named = {}
-        for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            named[f"backbone.w{i}"] = w
-            named[f"backbone.b{i}"] = b
-        for task, (w, b) in self.heads.items():
-            named[f"head.{task}.w0"] = w
-            named[f"head.{task}.b0"] = b
-        return named
-
-    def set_params(self, snapshot: Mapping[str, np.ndarray]) -> None:
-        named = self._named_params()
-        if set(named) != set(snapshot):
-            raise ValueError(f"snapshot keys {sorted(snapshot)} != model keys {sorted(named)}")
-        for name, param in named.items():
-            if param.shape != snapshot[name].shape:
-                raise ValueError(f"shape mismatch for {name}")
-        for name, param in named.items():
-            param[...] = snapshot[name]
-
-    def snapshot(self) -> dict[str, np.ndarray]:
-        return {name: p.copy() for name, p in self._named_params().items()}
-
     def _kernel_heads(self, labels: Mapping[str, np.ndarray]) -> list[ad.Head]:
         """One kernel head per task in ``labels``, scored by that task's loss."""
         heads = []
@@ -308,40 +285,9 @@ def _loss(spec: TaskSpec, labels: np.ndarray) -> ad.Loss:
     return partial(ad.mse_loss, target=np.asarray(labels, dtype=np.float64))
 
 
-def eval_batch(dataset: MultiTaskDataset, size: int,
-               tasks: Sequence[str]) -> tuple[np.ndarray, dict[str, np.ndarray]]:
-    """The fixed batch the GS/GT probes and IAS/RSA read: the first ``size`` test examples."""
-    return dataset.batch(dataset.splits["test"][:size], tasks)
-
-
-def _pair_probes(model: Model, lr: float, inputs: np.ndarray,
-                 labels: Mapping[str, np.ndarray],
-                 ) -> tuple[float, dict[str, tuple[float, float]]]:
-    """The GS cosine and both look-ahead directions from one gradient per task.
-
-    Returns the cosine between the two tasks' backbone gradients, and per
-    target task its evaluation loss before and after one backbone-only SGD
-    step on the partner's loss, as (pre, post). The "pre" loss is the one
-    the gradient pass returns. The model's parameters are not changed.
-    """
-    a, b = model.specs
-    grads = {t: model.gradients(inputs, {t: labels[t]}) for t in (a, b)}
-    flat = {t: np.concatenate([g.ravel() for g in grads[t].backbone()]) for t in (a, b)}
-    na, nb = np.linalg.norm(flat[a]), np.linalg.norm(flat[b])
-    if na == 0.0 or nb == 0.0:
-        cosine = 0.0  # no shared descent direction to speak of
-    else:
-        cosine = float(np.clip(flat[a] @ flat[b] / (na * nb), -1.0, 1.0))
-
-    lookahead = {}
-    for target, partner in ((a, b), (b, a)):
-        step = grads[partner]
-        moved_w = [w - lr * g for w, g in zip(model.weights, step.weights)]
-        moved_b = [v - lr * g for v, g in zip(model.biases, step.biases)]
-        [post] = ad.losses(moved_w, moved_b, model._kernel_heads({target: labels[target]}),
-                           inputs)
-        lookahead[target] = (grads[target].losses[0], post)
-    return cosine, lookahead
+def eval_rows(dataset: MultiTaskDataset, size: int) -> np.ndarray:
+    """The fixed rows the GS/GT probes and IAS/RSA read: the first ``size`` test examples."""
+    return dataset.splits["test"][:size]
 
 
 class _Job(NamedTuple):
@@ -361,8 +307,8 @@ class _HeadGroup(NamedTuple):
     bias: np.ndarray                       # (len(slices), width)
 
     def head(self, rows: np.ndarray, whole: bool) -> ad.Head:
-        """The kernel head on the dataset rows ``rows`` of every stack slice."""
-        picked = rows[self.slices]
+        """The kernel head, slice ``i`` on the dataset rows ``rows[i]`` or on a 1-D ``rows``."""
+        picked = rows[self.slices] if rows.ndim == 2 else rows
         labels = self.labels[np.arange(len(self.slices))[:, None], picked]
         return ad.Head(self.weight, self.bias, _loss(self.spec, labels),
                        None if whole else self.slices)
@@ -376,6 +322,7 @@ class _Stack:
     tasks. Every model's parameters are views into these arrays, so a step
     of the stack is a step of each model. ``members`` are the models' plan
     indices; slice ``i`` reads its inputs from ``sources[source[i]]``.
+    ``best`` holds each slice's parameters of its best epoch so far.
     """
 
     def __init__(self, members: Sequence[int], models: Sequence[Model],
@@ -410,14 +357,47 @@ class _Stack:
                     models[k].heads[s.name] = (group.weight[i], group.bias[i])
                 self.slots[-1].append(group)
         self.params = [*self.weights, *self.biases]
+        self.param_slices = [np.arange(len(models))] * len(self.params)
         for slot in self.slots:
             for group in slot:
                 self.params.extend((group.weight, group.bias))
+                self.param_slices.extend((group.slices, group.slices))
+        self.best = [p.copy() for p in self.params]
 
-    def gradients(self, rows: np.ndarray) -> ad.Gradients:
-        """One stacked backward pass; slice ``i`` trains on the dataset rows ``rows[i]``."""
+    def batch(self, rows: np.ndarray) -> tuple[list[list[ad.Head]], np.ndarray]:
+        """Heads and inputs, slice ``i`` on rows ``rows[i]`` (every slice on a 1-D ``rows``)."""
         heads = [[g.head(rows, len(slot) == 1) for g in slot] for slot in self.slots]
-        return ad.backward(self.weights, self.biases, heads, self.sources[self.source, rows])
+        return heads, self.sources[self.source, rows]
+
+    def keep(self, improved: np.ndarray) -> None:
+        """Copy the parameters of the ``improved`` slices into ``best``."""
+        for param, best, slices in zip(self.params, self.best, self.param_slices):
+            mask = improved[slices]
+            best[mask] = param[mask]
+
+    def probe(self, lr: float, heads: list[list[ad.Head]], inputs: np.ndarray,
+              traces: Sequence[TrainTrace]) -> None:
+        """Append each slice's GS cosine and look-ahead (pre, post) losses to its trace.
+
+        "post" follows one backbone-only SGD step at ``lr`` on the other slot's loss.
+        """
+        grads = [ad.backward(self.weights, self.biases, [slot], inputs) for slot in heads]
+        flat = [np.concatenate([g.reshape(len(g), -1) for g in slot.backbone()], axis=1)
+                for slot in grads]
+        post = [ad.losses([w - lr * g for w, g in zip(self.weights, step.weights)],
+                          [b - lr * g for b, g in zip(self.biases, step.biases)],
+                          [slot], inputs)[0] for slot, step in zip(heads, grads[::-1])]
+        for k, trace in enumerate(traces):
+            trace.gs_cosine.append(_cosine(flat[0][k], flat[1][k]))
+            for lookahead, step, moved in zip(trace.lookahead.values(), grads, post):
+                lookahead.append((float(step.losses[0][k]), float(moved[k])))
+
+
+def _cosine(a: np.ndarray, b: np.ndarray) -> float:
+    na, nb = np.linalg.norm(a), np.linalg.norm(b)
+    if na == 0.0 or nb == 0.0:
+        return 0.0  # no shared descent direction to speak of
+    return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
 def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfig,
@@ -427,8 +407,8 @@ def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfi
     Jobs with the same backbone and head count share a :class:`_Stack`;
     the stacks take their steps in lockstep, so a divergence is reported
     for the model that went non-finite at the earliest (epoch, step), the
-    first in ``jobs`` order on a tie. Each model keeps its own batch order,
-    validation losses, probes and best epoch.
+    first in ``jobs`` order on a tie. Each model keeps its own batch order;
+    validation, the best-epoch copy and the probes run per stack.
     """
     if not jobs:
         raise ValueError("no models to train")
@@ -447,17 +427,13 @@ def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfi
 
     batch_rngs = [model_stream(cfg.seed, BATCHING, key) for key in keys]
     train_idx = dataset.splits["train"]
-    val_idx = dataset.splits["val"]
-    val_batches = [(job.inputs[val_idx], dataset.batch(val_idx, list(model.specs))[1])
-                   for job, model in zip(jobs, models)]
+    val_batches = [stack.batch(dataset.splits["val"]) for stack in stacks]
     traces = [TrainTrace(val_loss=[], combined_val=[], best_epoch=0) for _ in jobs]
     if probes:
-        probe_batches = [eval_batch(dataset, cfg.eval_batch_size, list(model.specs))
-                         for model in models]
+        probe_batches = [stack.batch(eval_rows(dataset, cfg.eval_batch_size)) for stack in stacks]
         for trace, model in zip(traces, models):
             trace.gs_cosine = []
             trace.lookahead = {t: [] for t in model.specs}
-    best_params: list[dict[str, np.ndarray]] = [{} for _ in jobs]
 
     for epoch in range(cfg.epochs):
         lr = cfg.lr_at(epoch)
@@ -466,7 +442,7 @@ def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfi
             rows = order[:, start:start + cfg.batch_size]
             diverged = []
             for stack in stacks:
-                grads = stack.gradients(rows[stack.members])
+                grads = ad.backward(stack.weights, stack.biases, *stack.batch(rows[stack.members]))
                 finite = np.isfinite(sum(grads.losses))
                 if finite.all():
                     ad.sgd_step(stack.params, grads.params(), lr)
@@ -475,25 +451,28 @@ def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfi
             if diverged:
                 raise TrainingDivergedError(keys[min(diverged)], epoch)
 
-        for i, (model, trace) in enumerate(zip(models, traces)):
-            epoch_val = model.task_losses(*val_batches[i])
-            if not all(map(math.isfinite, epoch_val.values())):
-                raise TrainingDivergedError(keys[i], epoch)
-            trace.val_loss.append(epoch_val)
-            trace.combined_val.append(sum(epoch_val.values()))
-            # Strictly lower, so the earliest epoch wins ties.
-            if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
-                trace.best_epoch = epoch
-                best_params[i] = model.snapshot()
+        val = [np.array(ad.losses(stack.weights, stack.biases, *batch))
+               for stack, batch in zip(stacks, val_batches)]
+        diverged = [i for stack, losses in zip(stacks, val)
+                    for i in stack.members[~np.isfinite(losses).all(axis=0)]]
+        if diverged:
+            raise TrainingDivergedError(keys[min(diverged)], epoch)
 
+        for s, (stack, losses) in enumerate(zip(stacks, val)):
+            for i, column in zip(stack.members, losses.T.tolist()):
+                trace = traces[i]
+                trace.val_loss.append(dict(zip(models[i].specs, column)))
+                trace.combined_val.append(sum(column))
+                # Strictly lower, so the earliest epoch wins ties.
+                if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
+                    trace.best_epoch = epoch
+            stack.keep(np.array([traces[i].best_epoch == epoch for i in stack.members]))
             if probes:
-                cosine, lookahead = _pair_probes(model, lr, *probe_batches[i])
-                trace.gs_cosine.append(cosine)
-                for target, pair in lookahead.items():
-                    trace.lookahead[target].append(pair)
+                stack.probe(lr, *probe_batches[s], [traces[i] for i in stack.members])
 
-    for model, best in zip(models, best_params):
-        model.set_params(best)
+    for stack in stacks:
+        for param, best in zip(stack.params, stack.best):
+            param[...] = best
     return list(zip(models, traces))
 
 

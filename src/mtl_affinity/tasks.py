@@ -320,18 +320,28 @@ def save_dataset(suite: TaskSuite, directory: str | Path) -> None:
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
+def _load_labels(path: Path, spec: TaskSpec) -> np.ndarray:
+    """One task's label file, checked against its spec."""
+    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+    columns = 1 if spec.kind == "classification" else spec.output_dim
+    if raw.shape[1] != columns:
+        problem = f"{raw.shape[1]} label columns, expected {columns}"
+    elif spec.kind == "regression":
+        return raw
+    elif np.any(raw != np.floor(raw)) or np.any((raw < 0) | (raw >= spec.output_dim)):
+        problem = f"class ids must be integers in [0, {spec.output_dim})"
+    else:
+        return raw.astype(np.int64).reshape(-1)
+    raise ValueError(f"task {spec.name!r} ({path}): {problem}")
+
+
 def load_dataset(directory: str | Path) -> TaskSuite:
+    """Read a suite written by :func:`save_dataset`; misfit labels or splits raise ValueError."""
     d = Path(directory)
     manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
     specs = tuple(TaskSpec.from_json_dict(s) for s in manifest["specs"])
     inputs = np.loadtxt(d / "inputs.csv", delimiter=",", ndmin=2)
-    labels: dict[str, np.ndarray] = {}
-    for spec in specs:
-        raw = np.loadtxt(d / f"labels_{spec.name}.csv", delimiter=",")
-        if spec.kind == "classification":
-            labels[spec.name] = raw.astype(np.int64).reshape(-1)
-        else:
-            labels[spec.name] = raw.reshape(inputs.shape[0], -1)
+    labels = {spec.name: _load_labels(d / f"labels_{spec.name}.csv", spec) for spec in specs}
     splits: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
     with (d / "splits.csv").open(encoding="utf-8", newline="") as fh:
         reader = csv.reader(fh)
@@ -339,6 +349,8 @@ def load_dataset(directory: str | Path) -> TaskSuite:
         if header != ["split", "index"]:
             raise ValueError(f"bad splits.csv header: {header}")
         for split, idx in reader:
+            if split not in splits:
+                raise ValueError(f"{fh.name}: unknown split {split!r}; splits are {SPLIT_NAMES}")
             splits[split].append(int(idx))
     split_arrays = {name: np.asarray(v, dtype=np.int64) for name, v in splits.items()}
     dataset = MultiTaskDataset(inputs, labels, split_arrays, int(manifest["seed"]))

@@ -14,7 +14,7 @@ import functools
 import itertools
 import math
 from dataclasses import replace
-from typing import Callable, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -25,8 +25,7 @@ from mtl_affinity.models import (
     TrainConfig,
     TrainingDivergedError,
     TrainTrace,
-    _pair_probes,
-    eval_batch,
+    eval_rows,
     extend_inputs,
     model_key,
 )
@@ -234,19 +233,50 @@ def _epoch_batches(rng: np.random.Generator, n: int, batch_size: int):
         yield order[start:start + batch_size]
 
 
+def pair_probes(model: Model, lr: float, inputs: np.ndarray,
+                labels: Mapping[str, np.ndarray],
+                ) -> tuple[float, dict[str, tuple[float, float]]]:
+    """The GS cosine and both look-ahead directions of one pair model, from one gradient per task.
+
+    Returns the cosine between the two tasks' backbone gradients, and per
+    target task its evaluation loss before and after one backbone-only SGD
+    step on the partner's loss, as (pre, post). The "pre" loss is the one
+    the gradient pass returns. The model's parameters are not changed.
+    """
+    a, b = model.specs
+    grads = {t: model.gradients(inputs, {t: labels[t]}) for t in (a, b)}
+    flat = {t: np.concatenate([g.ravel() for g in grads[t].backbone()]) for t in (a, b)}
+    na, nb = np.linalg.norm(flat[a]), np.linalg.norm(flat[b])
+    if na == 0.0 or nb == 0.0:
+        cosine = 0.0  # no shared descent direction to speak of
+    else:
+        cosine = float(np.clip(flat[a] @ flat[b] / (na * nb), -1.0, 1.0))
+
+    lookahead = {}
+    for target, partner in ((a, b), (b, a)):
+        step = grads[partner]
+        moved_w = [w - lr * g for w, g in zip(model.weights, step.weights)]
+        moved_b = [v - lr * g for v, g in zip(model.biases, step.biases)]
+        [post] = ad.losses(moved_w, moved_b, model._kernel_heads({target: labels[target]}),
+                           inputs)
+        lookahead[target] = (grads[target].losses[0], post)
+    return cosine, lookahead
+
+
 def reference_train(key: str, specs: Sequence[TaskSpec], dataset: MultiTaskDataset,
                     backbone: BackboneConfig, cfg: TrainConfig,
                     probes: bool = False) -> tuple[Model, TrainTrace]:
     """Build the model for ``specs``, seeded by its job key, and train it on ``dataset``.
 
-    One ``backward`` and one ``sgd_step`` per model per batch.
+    One ``backward`` and one ``sgd_step`` per model per batch; validation,
+    the best-epoch copy and the probes also run for this model alone.
     """
     model = Model(specs, backbone, model_stream(cfg.seed, INIT, key))
     tasks = list(model.specs)
     batch_rng = model_stream(cfg.seed, BATCHING, key)
     train_idx = dataset.splits["train"]
     val_inputs, val_labels = dataset.batch(dataset.splits["val"], tasks)
-    eval_inputs, eval_labels = eval_batch(dataset, cfg.eval_batch_size, tasks)
+    eval_inputs, eval_labels = dataset.batch(eval_rows(dataset, cfg.eval_batch_size), tasks)
 
     trace = TrainTrace(val_loss=[], combined_val=[], best_epoch=0)
     if probes:
@@ -269,15 +299,16 @@ def reference_train(key: str, specs: Sequence[TaskSpec], dataset: MultiTaskDatas
         # Strictly lower, so the earliest epoch wins ties.
         if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
             trace.best_epoch = epoch
-            best_params = model.snapshot()
+            best_params = [p.copy() for p in model.params()]
 
         if probes:
-            cosine, lookahead = _pair_probes(model, lr, eval_inputs, eval_labels)
+            cosine, lookahead = pair_probes(model, lr, eval_inputs, eval_labels)
             trace.gs_cosine.append(cosine)
             for target, pair in lookahead.items():
                 trace.lookahead[target].append(pair)
 
-    model.set_params(best_params)
+    for param, best in zip(model.params(), best_params):
+        param[...] = best
     return model, trace
 
 

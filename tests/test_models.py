@@ -11,7 +11,7 @@ from mtl_affinity import models as m
 from mtl_affinity.scores import input_x_gradient
 from mtl_affinity.seeding import INIT, model_stream
 from mtl_affinity.tasks import TaskSpec, generate_latent_factor_suite
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, pair_probes
 
 
 def suite(**overrides):
@@ -148,8 +148,8 @@ def test_train_stl_deterministic():
     s = suite()
     runs = [m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg())[0] for _ in range(2)]
     assert runs[0][1].val_loss == runs[1][1].val_loss
-    for k, v in runs[0][0].snapshot().items():
-        np.testing.assert_array_equal(v, runs[1][0].snapshot()[k])
+    for got, want in zip(runs[0][0].params(), runs[1][0].params(), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def val_loss(model, dataset, tasks):
@@ -243,12 +243,13 @@ def test_train_mtl_recorded_quantities_recomputable_from_snapshot():
 
     epoch = trace.best_epoch
     fresh = m.Model([s.specs[0], s.specs[1]], BACKBONE, np.random.default_rng(99))
-    fresh.set_params(model.snapshot())
+    for param, trained in zip(fresh.params(), model.params(), strict=True):
+        param[...] = trained
     eval_idx = s.dataset.splits["test"][:cfg.eval_batch_size]
     eval_inputs = s.dataset.inputs[eval_idx]
     eval_labels = {t: s.dataset.labels[t][eval_idx] for t in ("task0", "task1")}
 
-    cos, lookahead = m._pair_probes(fresh, cfg.lr_at(epoch), eval_inputs, eval_labels)
+    cos, lookahead = pair_probes(fresh, cfg.lr_at(epoch), eval_inputs, eval_labels)
     assert cos == pytest.approx(trace.gs_cosine[epoch], abs=1e-12)
     for t in ("task0", "task1"):
         assert lookahead[t] == pytest.approx(trace.lookahead[t][epoch], abs=1e-12)
@@ -262,9 +263,8 @@ def test_train_mtl_without_probes_trains_the_same_model():
     assert plain_trace.gs_cosine is None
     assert plain_trace.lookahead is None
     assert plain_trace.val_loss == probed_trace.val_loss
-    want = probed.snapshot()
-    for name, value in plain.snapshot().items():
-        np.testing.assert_array_equal(value, want[name])
+    for got, want in zip(plain.params(), probed.params(), strict=True):
+        np.testing.assert_array_equal(got, want)
 
 
 def test_train_mtl_rejects_same_name_pair():
@@ -317,20 +317,6 @@ def test_encode_labels_shapes_and_validation():
         m.encode_labels(cls, np.array([0, 3]))
     reg = TaskSpec("r", "regression", 1)
     assert m.encode_labels(reg, np.array([0.5, 1.5])).shape == (2, 1)
-
-
-# --- parameter snapshots ---
-
-
-def test_set_params_validates_keys_and_shapes():
-    s = suite()
-    [(model, _)] = m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg(epochs=1))
-    with pytest.raises(ValueError):
-        model.set_params({"nope": np.zeros(3)})
-    snap = model.snapshot()
-    snap["backbone.w0"] = np.zeros((1, 1))
-    with pytest.raises(ValueError):
-        model.set_params(snap)
 
 
 # --- gradients of whole models ---

@@ -25,8 +25,11 @@ def linear_stl(name, wb, bb, wh, bh, kind="regression"):
     spec = TaskSpec(name, kind, wh.shape[1] if kind == "regression" else max(2, wh.shape[1]))
     model = Model([spec], BackboneConfig(wb.shape[0], (), wb.shape[1]),
                   np.random.default_rng(0))
-    model.set_params({"backbone.w0": wb, "backbone.b0": bb,
-                      f"head.{name}.w0": wh, f"head.{name}.b0": bh})
+    [w], [b] = model.weights, model.biases
+    head_w, head_b = model.heads[name]
+    for param, value in ((w, wb), (b, bb), (head_w, wh), (head_b, bh)):
+        assert param.shape == value.shape
+        param[...] = value
     return model
 
 
@@ -261,16 +264,15 @@ def test_gs_gt_single_epoch_match_hand_simulation():
 
     # Reproduce the initial parameters and the (single) batch order.
     key = "mtl/task0/task1"
-    init = Model([suite.specs[0], suite.specs[1]], backbone,
-                 model_stream(cfg.seed, INIT, key)).snapshot()
+    init = Model([suite.specs[0], suite.specs[1]], backbone, model_stream(cfg.seed, INIT, key))
     order = model_stream(cfg.seed, BATCHING, key).permutation(len(ds.splits["train"]))
     idx = ds.splits["train"][order]
     x = ds.inputs[idx]
     ya, yb = ds.labels["task0"][idx], ds.labels["task1"][idx]
 
-    wb, bb = init["backbone.w0"], init["backbone.b0"]
-    wha, bha = init["head.task0.w0"], init["head.task0.b0"]
-    whb, bhb = init["head.task1.w0"], init["head.task1.b0"]
+    [wb], [bb] = init.weights, init.biases
+    wha, bha = init.heads["task0"]
+    whb, bhb = init.heads["task1"]
 
     def head_grads(x_, y, wb_, bb_, wh, bh):
         latent = x_ @ wb_ + bb_

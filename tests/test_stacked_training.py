@@ -37,11 +37,11 @@ def assert_same(got, want):
     (got_model, got_trace), (want_model, want_trace) = got, want
     assert got_model.config == want_model.config
     assert list(got_model.specs) == list(want_model.specs)
-    got_params, want_params = got_model.snapshot(), want_model.snapshot()
-    assert list(got_params) == list(want_params)
-    for name, value in got_params.items():
-        assert value.shape == want_params[name].shape, name
-        assert value.tobytes() == want_params[name].tobytes(), name
+    got_params, want_params = got_model.params(), want_model.params()
+    assert len(got_params) == len(want_params)
+    for i, (value, want) in enumerate(zip(got_params, want_params)):
+        assert value.shape == want.shape, i
+        assert value.tobytes() == want.tobytes(), i
     assert got_trace == want_trace
 
 
@@ -90,6 +90,18 @@ def test_changing_stack_mates_changes_no_model(suite):
         assert_same(results[a], want)
 
 
+def test_stack_mates_peaking_at_different_epochs_keep_their_own_best(suite):
+    got = m.train_stl(suite.specs, suite.dataset, BACKBONE, CFG)
+    best = [trace.best_epoch for _, trace in got]
+    # The two classification models share one head group and peak apart, so
+    # both the backbone and the head-group best copies are masked by slice.
+    classification = [b for spec, b in zip(suite.specs, best) if spec.kind == "classification"]
+    assert len(set(classification)) == 2
+    assert CFG.epochs - 1 in best
+    for spec, result in zip(suite.specs, got):
+        assert_same(result, stl_reference(spec, suite.dataset))
+
+
 def test_one_backward_and_one_step_per_batch_for_the_whole_stack(suite, monkeypatch):
     calls = {"backward": 0, "sgd_step": 0}
     for name in calls:
@@ -98,10 +110,15 @@ def test_one_backward_and_one_step_per_batch_for_the_whole_stack(suite, monkeypa
             return _original(*args, **kwargs)
         monkeypatch.setattr(ad, name, counted)
     pairs = [(a, b) for i, a in enumerate(suite.specs) for b in suite.specs[i + 1:]]
-    m.train_mtl(pairs, suite.dataset, BACKBONE, CFG, probes=False)
     n_train = len(suite.dataset.splits["train"])
     steps = CFG.epochs * -(-n_train // CFG.batch_size)
+    m.train_mtl(pairs, suite.dataset, BACKBONE, CFG, probes=False)
     assert calls == {"backward": steps, "sgd_step": steps}
+
+    # The probes take one backward per head slot of the one MTL stack per epoch.
+    calls.update(backward=0, sgd_step=0)
+    m.train_mtl(pairs, suite.dataset, BACKBONE, CFG, probes=True)
+    assert calls == {"backward": steps + 2 * CFG.epochs, "sgd_step": steps}
 
 
 def test_trained_models_are_views_into_one_stack(suite):
@@ -136,6 +153,38 @@ def test_divergence_tie_goes_to_plan_order_across_stacks(suite):
     # Stack order follows the first job of each width: (reg, cls) opens the
     # wider stack, so the wider stack's diverging slice is checked first.
     pairs = [(reg, cls), (huge, reg), (huge, cls)]
+    with pytest.raises(m.TrainingDivergedError) as info:
+        m.train_injected(pairs, dataset, m.half_capacity(BACKBONE), CFG)
+    assert (info.value.key, info.value.epoch) == ("inj/huge/task0", 0)
+
+
+def with_huge_val_labels(dataset: MultiTaskDataset, *names: str):
+    """The dataset plus regression tasks that are task0 except on the val rows.
+
+    There the labels overflow the squared error, so training stays finite
+    and the first validation loss does not.
+    """
+    val = dataset.splits["val"]
+    huge = {}
+    for name in names:
+        labels = dataset.labels["task0"].copy()
+        labels[val] = 1e200
+        huge[name] = labels
+    return (MultiTaskDataset(dataset.inputs, {**dataset.labels, **huge}, dataset.splits,
+                             dataset.seed),
+            [TaskSpec(name, "regression", 1) for name in names])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_validation_divergence_names_the_diverging_slice(suite):
+    dataset, [huge] = with_huge_val_labels(suite.dataset, "huge")
+    a, b, c, d = suite.specs
+    with pytest.raises(m.TrainingDivergedError) as info:
+        m.train_stl([a, b, huge, c, d], dataset, BACKBONE, CFG)
+    assert (info.value.key, info.value.epoch) == ("stl/huge", 0)
+
+    # A tie goes to plan order across stacks, as for a step divergence.
+    pairs = [(a, b), (huge, a), (huge, b)]
     with pytest.raises(m.TrainingDivergedError) as info:
         m.train_injected(pairs, dataset, m.half_capacity(BACKBONE), CFG)
     assert (info.value.key, info.value.epoch) == ("inj/huge/task0", 0)

@@ -146,6 +146,27 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert loaded.dataset.seed == suite.dataset.seed
 
 
+def _corrupt(path, replace):
+    lines = path.read_text().splitlines()
+    path.write_text("\n".join(replace(lines)) + "\n")
+
+
+@pytest.mark.parametrize("file, replace, msg", [
+    ("labels_task1.csv", lambda lines: ["1.5", *lines[1:]], r"task 'task1'.*integers in \[0, 3\)"),
+    ("labels_task1.csv", lambda lines: ["7", *lines[1:]], r"task 'task1'.*integers in \[0, 3\)"),
+    ("labels_task0.csv", lambda lines: [f"{line},0.5" for line in lines],
+     "task 'task0'.*2 label columns, expected 1"),
+    ("splits.csv", lambda lines: [*lines[:-1], lines[-1].replace("test", "holdout")],
+     "unknown split 'holdout'"),
+])
+def test_dataset_load_rejects_labels_and_splits_that_misfit(tmp_path, file, replace, msg):
+    save_dataset(small_suite(), tmp_path / "ds")
+    _corrupt(tmp_path / "ds" / file, replace)
+    with pytest.raises(ValueError, match=msg) as info:
+        load_dataset(tmp_path / "ds")
+    assert file in str(info.value)
+
+
 @settings(max_examples=20, deadline=None)
 @given(st.integers(min_value=1, max_value=4), st.integers(min_value=0, max_value=10),
        st.floats(min_value=0.0, max_value=1.0))
