@@ -2,7 +2,8 @@
 
 Every model is a backbone, a stack of dense layers with ReLU between them
 and a linear last layer (the latent), followed by one or more dense linear
-heads, each scored by its own loss: mean squared error or softmax
+heads, each scored by its own loss against a target shaped like its
+output, floats for mean squared error or one-hot rows for softmax
 cross-entropy. :func:`backward` runs the backbone forward once, each head
 and its loss, then backpropagates each head's latent gradient through the
 backbone separately and adds the parameter gradients head by head. It
@@ -113,42 +114,22 @@ def mse_loss(pred: np.ndarray, target: np.ndarray,
     return loss, ((2.0 / size) * diff if grad else None)
 
 
-def softmax_cross_entropy(logits: np.ndarray, class_index: Sequence[int] | np.ndarray,
+def softmax_cross_entropy(logits: np.ndarray, target: np.ndarray,
                           grad: bool = False) -> tuple[float | np.ndarray, np.ndarray | None]:
-    """Mean negative log-softmax of the true class over the batch.
+    """Mean cross-entropy of softmax(logits) against a one-hot ``target`` shaped like ``logits``.
 
-    Args:
-        logits: m x C scores, or M x m x C for a stack, which gives M losses.
-        class_index: integer class ids in [0, C), shaped like ``logits``
-            without its last axis.
-        grad: also return d loss / d logits, (softmax - onehot) / m.
+    A 3-D ``logits`` is a stack of M batches and gives M losses. With
+    ``grad``, also returns d loss / d logits, (softmax - target) / m.
     """
-    if logits.ndim not in (2, 3):
-        raise ValueError(f"softmax_cross_entropy needs 2-D or stacked logits, got {logits.shape}")
-    *lead, m, c = logits.shape
-    if m == 0:
+    if logits.shape != target.shape:
+        raise ValueError(f"softmax_cross_entropy: shapes differ, {logits.shape} vs {target.shape}")
+    if logits.size == 0:
         raise ValueError("softmax_cross_entropy: empty batch")
-    idx = np.asarray(class_index)
-    if idx.shape != (*lead, m):
-        raise ValueError(f"class_index must have shape {(*lead, m)}, got {idx.shape}")
-    if not np.issubdtype(idx.dtype, np.integer):
-        if not np.all(idx == idx.astype(np.int64)):
-            raise ValueError("class_index must be integers")
-        idx = idx.astype(np.int64)
-    if idx.min() < 0 or idx.max() >= c:
-        raise ValueError(f"class_index out of range [0, {c})")
-
     shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_z = np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    log_probs = shifted - log_z
-    picked = (*np.indices(idx.shape, sparse=True), idx)
-    loss = -log_probs[picked].mean(axis=-1)
-    loss = float(loss) if not lead else loss
-    if not grad:
-        return loss, None
-    soft = np.exp(log_probs)
-    soft[picked] -= 1.0
-    return loss, soft / m
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = -(target * log_probs).sum(axis=-1).mean(axis=-1)
+    loss = loss if logits.ndim == 3 else float(loss)
+    return loss, ((np.exp(log_probs) - target) / logits.shape[-2] if grad else None)
 
 
 def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],

@@ -348,10 +348,11 @@ class _SeedRun:
             for a, b in self.pairs:
                 values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
         elif kind == "LI":
+            extended = {t: extend_inputs(self.test_x, self.specs[t], self.test_y[t])
+                        for t in self.names}
             for target, partner in permutations(self.names, 2):
-                x = extend_inputs(self.test_x, self.specs[partner], self.test_y[partner])
                 loss = self.model("inj", target, partner).task_losses(
-                    x, {target: self.test_y[target]})[target]
+                    extended[partner], {target: self.test_y[target]})[target]
                 values[(partner, target)] = label_injection(self.stl_loss[target], loss)
         elif kind == "GS":
             for pair in self.pairs:

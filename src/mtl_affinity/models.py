@@ -11,7 +11,8 @@ backbone with a linear latent and one dense head per task:
   (:func:`extend_inputs`), so its ``config.input_dim`` is widened by it.
 
 Parameters are plain float64 ndarrays; every loss and gradient comes from
-the explicit kernel in :mod:`autodiff`. Training is plain minibatch SGD
+the explicit kernel in :mod:`autodiff`, and every label reaches it through
+:func:`encode_labels`, which checks it first. Training is plain minibatch SGD
 with an exponentially decaying learning rate. A model's key
 (``model_key``: ``stl/a``, ``mtl/a/b``, ``inj/target/partner``) seeds its
 weights and batch order and names it in a divergence error.
@@ -49,7 +50,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import BATCHING, INIT, model_stream
-from .tasks import MultiTaskDataset, TaskSpec
+from .tasks import MultiTaskDataset, TaskSpec, checked_labels
 
 __all__ = [
     "BackboneConfig",
@@ -150,15 +151,13 @@ class TrainTrace:
 
 
 def encode_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
-    """Labels as network-ready floats: one-hot for classes, raw for regression."""
-    if spec.kind == "classification":
-        idx = np.asarray(labels).astype(np.int64).reshape(-1)
-        if idx.size and (idx.min() < 0 or idx.max() >= spec.output_dim):
-            raise ValueError(f"labels for {spec.name!r} outside [0, {spec.output_dim})")
-        onehot = np.zeros((idx.shape[0], spec.output_dim))
-        onehot[np.arange(idx.shape[0]), idx] = 1.0
-        return onehot
-    return np.asarray(labels, dtype=np.float64).reshape(len(labels), -1)
+    """Labels as the network reads them, as injected input or as loss target.
+
+    Float ``(n, output_dim)``: one-hot for classes, raw for regression.
+    Labels that misfit ``spec`` raise ValueError (:func:`checked_labels`).
+    """
+    y = checked_labels(spec, labels)
+    return np.eye(spec.output_dim)[y] if spec.kind == "classification" else y
 
 
 def extend_inputs(inputs: np.ndarray, partner: TaskSpec,
@@ -221,9 +220,7 @@ class Model:
             if task not in self.specs:
                 raise KeyError(f"model serves {list(self.specs)}, not {task!r}")
             spec = self.specs[task]
-            if spec.kind == "classification":
-                y = np.asarray(y).reshape(-1)
-            heads.append(ad.Head(*self.heads[task], _loss(spec, y)))
+            heads.append(ad.Head(*self.heads[task], _loss(spec, encode_labels(spec, y))))
         return heads
 
     def latent(self, inputs: np.ndarray) -> np.ndarray:
@@ -278,11 +275,10 @@ def half_capacity(full: BackboneConfig) -> BackboneConfig:
 # --- training loop ---
 
 
-def _loss(spec: TaskSpec, labels: np.ndarray) -> ad.Loss:
-    """The kernel loss of ``spec`` against ``labels`` (one batch, or one per stack slice)."""
-    if spec.kind == "classification":
-        return partial(ad.softmax_cross_entropy, class_index=labels)
-    return partial(ad.mse_loss, target=np.asarray(labels, dtype=np.float64))
+def _loss(spec: TaskSpec, target: np.ndarray) -> ad.Loss:
+    """The kernel loss of ``spec`` against encoded labels (one batch, or one per stack slice)."""
+    kernel = ad.softmax_cross_entropy if spec.kind == "classification" else ad.mse_loss
+    return partial(kernel, target=target)
 
 
 def eval_rows(dataset: MultiTaskDataset, size: int) -> np.ndarray:
@@ -302,7 +298,7 @@ class _HeadGroup(NamedTuple):
     """The heads of one slot that share an output width and kind, over some slices."""
     spec: TaskSpec                         # the first member's task: width and kind
     slices: np.ndarray                     # stack slices, in stack order
-    labels: np.ndarray                     # each member's task labels, stacked
+    labels: np.ndarray                     # each member's encoded task labels, stacked
     weight: np.ndarray                     # (len(slices), latent, width)
     bias: np.ndarray                       # (len(slices), width)
 
@@ -350,7 +346,8 @@ class _Stack:
                 specs = [jobs[k].specs[slot] for k in slices]
                 heads = [models[k].heads[s.name] for k, s in zip(slices, specs)]
                 group = _HeadGroup(specs[0], np.asarray(slices),
-                                   np.stack([dataset.labels[s.name] for s in specs]),
+                                   np.stack([encode_labels(s, dataset.labels[s.name])
+                                             for s in specs]),
                                    np.stack([w for w, _ in heads]),
                                    np.stack([b for _, b in heads]))
                 for i, (k, s) in enumerate(zip(slices, specs)):

@@ -29,6 +29,7 @@ __all__ = [
     "MultiTaskDataset",
     "TaskSuite",
     "TaxonomyDistances",
+    "checked_labels",
     "generate_latent_factor_suite",
     "load_taxonomy_distances",
     "save_dataset",
@@ -320,19 +321,34 @@ def save_dataset(suite: TaskSuite, directory: str | Path) -> None:
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
 
-def _load_labels(path: Path, spec: TaskSpec) -> np.ndarray:
-    """One task's label file, checked against its spec."""
-    raw = np.loadtxt(path, delimiter=",", ndmin=2)
+def checked_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
+    """``labels`` in the canonical form for ``spec``; labels that misfit it raise ValueError.
+
+    Classification: int64 ``(n,)`` class ids in [0, output_dim), from
+    integer values shaped ``(n,)`` or ``(n, 1)``. Regression: float64
+    ``(n, output_dim)``, also from ``(n,)`` when ``output_dim`` is 1.
+    """
+    raw = np.asarray(labels).reshape(len(labels), -1)
     columns = 1 if spec.kind == "classification" else spec.output_dim
     if raw.shape[1] != columns:
         problem = f"{raw.shape[1]} label columns, expected {columns}"
+    elif raw.dtype.kind not in "iuf":
+        problem = f"labels of dtype {raw.dtype}, expected numbers"
     elif spec.kind == "regression":
-        return raw
+        return raw.astype(np.float64, copy=False)
     elif np.any(raw != np.floor(raw)) or np.any((raw < 0) | (raw >= spec.output_dim)):
         problem = f"class ids must be integers in [0, {spec.output_dim})"
     else:
-        return raw.astype(np.int64).reshape(-1)
-    raise ValueError(f"task {spec.name!r} ({path}): {problem}")
+        return raw.reshape(-1).astype(np.int64, copy=False)
+    raise ValueError(f"task {spec.name!r}: {problem}")
+
+
+def _load_labels(path: Path, spec: TaskSpec) -> np.ndarray:
+    """One task's label file, checked against its spec."""
+    try:
+        return checked_labels(spec, np.loadtxt(path, delimiter=",", ndmin=2))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
 
 
 def load_dataset(directory: str | Path) -> TaskSuite:
@@ -348,10 +364,13 @@ def load_dataset(directory: str | Path) -> TaskSuite:
         header = next(reader)
         if header != ["split", "index"]:
             raise ValueError(f"bad splits.csv header: {header}")
-        for split, idx in reader:
-            if split not in splits:
-                raise ValueError(f"{fh.name}: unknown split {split!r}; splits are {SPLIT_NAMES}")
-            splits[split].append(int(idx))
+        for row in reader:
+            where = f"{fh.name} line {reader.line_num}"
+            if len(row) != 2 or not row[1].isdecimal():
+                raise ValueError(f"{where}: expected a split name and an integer index, got {row}")
+            if row[0] not in splits:
+                raise ValueError(f"{where}: unknown split {row[0]!r}; splits are {SPLIT_NAMES}")
+            splits[row[0]].append(int(row[1]))
     split_arrays = {name: np.asarray(v, dtype=np.int64) for name, v in splits.items()}
     dataset = MultiTaskDataset(inputs, labels, split_arrays, int(manifest["seed"]))
     return TaskSuite(specs, dataset)

@@ -4,8 +4,10 @@ Everything here is deliberately naive: central finite differences for
 gradients, O(n^2) pair counting for rank correlations, and exhaustive
 enumeration (or, for the best total at larger n, a DP over task subsets)
 for the grouping optimizer, and a trainer that trains one model at a
-time, against which the stacked trainer must match bit for bit. Slow is
-fine; these only run in tests.
+time, against which the stacked trainer must match bit for bit. The
+cross-entropy here picks each row's true class by its id, where the
+kernel multiplies by a one-hot target. Slow is fine; these only run in
+tests.
 """
 
 from __future__ import annotations
@@ -49,6 +51,28 @@ def finite_difference_grad(f: Callable[[np.ndarray], float], x: np.ndarray,
         xf[i] = orig
         flat[i] = (hi - lo) / (2.0 * step)
     return grad
+
+
+def softmax_cross_entropy_class_ids(logits: np.ndarray, class_index: np.ndarray,
+                                    grad: bool = False,
+                                    ) -> tuple[float | np.ndarray, np.ndarray | None]:
+    """Mean negative log-softmax of the true class, picked by integer class id.
+
+    ``logits`` is m x C, or M x m x C for a stack (M losses); ``class_index``
+    is shaped like ``logits`` without its last axis. With ``grad``, also
+    returns (softmax - onehot) / m.
+    """
+    *lead, m, _ = logits.shape
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    picked = (*np.indices(class_index.shape, sparse=True), class_index)
+    loss = -log_probs[picked].mean(axis=-1)
+    loss = float(loss) if not lead else loss
+    if not grad:
+        return loss, None
+    soft = np.exp(log_probs)
+    soft[picked] -= 1.0
+    return loss, soft / m
 
 
 def pearson_naive(x: Sequence[float], y: Sequence[float]) -> float:

@@ -153,7 +153,8 @@ def _random_mlp_case(rng: np.random.Generator):
         params.append(rng.normal(0.0, 0.1, fan_out))
     inputs = rng.normal(0.0, 1.0, (batch, d_in))
     if classify:
-        loss = partial(ad.softmax_cross_entropy, class_index=rng.integers(0, d_out, batch))
+        onehot = np.eye(d_out)[rng.integers(0, d_out, batch)]
+        loss = partial(ad.softmax_cross_entropy, target=onehot)
     else:
         loss = partial(ad.mse_loss, target=rng.normal(0.0, 1.0, (batch, d_out)))
     head = ad.Head(np.eye(d_out), np.zeros(d_out), loss)

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtl_affinity import autodiff as ad
-from oracles import finite_difference_grad
+from oracles import finite_difference_grad, softmax_cross_entropy_class_ids
 
 
 def mse_head(width: int, target) -> ad.Head:
@@ -87,28 +87,44 @@ def test_relu_derivative_zero_at_zero():
 
 def test_softmax_cross_entropy_grad_is_softmax_minus_onehot():
     logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
-    idx = np.array([1, 0])
-    _, grad = ad.softmax_cross_entropy(logits, idx, grad=True)
+    onehot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
+    _, grad = ad.softmax_cross_entropy(logits, onehot, grad=True)
     z = logits - logits.max(axis=1, keepdims=True)
     soft = np.exp(z) / np.exp(z).sum(axis=1, keepdims=True)
-    onehot = np.zeros_like(soft)
-    onehot[np.arange(2), idx] = 1.0
     np.testing.assert_allclose(grad, (soft - onehot) / 2.0, atol=1e-12)
 
 
 def test_softmax_cross_entropy_stability():
-    loss, grad = ad.softmax_cross_entropy(np.array([[1000.0, 0.0]]), [0], grad=True)
+    loss, grad = ad.softmax_cross_entropy(np.array([[1000.0, 0.0]]), np.array([[1.0, 0.0]]),
+                                          grad=True)
     assert np.isfinite(loss)
     assert loss == pytest.approx(0.0, abs=1e-12)
     assert np.all(np.isfinite(grad))
 
 
 def test_softmax_cross_entropy_rejects_bad_labels():
+    """The target must be shaped like the logits: class ids or a wrong width do not fit."""
     logits = np.zeros((2, 3))
-    with pytest.raises(ValueError):
-        ad.softmax_cross_entropy(logits, [0, 3])
-    with pytest.raises(ValueError):
-        ad.softmax_cross_entropy(logits, [0.5, 1.5])
+    for target in (np.array([0, 2]), np.zeros((2, 2)), np.zeros((1, 2, 3))):
+        with pytest.raises(ValueError, match="shapes differ"):
+            ad.softmax_cross_entropy(logits, target)
+    with pytest.raises(ValueError, match="empty batch"):
+        ad.softmax_cross_entropy(np.zeros((0, 3)), np.zeros((0, 3)))
+
+
+@pytest.mark.parametrize("shape", [(4, 2), (6, 4), (3, 5, 4)])
+def test_softmax_cross_entropy_matches_class_id_reference_to_the_bit(shape):
+    """The one-hot kernel gives the bits of picking each row's true class by id."""
+    rng = np.random.default_rng(11)
+    logits = rng.normal(0.0, 3.0, shape)
+    logits[..., 0, :2] = [1000.0, 0.0]
+    class_index = rng.integers(0, shape[-1], shape[:-1])
+    want_loss, want_grad = softmax_cross_entropy_class_ids(logits, class_index, grad=True)
+    got_loss, got_grad = ad.softmax_cross_entropy(logits, np.eye(shape[-1])[class_index],
+                                                  grad=True)
+    assert np.asarray(got_loss).tobytes() == np.asarray(want_loss).tobytes()
+    assert type(got_loss) is type(want_loss)
+    assert got_grad.tobytes() == want_grad.tobytes()
 
 
 def test_add_bias_broadcast_grad_sums_over_batch():
@@ -162,10 +178,8 @@ def test_backward_is_deterministic():
         np.testing.assert_array_equal(a, b)
 
 
-def _loss_for(kind: str, labels) -> ad.Loss:
-    if kind == "cls":
-        return partial(ad.softmax_cross_entropy, class_index=labels)
-    return partial(ad.mse_loss, target=labels)
+def _loss_for(kind: str, target) -> ad.Loss:
+    return partial(ad.softmax_cross_entropy if kind == "cls" else ad.mse_loss, target=target)
 
 
 def test_stacked_backward_matches_each_slice_to_the_bit():
@@ -182,8 +196,10 @@ def test_stacked_backward_matches_each_slice_to_the_bit():
     params = {}
     for s, slot in enumerate(slots):
         for kind, width, slices in slot:
-            labels = (rng.integers(0, width, (len(slices), batch)) if kind == "cls"
-                      else rng.normal(size=(len(slices), batch, width)))
+            if kind == "cls":
+                labels = np.eye(width)[rng.integers(0, width, (len(slices), batch))]
+            else:
+                labels = rng.normal(size=(len(slices), batch, width))
             params[s, kind] = (rng.normal(size=(len(slices), 3, width)),
                                rng.normal(size=(len(slices), width)), labels)
 

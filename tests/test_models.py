@@ -184,6 +184,29 @@ def test_train_stl_missing_task():
         m.train_stl([ghost], s.dataset, BACKBONE, quick_cfg())
 
 
+@pytest.mark.parametrize("bad", [7, -1, 1.5])
+@pytest.mark.parametrize("train", [
+    lambda reg, cls, *args: m.train_stl([cls], *args),
+    lambda reg, cls, *args: m.train_mtl([(reg, cls)], *args),
+    lambda reg, cls, *args: m.train_injected([(cls, reg)], *args),
+    lambda reg, cls, *args: m.train_injected([(reg, cls)], *args),
+], ids=["stl", "mtl", "injected-target", "injected-partner"])
+def test_trainers_reject_bad_class_ids_before_training(monkeypatch, train, bad):
+    s = suite()
+    reg, cls = s.specs
+    labels = dict(s.dataset.labels)
+    labels[cls.name] = labels[cls.name].astype(np.float64)
+    labels[cls.name][3] = bad
+    dataset = replace(s.dataset, labels=labels)
+
+    def no_backward(*args, **kwargs):
+        raise AssertionError("training started on labels that misfit their task")
+
+    monkeypatch.setattr(m.ad, "backward", no_backward)
+    with pytest.raises(ValueError, match=r"task 'task1': class ids must be integers in \[0, 3\)"):
+        train(reg, cls, dataset, BACKBONE, quick_cfg())
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_train_stl_divergence_carries_epoch():
     s = suite()
@@ -313,10 +336,17 @@ def test_encode_labels_shapes_and_validation():
     cls = TaskSpec("c", "classification", 3)
     onehot = m.encode_labels(cls, np.array([0, 2, 1]))
     np.testing.assert_array_equal(onehot, [[1, 0, 0], [0, 0, 1], [0, 1, 0]])
+    np.testing.assert_array_equal(m.encode_labels(cls, np.array([[2.0], [0.0]])),
+                                  [[0, 0, 1], [1, 0, 0]])
     with pytest.raises(ValueError):
         m.encode_labels(cls, np.array([0, 3]))
+    with pytest.raises(ValueError, match=r"task 'c': class ids must be integers in \[0, 3\)"):
+        m.encode_labels(cls, np.array([0.0, 1.5]))
     reg = TaskSpec("r", "regression", 1)
     assert m.encode_labels(reg, np.array([0.5, 1.5])).shape == (2, 1)
+    wide = TaskSpec("w", "regression", 2)
+    with pytest.raises(ValueError, match="task 'w': 3 label columns, expected 2"):
+        m.encode_labels(wide, np.zeros((2, 3)))
 
 
 # --- gradients of whole models ---

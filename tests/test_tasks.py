@@ -158,6 +158,10 @@ def _corrupt(path, replace):
      "task 'task0'.*2 label columns, expected 1"),
     ("splits.csv", lambda lines: [*lines[:-1], lines[-1].replace("test", "holdout")],
      "unknown split 'holdout'"),
+    ("splits.csv", lambda lines: [*lines[:-1], lines[-1] + ",0"],
+     r"line \d+: expected a split name and an integer index, got \['test', '\d+', '0'\]"),
+    ("splits.csv", lambda lines: [lines[0], "train,1.5", *lines[2:]],
+     r"line 2: expected a split name and an integer index, got \['train', '1.5'\]"),
 ])
 def test_dataset_load_rejects_labels_and_splits_that_misfit(tmp_path, file, replace, msg):
     save_dataset(small_suite(), tmp_path / "ds")
