@@ -5,7 +5,6 @@ __version__ = "0.1.0"
 from .evaluation import (
     CostModel,
     EvaluationReport,
-    GainMatrix,
     evaluate,
     mtl_gain,
     score_cost,
@@ -21,7 +20,6 @@ from .grouping import (
 )
 from .scores import (
     SCORE_KINDS,
-    AffinityMatrix,
     DegenerateScoreError,
     assemble_matrix,
     gradient_similarity,
@@ -42,13 +40,11 @@ from .tasks import (
 
 __all__ = [
     "__version__",
-    "AffinityMatrix",
     "CostModel",
     "DegenerateScoreError",
     "EvaluationReport",
     "ExperimentConfig",
     "ExperimentError",
-    "GainMatrix",
     "Grouping",
     "InfeasibleGroupingError",
     "SCORE_KINDS",

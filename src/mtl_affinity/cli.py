@@ -18,10 +18,9 @@ import os
 import sys
 from pathlib import Path
 
-from .evaluation import GainMatrix
 from .experiment import ExperimentConfig, ExperimentError, run_experiment
 from .grouping import InfeasibleGroupingError, optimize_grouping
-from .matrices import MatrixFormatError
+from .matrices import MatrixFormatError, TaskMatrix
 from .paper_data import BundledDataError, check_tables, load_gain
 from .scores import SCORE_KINDS
 from .tasks import generate_latent_factor_suite, save_dataset
@@ -111,8 +110,7 @@ def cmd_reproduce_tables(_args) -> int:
 def cmd_group(args) -> int:
     try:
         if args.gain is not None:
-            text = Path(args.gain).read_text(encoding="utf-8")
-            gain = GainMatrix.from_csv_text(text, unit=args.gain_unit)
+            gain = TaskMatrix.from_csv_text(Path(args.gain).read_text(encoding="utf-8"))
         else:
             gain = load_gain()
     except (OSError, MatrixFormatError, BundledDataError, ValueError) as exc:
@@ -167,10 +165,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_grp = sub.add_parser("group",
                            help="pick the best model set under a serving budget")
-    p_grp.add_argument("--gain", help="gain matrix CSV (default: bundled benchmark)")
-    p_grp.add_argument("--gain-unit", default="percent",
-                       choices=("percent", "fraction"),
-                       help="unit of the --gain file (default percent)")
+    p_grp.add_argument("--gain", help="gain matrix CSV (default: bundled benchmark); "
+                                      "total_gain is in the file's unit")
     p_grp.add_argument("--budget", type=float, required=True,
                        help="serving budget in single-task-cost units")
     p_grp.add_argument("--stl-cost", type=float, default=1.0,

@@ -5,8 +5,8 @@ of increasing coarseness, always per target column:
 
 1. predictive: Pearson correlation between score and gain over the n-1
    partners, plus one pooled correlation over all n(n-1) ordered pairs;
-2. ranking: Kendall correlation (tau-b by default) per target, plus the
-   arithmetic mean across targets;
+2. ranking: Kendall tau-b per target, plus the arithmetic mean across
+   targets;
 3. best partner: does the score's argmax partner match the gain's? The
    report carries the gain difference (always <= 0) and explicit tie info.
 
@@ -24,12 +24,9 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .matrices import MatrixFormatError, TaskMatrix
-from .scores import AffinityMatrix
 from .stats import kendall_tau, pearson
 
 __all__ = [
-    "GAIN_UNITS",
-    "GainMatrix",
     "mtl_gain",
     "Level1Result",
     "Level2Result",
@@ -53,9 +50,6 @@ __all__ = [
     "read_level3_csv",
 ]
 
-GAIN_UNITS = ("fraction", "percent")
-
-
 def mtl_gain(loss_stl_a: float, loss_mtl_a: float) -> float:
     """Relative gain of joint training for one target task.
 
@@ -69,54 +63,6 @@ def mtl_gain(loss_stl_a: float, loss_mtl_a: float) -> float:
         raise ValueError(f"gain needs positive losses, got stl={loss_stl_a}, "
                          f"mtl={loss_mtl_a}")
     return (loss_stl_a - loss_mtl_a) / loss_mtl_a
-
-
-class GainMatrix(TaskMatrix):
-    """Measured MTL gains per ordered pair, tagged with their unit.
-
-    Cell (b, a) holds the gain of target a when co-trained with b.
-    Generally asymmetric. The unit is "fraction" (raw Eq. ratio) or
-    "percent" (x100, the presentation unit).
-    """
-
-    def __init__(self, tasks, values=None, unit: str = "fraction"):
-        if unit not in GAIN_UNITS:
-            raise ValueError(f"unit must be one of {GAIN_UNITS}, got {unit!r}")
-        self.unit = unit
-        super().__init__(tasks, values)
-
-    def _converted(self, unit: str) -> "GainMatrix":
-        out = GainMatrix(self.tasks, unit=unit)
-        factor = {("fraction", "percent"): 100.0, ("percent", "fraction"): 0.01}
-        scale = factor.get((self.unit, unit), 1.0)
-        for key, v in self._cells.items():
-            out.set(*key, v * scale)
-        return out
-
-    def as_fraction(self) -> "GainMatrix":
-        return self._converted("fraction")
-
-    def as_percent(self) -> "GainMatrix":
-        return self._converted("percent")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, GainMatrix):
-            return NotImplemented
-        return self.unit == other.unit and super().__eq__(other)
-
-    def __repr__(self) -> str:
-        return (f"GainMatrix(tasks={list(self.tasks)}, unit={self.unit}, "
-                f"filled={len(self._cells)})")
-
-    @classmethod
-    def from_csv_text(cls, text: str, unit: str = "") -> "GainMatrix":
-        if not unit:
-            raise ValueError("loading a GainMatrix needs an explicit unit")
-        plain = TaskMatrix.from_csv_text(text)
-        out = cls(plain.tasks, unit=unit)
-        for key, v in plain._cells.items():
-            out.set(*key, v)
-        return out
 
 
 def _check_aligned(gain: TaskMatrix, score: TaskMatrix) -> tuple[str, ...]:
@@ -143,7 +89,6 @@ class Level2Result:
 
     per_target: Mapping[str, float]
     mean: float
-    variant: str = "b"
 
 
 @dataclass(frozen=True)
@@ -177,7 +122,6 @@ class Level3Result:
 class EvaluationReport:
     """All three levels for one score matrix against one gain matrix."""
 
-    score_kind: str
     tasks: tuple[str, ...]
     level1: Level1Result
     level2: Level2Result
@@ -202,13 +146,11 @@ def level1_predictive(gain: TaskMatrix, score: TaskMatrix) -> Level1Result:
     return Level1Result(per_target=per, pooled=pearson(pool_s, pool_g))
 
 
-def level2_ranking(gain: TaskMatrix, score: TaskMatrix,
-                   variant: str = "b") -> Level2Result:
-    """Kendall correlation of partner rankings per target, plus the mean."""
+def level2_ranking(gain: TaskMatrix, score: TaskMatrix) -> Level2Result:
+    """Kendall tau-b of partner rankings per target, plus the mean."""
     tasks = _check_aligned(gain, score)
-    per = {t: kendall_tau(*_columns(gain, score, t), variant=variant) for t in tasks}
-    return Level2Result(per_target=per, mean=sum(per.values()) / len(per),
-                        variant=variant)
+    per = {t: kendall_tau(*_columns(gain, score, t)) for t in tasks}
+    return Level2Result(per_target=per, mean=sum(per.values()) / len(per))
 
 
 def level3_best_partner(gain: TaskMatrix, score: TaskMatrix) -> Level3Result:
@@ -231,10 +173,9 @@ def level3_best_partner(gain: TaskMatrix, score: TaskMatrix) -> Level3Result:
     return Level3Result(per_target=out)
 
 
-def evaluate(gain: TaskMatrix, score: AffinityMatrix) -> EvaluationReport:
-    """Run all three levels, level 2 with Kendall tau-b, and bundle the results."""
+def evaluate(gain: TaskMatrix, score: TaskMatrix) -> EvaluationReport:
+    """Run all three levels and bundle the results."""
     return EvaluationReport(
-        score_kind=score.score_kind,
         tasks=tuple(gain.tasks),
         level1=level1_predictive(gain, score),
         level2=level2_ranking(gain, score),
@@ -304,7 +245,8 @@ def score_cost(score_kind: str, cost: CostModel) -> float:
     return sum((f.count(cost.n) * f.unit * cost.c_s for f in _families(score_kind)), 0.0)
 
 
-# --- CSV table emission (one file per level, score kinds as rows) ---
+# --- CSV table emission (one file per level; reports keyed by score kind,
+# one row per kind in the mapping's order) ---
 
 
 def _write_rows(rows: Sequence[Sequence[str]]) -> str:
@@ -321,12 +263,12 @@ def _read_rows(text: str, expected_header: Sequence[str], label: str) -> list[li
     return rows
 
 
-def level1_csv(reports: Sequence[EvaluationReport]) -> str:
+def level1_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Per-target Pearson table: one row per score, one column per target."""
-    tasks = reports[0].tasks
+    tasks = next(iter(reports.values())).tasks
     rows = [["score", *tasks, "all_at_once"]]
-    for r in reports:
-        rows.append([r.score_kind, *(repr(r.level1.per_target[t]) for t in tasks),
+    for kind, r in reports.items():
+        rows.append([kind, *(repr(r.level1.per_target[t]) for t in tasks),
                      repr(r.level1.pooled)])
     return _write_rows(rows)
 
@@ -344,17 +286,17 @@ def read_level1_csv(text: str) -> dict[str, Level1Result]:
     return out
 
 
-def level2_csv(reports: Sequence[EvaluationReport]) -> str:
+def level2_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Per-target Kendall table plus the across-target average column."""
-    tasks = reports[0].tasks
+    tasks = next(iter(reports.values())).tasks
     rows = [["score", *tasks, "average"]]
-    for r in reports:
-        rows.append([r.score_kind, *(repr(r.level2.per_target[t]) for t in tasks),
+    for kind, r in reports.items():
+        rows.append([kind, *(repr(r.level2.per_target[t]) for t in tasks),
                      repr(r.level2.mean)])
     return _write_rows(rows)
 
 
-def read_level2_csv(text: str, variant: str = "b") -> dict[str, Level2Result]:
+def read_level2_csv(text: str) -> dict[str, Level2Result]:
     rows = _read_rows(text, ["score"], "level2")
     header = rows[0]
     tasks = header[1:-1]
@@ -363,7 +305,7 @@ def read_level2_csv(text: str, variant: str = "b") -> dict[str, Level2Result]:
     out = {}
     for row in rows[1:]:
         per = {t: float(v) for t, v in zip(tasks, row[1:-1])}
-        out[row[0]] = Level2Result(per_target=per, mean=float(row[-1]), variant=variant)
+        out[row[0]] = Level2Result(per_target=per, mean=float(row[-1]))
     return out
 
 
@@ -371,13 +313,13 @@ _LEVEL3_HEADER = ["score", "target", "selected", "tied", "true_best",
                   "delta", "delta_tied_mean"]
 
 
-def level3_csv(reports: Sequence[EvaluationReport]) -> str:
+def level3_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Best-partner table: one row per (score, target) cell."""
     rows = [list(_LEVEL3_HEADER)]
-    for r in reports:
+    for kind, r in reports.items():
         for t in r.tasks:
             s = r.level3.per_target[t]
-            rows.append([r.score_kind, t, s.selected, "|".join(s.tied),
+            rows.append([kind, t, s.selected, "|".join(s.tied),
                          s.true_best, repr(s.delta), repr(s.delta_tied_mean)])
     return _write_rows(rows)
 

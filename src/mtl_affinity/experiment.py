@@ -33,7 +33,6 @@ from .evaluation import (
     SCORE_FAMILIES,
     CostModel,
     EvaluationReport,
-    GainMatrix,
     evaluate,
     level1_csv,
     level2_csv,
@@ -42,7 +41,7 @@ from .evaluation import (
     score_cost,
     score_cost_expression,
 )
-from .matrices import MatrixFormatError
+from .matrices import MatrixFormatError, TaskMatrix
 from .models import (
     BackboneConfig,
     Model,
@@ -60,7 +59,6 @@ from .models import (
 )
 from .scores import (
     SCORE_KINDS,
-    AffinityMatrix,
     assemble_matrix,
     gradient_similarity,
     gradient_transference,
@@ -149,6 +147,9 @@ class ExperimentConfig:
             raise ValueError("seeds must contain at least one seed")
         if len(set(self.seeds)) != len(self.seeds):
             raise ValueError(f"seeds must be unique, got {list(self.seeds)}")
+        negative = [s for s in self.seeds if s < 0]
+        if negative:
+            raise ValueError(f"seeds must be non-negative, got {negative}")
         if "TD" in self.scores and not self.taxonomy_path:
             raise ValueError("score TD needs taxonomy_path (a taxonomy-distance CSV)")
         if self.dataset_path is None and self.n_tasks < 2:
@@ -205,8 +206,8 @@ class SeedResult:
     """Everything computed for one seed, plus where it was written."""
     seed: int
     directory: Path
-    gain: GainMatrix                       # unit "fraction"
-    affinities: dict[str, AffinityMatrix]  # score kind -> complete matrix
+    gain: TaskMatrix                       # fraction; the files hold percent
+    affinities: dict[str, TaskMatrix]      # score kind -> complete matrix
     reports: dict[str, EvaluationReport]   # empty when n < MIN_EVAL_TASKS
     c_s: float                             # measured per-example multiply-adds
     notes: dict[str, str]
@@ -321,8 +322,8 @@ class _SeedRun:
     def model(self, family: str, *tasks: str) -> Model:
         return self.trained[model_key(family, tasks)][0]
 
-    def gain_matrix(self) -> GainMatrix:
-        gain = GainMatrix(self.names, unit="fraction")
+    def gain_matrix(self) -> TaskMatrix:
+        gain = TaskMatrix(self.names)
         for a, b in self.pairs:
             # Both heads' losses from one backbone pass over the test split.
             mtl_loss = self.model("mtl", a, b).task_losses(
@@ -331,7 +332,7 @@ class _SeedRun:
                 gain.set(partner, target, mtl_gain(self.stl_loss[target], mtl_loss[target]))
         return gain
 
-    def affinity(self, kind: str, taxonomy: TaxonomyDistances | None) -> AffinityMatrix:
+    def affinity(self, kind: str, taxonomy: TaxonomyDistances | None) -> TaskMatrix:
         values: dict[tuple[str, str], float] = {}
         if kind == "TD":
             assert taxonomy is not None
@@ -444,8 +445,8 @@ def manifest_json(config: ExperimentConfig, seed: int, c_s: float,
     return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
-def _scatter_rows(affinities: Mapping[str, AffinityMatrix],
-                  gain_percent: GainMatrix) -> list[ScatterRow]:
+def _scatter_rows(affinities: Mapping[str, TaskMatrix],
+                  gain_percent: TaskMatrix) -> list[ScatterRow]:
     rows = []
     tasks = gain_percent.tasks
     for kind, matrix in affinities.items():
@@ -459,34 +460,29 @@ def _scatter_rows(affinities: Mapping[str, AffinityMatrix],
     return rows
 
 
-def _display_matrix(kind: str, matrix: AffinityMatrix, x100: bool) -> AffinityMatrix:
-    if kind != "GS" or not x100:
-        return matrix
-    scaled = {(w, t): 100.0 * matrix.get(w, t)
-              for w in matrix.tasks for t in matrix.tasks if w != t}
-    return AffinityMatrix("GS", matrix.tasks, scaled)
+def _x100(matrix: TaskMatrix) -> TaskMatrix:
+    """The matrix with every cell times 100: gain in percent, GS for display."""
+    return TaskMatrix(matrix.tasks, {key: 100.0 * v for key, v in matrix.cells().items()})
 
 
 def _emit_seed_files(directory: Path, config: ExperimentConfig,
-                     result: SeedResult) -> None:
+                     result: SeedResult, gain_percent: TaskMatrix) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     files: dict[str, str] = {}
-    files["gain.csv"] = result.gain.as_percent().to_csv_text()
+    files["gain.csv"] = gain_percent.to_csv_text()
     for kind, matrix in result.affinities.items():
-        shown = _display_matrix(kind, matrix, config.display_gs_x100)
+        shown = _x100(matrix) if kind == "GS" and config.display_gs_x100 else matrix
         files[f"{kind.lower()}.csv"] = shown.to_csv_text()
     if result.reports:
-        reports = list(result.reports.values())
-        files["level1.csv"] = level1_csv(reports)
-        files["level2.csv"] = level2_csv(reports)
-        files["level3.csv"] = level3_csv(reports)
+        files["level1.csv"] = level1_csv(result.reports)
+        files["level2.csv"] = level2_csv(result.reports)
+        files["level3.csv"] = level3_csv(result.reports)
     cost = CostModel(n=len(result.gain.tasks), c_s=result.c_s)
     files["costs.csv"] = costs_csv([
         CostRow(kind, score_cost_expression(kind), cost.n, cost.c_s,
                 score_cost(kind, cost))
         for kind in config.scores])
-    files["scatter.csv"] = scatter_csv(
-        _scatter_rows(result.affinities, result.gain.as_percent()))
+    files["scatter.csv"] = scatter_csv(_scatter_rows(result.affinities, gain_percent))
     files["manifest.json"] = manifest_json(config, result.seed, result.c_s,
                                            result.notes)
     for name, text in files.items():
@@ -515,9 +511,10 @@ def run_experiment(config: ExperimentConfig,
         say(f"seed {seed}: training roster")
         run = _SeedRun(config, seed)
         gain = run.gain_matrix()
+        gain_percent = _x100(gain)
         affinities = {kind: run.affinity(kind, taxonomy) for kind in config.scores}
         if len(run.names) >= MIN_EVAL_TASKS:
-            reports = {kind: evaluate(gain.as_percent(), matrix)
+            reports = {kind: evaluate(gain_percent, matrix)
                        for kind, matrix in affinities.items()}
         else:
             reports = {}
@@ -526,7 +523,7 @@ def run_experiment(config: ExperimentConfig,
         result = SeedResult(seed=seed, directory=out_root / f"seed{seed}",
                             gain=gain, affinities=affinities, reports=reports,
                             c_s=run.measured_c_s(), notes=run.notes)
-        _emit_seed_files(result.directory, config, result)
+        _emit_seed_files(result.directory, config, result, gain_percent)
         say(f"seed {seed}: wrote {result.directory}")
         results.append(result)
     return results

@@ -326,7 +326,8 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     Raises:
         InfeasibleGroupingError: nothing fits within the budget.
         ValueError: more than 10 tasks, task set not matching the gain
-            matrix, non-positive costs, or a NaN budget or cost.
+            matrix, an empty gain cell, non-positive costs, or a NaN budget
+            or cost.
     """
     names = tuple(tasks)
     if not 2 <= len(names) <= MAX_EXHAUSTIVE_TASKS:
@@ -337,6 +338,8 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     if set(names) != set(gain.tasks):
         raise ValueError(f"tasks {sorted(names)} do not match the gain matrix's "
                          f"{sorted(gain.tasks)}")
+    if not gain.is_complete():
+        raise ValueError(f"gain matrix is missing cells {gain.missing_cells()}")
     if mtl_cost is None:
         mtl_cost = 2.0 * stl_cost
     for label, value in (("budget", budget), ("stl_cost", stl_cost), ("mtl_cost", mtl_cost)):

@@ -80,6 +80,10 @@ class TaskMatrix:
     def is_complete(self) -> bool:
         return len(self._cells) == len(self.tasks) * (len(self.tasks) - 1)
 
+    def cells(self) -> dict[tuple[str, str], float]:
+        """The filled cells, keyed (with_task, target)."""
+        return dict(self._cells)
+
     def missing_cells(self) -> list[tuple[str, str]]:
         return [(w, t) for w in self.tasks for t in self.tasks
                 if w != t and (w, t) not in self._cells]

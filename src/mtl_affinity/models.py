@@ -117,6 +117,8 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.lr_decay <= 1.0:

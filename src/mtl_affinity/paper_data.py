@@ -25,8 +25,9 @@ import io
 from dataclasses import dataclass
 from importlib import resources
 
-from .evaluation import GainMatrix, evaluate
-from .scores import SCORE_KINDS, AffinityMatrix, assemble_matrix, taxonomical_distance
+from .evaluation import evaluate
+from .matrices import TaskMatrix
+from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix, taxonomical_distance
 from .tasks import TaxonomyDistances, load_taxonomy_distances
 
 __all__ = [
@@ -72,16 +73,21 @@ def _check_tasks(name: str, tasks) -> None:
                                f"the benchmark set {list(TASKS)}")
 
 
-def load_gain() -> GainMatrix:
-    """The measured MTL gain matrix, in percent."""
+def _load_matrix(name: str) -> TaskMatrix:
+    """A complete bundled matrix over the benchmark tasks."""
     try:
-        gain = GainMatrix.from_csv_text(_read_text("gain.csv"), unit="percent")
+        matrix = TaskMatrix.from_csv_text(_read_text(name))
     except ValueError as exc:
-        raise BundledDataError(f"gain.csv: {exc}") from exc
-    _check_tasks("gain.csv", gain.tasks)
-    if not gain.is_complete():
-        raise BundledDataError(f"gain.csv is missing cells: {gain.missing_cells()}")
-    return gain
+        raise BundledDataError(f"{name}: {exc}") from exc
+    _check_tasks(name, matrix.tasks)
+    if not matrix.is_complete():
+        raise BundledDataError(f"{name} is missing cells: {matrix.missing_cells()}")
+    return matrix
+
+
+def load_gain() -> TaskMatrix:
+    """The measured MTL gain matrix, in percent."""
+    return _load_matrix("gain.csv")
 
 
 def load_taxonomy() -> TaxonomyDistances:
@@ -96,12 +102,14 @@ def load_taxonomy() -> TaxonomyDistances:
     return tax
 
 
-def load_affinity(score_kind: str) -> AffinityMatrix:
+def load_affinity(score_kind: str) -> TaskMatrix:
     """One raw affinity matrix; TD is derived from the taxonomy file.
 
     LI values are in percent and GS values are x100, exactly as published.
     Both are positive rescalings, which all three evaluation levels are
-    invariant to (level-3 deltas are read from the gain matrix).
+    invariant to (level-3 deltas are read from the gain matrix). The
+    matrix goes through :func:`assemble_matrix`, so a symmetric kind whose
+    mirror cells disagree is rejected.
     """
     if score_kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score_kind!r}; "
@@ -111,19 +119,15 @@ def load_affinity(score_kind: str) -> AffinityMatrix:
         values = {(a, b): taxonomical_distance(tax, a, b)
                   for a in TASKS for b in TASKS if a != b}
         return assemble_matrix("TD", TASKS, values)
+    name = f"{score_kind.lower()}.csv"
+    cells = _load_matrix(name).cells()
     try:
-        matrix = AffinityMatrix.from_csv_text(
-            _read_text(f"{score_kind.lower()}.csv"), score_kind)
-    except ValueError as exc:
-        raise BundledDataError(f"{score_kind.lower()}.csv: {exc}") from exc
-    _check_tasks(f"{score_kind.lower()}.csv", matrix.tasks)
-    if not matrix.is_complete():
-        raise BundledDataError(f"{score_kind.lower()}.csv is missing cells: "
-                               f"{matrix.missing_cells()}")
-    return matrix
+        return assemble_matrix(score_kind, TASKS, cells)
+    except MatrixAssemblyError as exc:
+        raise BundledDataError(f"{name}: {exc}") from exc
 
 
-def load_all_affinities() -> dict[str, AffinityMatrix]:
+def load_all_affinities() -> dict[str, TaskMatrix]:
     return {kind: load_affinity(kind) for kind in SCORE_KINDS}
 
 

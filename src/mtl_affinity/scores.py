@@ -41,7 +41,6 @@ __all__ = [
     "ScoreValue",
     "DegenerateScoreError",
     "MatrixAssemblyError",
-    "AffinityMatrix",
     "taxonomical_distance",
     "input_x_gradient",
     "input_attribution_similarity",
@@ -78,45 +77,6 @@ class ScoreValue(float):
         obj.skipped = skipped
         obj.used = used
         return obj
-
-
-class AffinityMatrix(TaskMatrix):
-    """A TaskMatrix tagged with its score kind; symmetric kinds stay mirrored."""
-
-    def __init__(self, score_kind: str, tasks, values=None):
-        if score_kind not in SCORE_KINDS:
-            raise ValueError(f"score_kind must be one of {sorted(SCORE_KINDS)}, got {score_kind!r}")
-        self.score_kind = score_kind
-        self.symmetric = SCORE_KINDS[score_kind]
-        super().__init__(tasks, values)
-
-    def set(self, with_task: str, target: str, value: float) -> None:
-        if self.symmetric and self.has(target, with_task):
-            mirror = self.get(target, with_task)
-            if mirror != float(value):
-                raise ValueError(
-                    f"{self.score_kind} is symmetric but ({with_task}, {target}) = {value} "
-                    f"conflicts with ({target}, {with_task}) = {mirror}")
-        super().set(with_task, target, value)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, AffinityMatrix):
-            return NotImplemented
-        return self.score_kind == other.score_kind and super().__eq__(other)
-
-    def __repr__(self) -> str:
-        return (f"AffinityMatrix(kind={self.score_kind}, tasks={list(self.tasks)}, "
-                f"filled={len(self._cells)})")
-
-    @classmethod
-    def from_csv_text(cls, text: str, score_kind: str = "") -> "AffinityMatrix":
-        if not score_kind:
-            raise ValueError("loading an AffinityMatrix needs an explicit score_kind")
-        plain = TaskMatrix.from_csv_text(text)
-        out = cls(score_kind, plain.tasks)
-        for key, v in plain._cells.items():
-            out.set(*key, v)
-        return out
 
 
 def taxonomical_distance(distances: TaxonomyDistances, a: str, b: str) -> float:
@@ -256,18 +216,23 @@ def gradient_transference(trace: TrainTrace, target: str) -> ScoreValue:
 
 
 def assemble_matrix(score_kind: str, tasks: Sequence[str],
-                    values: Mapping[tuple[str, str], float]) -> AffinityMatrix:
-    """Fill a complete AffinityMatrix from per-pair scores.
+                    values: Mapping[tuple[str, str], float]) -> TaskMatrix:
+    """Fill a complete score matrix from per-pair scores.
 
-    Keys are (with_task, target). Symmetric kinds may supply either or both
-    directions of a pair (they must agree); asymmetric kinds must supply
-    every ordered pair.
+    The one place that applies a kind's symmetry (``SCORE_KINDS``). Keys
+    are (with_task, target). Symmetric kinds may supply either or both
+    directions of a pair (they must agree) and get both cells; asymmetric
+    kinds must supply every ordered pair.
 
     Raises:
+        ValueError: ``score_kind`` is not a known score kind.
         MatrixAssemblyError: a pair is missing, a symmetric pair disagrees,
             or a key names an unknown task.
     """
-    matrix = AffinityMatrix(score_kind, tasks)
+    if score_kind not in SCORE_KINDS:
+        raise ValueError(f"unknown score kind {score_kind!r}; "
+                         f"expected one of {sorted(SCORE_KINDS)}")
+    matrix = TaskMatrix(tasks)
     known = set(matrix.tasks)
     for (w, t) in values:
         if w not in known or t not in known:
@@ -275,7 +240,7 @@ def assemble_matrix(score_kind: str, tasks: Sequence[str],
                                       f"tasks are {list(matrix.tasks)}")
         if w == t:
             raise MatrixAssemblyError(f"diagonal value supplied for {w!r}")
-    if matrix.symmetric:
+    if SCORE_KINDS[score_kind]:
         for i, a in enumerate(matrix.tasks):
             for b in matrix.tasks[i + 1:]:
                 provided = [values[k] for k in ((a, b), (b, a)) if k in values]

@@ -115,20 +115,16 @@ class MultiTaskDataset:
                 raise ValueError(f"task {name!r} has {lab.shape[0]} labels for {n} examples")
         if set(self.splits) != set(SPLIT_NAMES):
             raise ValueError(f"splits must be exactly {SPLIT_NAMES}, got {sorted(self.splits)}")
+        for name in SPLIT_NAMES:
+            if len(self.splits[name]) == 0:
+                raise ValueError(f"split {name!r} is empty")
         seen = np.concatenate([self.splits[s] for s in SPLIT_NAMES])
         if len(np.unique(seen)) != len(seen) or len(seen) != n or seen.min() != 0 or seen.max() != n - 1:
             raise ValueError("splits must partition the example indices")
 
     @property
-    def n_examples(self) -> int:
-        return self.inputs.shape[0]
-
-    @property
     def d_in(self) -> int:
         return self.inputs.shape[1]
-
-    def task_names(self) -> tuple[str, ...]:
-        return tuple(self.labels)
 
     def batch(self, idx: np.ndarray,
               tasks: Sequence[str]) -> tuple[np.ndarray, dict[str, np.ndarray]]:

@@ -8,8 +8,8 @@ import numpy as np
 import pytest
 
 from mtl_affinity.cli import main
-from mtl_affinity.evaluation import GainMatrix
 from mtl_affinity.grouping import Grouping, is_valid_grouping, optimize_grouping
+from mtl_affinity.matrices import TaskMatrix
 from mtl_affinity.paper_data import TASKS
 from oracles import best_grouping_naive
 
@@ -150,8 +150,8 @@ def test_group_matches_oracle_on_small_file(tmp_path, capsys):
 def test_group_ten_tasks_from_file(tmp_path, capsys):
     tasks = tuple(f"t{i}" for i in range(10))
     rng = np.random.default_rng(10)
-    gains = GainMatrix(tasks, {(w, t): float(rng.uniform(-20.0, 30.0))
-                               for w in tasks for t in tasks if w != t}, unit="percent")
+    gains = TaskMatrix(tasks, {(w, t): float(rng.uniform(-20.0, 30.0))
+                               for w in tasks for t in tasks if w != t})
     gain_path = tmp_path / "gain.csv"
     gain_path.write_text(gains.to_csv_text(), encoding="utf-8")
     assert main(["group", "--gain", str(gain_path), "--budget", "15"]) == 0
@@ -159,8 +159,21 @@ def test_group_ten_tasks_from_file(tmp_path, capsys):
     grouping = Grouping.from_json_dict({k: payload[k]
                                         for k in ("models", "budget", "total_cost")})
     assert is_valid_grouping(tasks, grouping) == []
-    loaded = GainMatrix.from_csv_text(gain_path.read_text(encoding="utf-8"), unit="percent")
+    loaded = TaskMatrix.from_csv_text(gain_path.read_text(encoding="utf-8"))
     assert (grouping, payload["total_gain"]) == optimize_grouping(tasks, loaded, 15.0)
+
+
+def test_group_rejects_gain_file_with_empty_cell(tmp_path, capsys):
+    gain_path = tmp_path / "gain.csv"
+    gain_path.write_text("with,a,b,c\n"
+                         "a,,4.0,-1.0\n"
+                         "b,2.0,,\n"
+                         "c,-3.0,1.5,\n", encoding="utf-8")
+    assert main(["group", "--gain", str(gain_path), "--budget", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "missing cells [('b', 'c')]" in captured.err
+    assert "Traceback" not in captured.err
 
 
 def strict_json(text: str):

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mtl_affinity import evaluation as ev
 from mtl_affinity.matrices import TaskMatrix
-from mtl_affinity.scores import SCORE_KINDS, AffinityMatrix, assemble_matrix
+from mtl_affinity.scores import SCORE_KINDS, assemble_matrix
 from mtl_affinity.stats import DegenerateInputError
 from oracles import kendall_tau_naive, pearson_naive
 
@@ -44,28 +44,6 @@ def test_mtl_gain_rejects_nonpositive():
     for stl, mtl in ((0.0, 1.0), (1.0, 0.0), (-1.0, 1.0), (1.0, -1.0)):
         with pytest.raises(ValueError):
             ev.mtl_gain(stl, mtl)
-
-
-# --- GainMatrix ---
-
-
-def test_gain_matrix_units():
-    g = ev.GainMatrix(("a", "b"), {("a", "b"): 0.5, ("b", "a"): -0.25})
-    assert g.unit == "fraction"
-    p = g.as_percent()
-    assert p.unit == "percent"
-    assert p.get("a", "b") == pytest.approx(50.0)
-    assert p.as_fraction() == g
-    assert p != g  # same numbers scaled, different unit
-    with pytest.raises(ValueError, match="unit"):
-        ev.GainMatrix(("a", "b"), unit="permille")
-
-
-def test_gain_matrix_csv_and_json():
-    g = ev.GainMatrix(("a", "b"), {("a", "b"): 12.5, ("b", "a"): -3.0}, unit="percent")
-    with pytest.raises(ValueError, match="unit"):
-        ev.GainMatrix.from_csv_text(g.to_csv_text())
-    assert ev.GainMatrix.from_csv_text(g.to_csv_text(), "percent") == g
 
 
 # --- level 1 ---
@@ -122,17 +100,19 @@ def test_level2_identity_and_reverse():
 
 
 def test_level2_matches_oracle_and_variant():
-    g = full_matrix([0.3, -1.2, 2.0, 0.7, -0.5, 1.1])
-    s = full_matrix([1.0, 0.2, -0.4, 2.2, 0.9, -1.3])
-    for variant in ("a", "b"):
-        r = ev.level2_ranking(g, s, variant=variant)
-        assert r.variant == variant
-        for t in TASKS:
-            sv = [v for _, v in s.column(t)]
-            gv = [v for _, v in g.column(t)]
-            assert r.per_target[t] == pytest.approx(
-                kendall_tau_naive(sv, gv, variant=variant), abs=1e-12)
-        assert r.mean == pytest.approx(sum(r.per_target.values()) / 3, abs=1e-12)
+    """Level 2 is Kendall tau-b, which differs from tau-a on tied columns."""
+    tasks = ("a", "b", "c", "d")
+    g = TaskMatrix(tasks, {(w, t): float(3 * i + j) for i, w in enumerate(tasks)
+                           for j, t in enumerate(tasks) if w != t})
+    s = mapped(g, lambda v: float(v >= 6))  # two partners tie in every column
+    r = ev.level2_ranking(g, s)
+    for t in tasks:
+        sv = [v for _, v in s.column(t)]
+        gv = [v for _, v in g.column(t)]
+        assert r.per_target[t] == pytest.approx(kendall_tau_naive(sv, gv, variant="b"),
+                                                abs=1e-12)
+        assert r.per_target[t] != pytest.approx(kendall_tau_naive(sv, gv, variant="a"))
+    assert r.mean == pytest.approx(sum(r.per_target.values()) / 4, abs=1e-12)
 
 
 # --- level 3 ---
@@ -213,7 +193,6 @@ def test_evaluate_bundles_all_levels():
     s = assemble_matrix("GS", TASKS, {("t1", "t2"): 0.3, ("t1", "t3"): 0.1,
                                       ("t2", "t3"): -0.2})
     report = ev.evaluate(g, s)
-    assert report.score_kind == "GS"
     assert report.tasks == TASKS
     assert set(report.level1.per_target) == set(TASKS)
     assert report.level3.per_target["t1"].target == "t1"
@@ -271,7 +250,7 @@ def make_reports():
                                        ("t2", "t3"): -0.2})
     s2 = assemble_matrix("LI", TASKS, {(w, t): float(i) for i, (w, t) in enumerate(
         (w, t) for w in TASKS for t in TASKS if w != t)})
-    return [ev.evaluate(g, s1), ev.evaluate(g, s2)]
+    return {"GS": ev.evaluate(g, s1), "LI": ev.evaluate(g, s2)}
 
 
 def test_level_csv_round_trips():
@@ -279,10 +258,11 @@ def test_level_csv_round_trips():
     back1 = ev.read_level1_csv(ev.level1_csv(reports))
     back2 = ev.read_level2_csv(ev.level2_csv(reports))
     back3 = ev.read_level3_csv(ev.level3_csv(reports))
-    for r in reports:
-        assert back1[r.score_kind] == r.level1
-        assert back2[r.score_kind] == r.level2
-        assert back3[r.score_kind] == r.level3
+    assert list(back1) == list(back2) == list(back3) == ["GS", "LI"]
+    for kind, r in reports.items():
+        assert back1[kind] == r.level1
+        assert back2[kind] == r.level2
+        assert back3[kind] == r.level3
 
 
 def test_level_csv_headers_checked():

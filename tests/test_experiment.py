@@ -16,7 +16,6 @@ from mtl_affinity.evaluation import (
     MODEL_FAMILIES,
     SCORE_FAMILIES,
     CostModel,
-    GainMatrix,
     score_cost,
 )
 from mtl_affinity.experiment import (
@@ -33,7 +32,8 @@ from mtl_affinity.experiment import (
     scatter_csv,
 )
 from mtl_affinity.evaluation import read_level1_csv, read_level2_csv, read_level3_csv
-from mtl_affinity.scores import SCORE_KINDS, AffinityMatrix
+from mtl_affinity.matrices import TaskMatrix
+from mtl_affinity.scores import SCORE_KINDS
 from mtl_affinity.tasks import TaskSuite, generate_latent_factor_suite, save_dataset
 
 
@@ -59,6 +59,8 @@ def test_config_rejects_bad_fields(tmp_path):
         tiny_config(tmp_path, scores=("IAS", "IAS"))
     with pytest.raises(ValueError, match="seed"):
         tiny_config(tmp_path, seeds=())
+    with pytest.raises(ValueError, match=r"seeds must be non-negative, got \[-1\]"):
+        tiny_config(tmp_path, seeds=(0, -1))
     with pytest.raises(ValueError, match="taxonomy_path"):
         tiny_config(tmp_path, scores=("TD",))
     with pytest.raises(ValueError, match="n_tasks"):
@@ -142,7 +144,6 @@ def test_run_returns_complete_matrices(tiny_run):
     cfg, results = tiny_run
     (res,) = results
     assert res.seed == 0
-    assert res.gain.unit == "fraction"
     assert res.gain.is_complete()
     assert set(res.affinities) == set(cfg.scores)
     for matrix in res.affinities.values():
@@ -165,11 +166,11 @@ def test_emitted_files_round_trip(tiny_run):
     d = res.directory
     read = lambda name: (d / name).read_text(encoding="utf-8")
 
-    gain = GainMatrix.from_csv_text(read("gain.csv"), unit="percent")
-    assert gain == res.gain.as_percent()
+    # The result keeps the gain in fraction; gain.csv holds it in percent.
+    gain = TaskMatrix.from_csv_text(read("gain.csv"))
+    assert gain.cells() == {key: 100.0 * v for key, v in res.gain.cells().items()}
     for kind in cfg.scores:
-        matrix = AffinityMatrix.from_csv_text(read(f"{kind.lower()}.csv"), kind)
-        assert matrix == res.affinities[kind]
+        assert TaskMatrix.from_csv_text(read(f"{kind.lower()}.csv")) == res.affinities[kind]
 
     level1 = read_level1_csv(read("level1.csv"))
     level2 = read_level2_csv(read("level2.csv"))
@@ -304,7 +305,7 @@ def test_display_gs_x100_scales_csv_only(tmp_path):
     cfg = tiny_config(tmp_path, n_tasks=2, scores=("GS",), display_gs_x100=True)
     (res,) = run_experiment(cfg)
     text = (res.directory / "gs.csv").read_text(encoding="utf-8")
-    shown = AffinityMatrix.from_csv_text(text, "GS")
+    shown = TaskMatrix.from_csv_text(text)
     a, b = res.gain.tasks
     assert shown.get(a, b) == pytest.approx(100.0 * res.affinities["GS"].get(a, b))
     assert -1.0 <= res.affinities["GS"].get(a, b) <= 1.0

@@ -179,6 +179,9 @@ def test_optimizer_validates_inputs():
     big = TaskMatrix(eleven, {(w, t): 0.0 for w in eleven for t in eleven if w != t})
     with pytest.raises(ValueError, match="10"):
         optimize_grouping(eleven, big, budget=100.0)
+    partial = TaskMatrix(ABC, {k: v for k, v in gains.cells().items() if k != ("b", "c")})
+    with pytest.raises(ValueError, match=r"missing cells \[\('b', 'c'\)\]"):
+        optimize_grouping(ABC, partial, budget=10.0)
 
 
 def test_optimizer_uses_training_only_partner():

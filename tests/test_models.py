@@ -124,6 +124,8 @@ def test_train_config_validation():
         m.TrainConfig(seed=0, lr_decay=0.0)
     with pytest.raises(ValueError):
         m.TrainConfig(seed=0, initial_lr=-1.0)
+    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+        m.TrainConfig(seed=-3)
     assert m.TrainConfig(seed=0, lr_decay=1.0).lr_at(9) == pytest.approx(0.05)
 
 

@@ -3,7 +3,6 @@
 import pytest
 
 from mtl_affinity import paper_data as pd
-from mtl_affinity.evaluation import GainMatrix
 from mtl_affinity.scores import SCORE_KINDS
 
 
@@ -13,18 +12,12 @@ def test_task_roster():
 
 def test_gain_matrix_spot_values():
     gain = pd.load_gain()
-    assert gain.unit == "percent"
     assert gain.is_complete()
     # Edges improves 78.05% when partnered with Normal.
     assert gain.get("Normal", "Edges") == 78.05
     assert gain.get("SemSeg", "Keypts") == -11.81
     assert gain.get("Keypts", "SemSeg") == -6.70
     assert gain.get("Normal", "Depth") == -0.45
-
-
-def test_gain_as_fraction_scales():
-    frac = pd.load_gain().as_fraction()
-    assert frac.get("Normal", "Edges") == pytest.approx(0.7805)
 
 
 def test_taxonomy_distances():
@@ -41,7 +34,7 @@ def test_affinity_matrices_load_and_mirror():
     for kind, m in matrices.items():
         assert m.tasks == pd.TASKS
         assert m.is_complete()
-        if m.symmetric:
+        if SCORE_KINDS[kind]:
             assert m.is_symmetric()
     assert matrices["TD"].get("SemSeg", "Normal") == -5.0
     assert matrices["IAS"].get("Keypts", "Edges") == 0.52
@@ -101,3 +94,36 @@ def test_expected_level3_shape_and_ties():
 def test_unknown_kind_rejected():
     with pytest.raises(ValueError, match="kind"):
         pd.load_affinity("XX")
+
+
+def _with_cell(monkeypatch, name, with_task, target, cell):
+    """Make the bundled file ``name`` read with one cell replaced by ``cell``."""
+    original = pd._read_text
+
+    def read_text(requested):
+        text = original(requested)
+        if requested != name:
+            return text
+        rows = [line.split(",") for line in text.splitlines()]
+        rows[1 + pd.TASKS.index(with_task)][1 + pd.TASKS.index(target)] = cell
+        return "".join(",".join(row) + "\n" for row in rows)
+
+    monkeypatch.setattr(pd, "_read_text", read_text)
+
+
+@pytest.mark.parametrize("kind", ["IAS", "RSA", "GS"])
+def test_symmetric_csv_with_disagreeing_mirror_rejected(monkeypatch, kind):
+    name = f"{kind.lower()}.csv"
+    mirror = pd.load_affinity(kind).get("SemSeg", "Keypts")
+    _with_cell(monkeypatch, name, "Keypts", "SemSeg", repr(mirror + 0.01))
+    with pytest.raises(pd.BundledDataError, match=rf"{name}: .*conflicting"):
+        pd.load_affinity(kind)
+
+
+@pytest.mark.parametrize("kind", ["IAS", "GS", "LI"])
+def test_csv_with_blank_cell_rejected(monkeypatch, kind):
+    name = f"{kind.lower()}.csv"
+    _with_cell(monkeypatch, name, "Keypts", "SemSeg", "")
+    with pytest.raises(pd.BundledDataError,
+                       match=rf"{name} is missing cells: \[\('Keypts', 'SemSeg'\)\]"):
+        pd.load_affinity(kind)

@@ -311,27 +311,28 @@ def test_gs_gt_single_epoch_match_hand_simulation():
                                                                          abs=1e-12)
 
 
-# --- assemble_matrix / AffinityMatrix ---
+# --- assemble_matrix ---
 
 
 def test_assemble_symmetric_mirrors_single_direction():
     m = scores.assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6})
     assert m.get("a", "b") == 0.6
     assert m.get("b", "a") == 0.6
-    assert m.symmetric
     assert m.is_complete()
 
 
 def test_assemble_symmetric_conflict():
     with pytest.raises(scores.MatrixAssemblyError, match="conflicting"):
         scores.assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6, ("b", "a"): 0.7})
+    agreeing = scores.assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6, ("b", "a"): 0.6})
+    assert agreeing.get("b", "a") == 0.6
 
 
 def test_assemble_asymmetric_requires_all_ordered_pairs():
     values = {("a", "b"): 0.1, ("b", "a"): 0.2}
     m = scores.assemble_matrix("LI", ["a", "b"], values)
     assert m.get("a", "b") == 0.1
-    assert not m.symmetric
+    assert m.get("b", "a") == 0.2
     with pytest.raises(scores.MatrixAssemblyError, match="ordered pair"):
         scores.assemble_matrix("LI", ["a", "b", "c"],
                                {("a", "b"): 0.1, ("b", "a"): 0.2, ("a", "c"): 0.3,
@@ -345,27 +346,9 @@ def test_assemble_rejects_unknown_or_diagonal_keys():
         scores.assemble_matrix("TD", ["a", "b"], {("a", "a"): 0.0})
 
 
-def test_affinity_matrix_symmetric_set_guard():
-    m = scores.AffinityMatrix("GS", ["a", "b"])
-    m.set("a", "b", 0.5)
-    with pytest.raises(ValueError, match="symmetric"):
-        m.set("b", "a", 0.25)
-    m.set("b", "a", 0.5)  # agreeing mirror value is fine
-
-
-def test_affinity_matrix_csv_needs_kind():
-    m = scores.assemble_matrix("GS", ["a", "b"], {("a", "b"): 0.5})
-    text = m.to_csv_text()
-    with pytest.raises(ValueError, match="score_kind"):
-        scores.AffinityMatrix.from_csv_text(text)
-    back = scores.AffinityMatrix.from_csv_text(text, "GS")
-    assert back == m
-    assert back != scores.AffinityMatrix.from_csv_text(text, "IAS")
-
-
 def test_unknown_score_kind_rejected():
-    with pytest.raises(ValueError, match="score_kind"):
-        scores.AffinityMatrix("XX", ["a", "b"])
+    with pytest.raises(ValueError, match="unknown score kind 'XX'"):
+        scores.assemble_matrix("XX", ["a", "b"], {("a", "b"): 0.5})
 
 
 # --- range properties ---

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 
 from mtl_affinity.tasks import (
     LatentOrigin,
+    MultiTaskDataset,
     TaskSpec,
     generate_latent_factor_suite,
     load_dataset,
@@ -169,6 +170,25 @@ def test_dataset_load_rejects_labels_and_splits_that_misfit(tmp_path, file, repl
     with pytest.raises(ValueError, match=msg) as info:
         load_dataset(tmp_path / "ds")
     assert file in str(info.value)
+
+
+@pytest.mark.parametrize("split", ["train", "val", "test"])
+def test_dataset_rejects_empty_split(split):
+    ds = small_suite().dataset
+    other = "test" if split == "train" else "train"
+    splits = dict(ds.splits)
+    splits[other] = np.sort(np.concatenate([splits[other], splits[split]]))
+    splits[split] = np.array([], dtype=np.int64)
+    with pytest.raises(ValueError, match=f"split '{split}' is empty"):
+        MultiTaskDataset(ds.inputs, ds.labels, splits, ds.seed)
+
+
+def test_dataset_load_rejects_empty_split(tmp_path):
+    save_dataset(small_suite(), tmp_path / "ds")
+    _corrupt(tmp_path / "ds" / "splits.csv",
+             lambda lines: [line.replace("val,", "train,") for line in lines])
+    with pytest.raises(ValueError, match="split 'val' is empty"):
+        load_dataset(tmp_path / "ds")
 
 
 @settings(max_examples=20, deadline=None)
