@@ -17,13 +17,11 @@ training-cost model for the scores themselves.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple, Sequence
+from typing import Callable, Mapping, NamedTuple
 
-from .matrices import MatrixFormatError, TaskMatrix
+from .matrices import TaskMatrix, read_table, write_table
 from .stats import kendall_tau, pearson
 
 __all__ = [
@@ -248,89 +246,67 @@ def score_cost(score_kind: str, cost: CostModel) -> float:
 # --- CSV table emission (one file per level; reports keyed by score kind,
 # one row per kind in the mapping's order) ---
 
-
-def _write_rows(rows: Sequence[Sequence[str]]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerows(rows)
-    return buf.getvalue()
+# Levels 1 and 2: a column per target, then a summary column; result (per_target, summary).
+_WIDE_TABLES = {1: ("all_at_once", "pooled", Level1Result),
+                2: ("average", "mean", Level2Result)}
 
 
-def _read_rows(text: str, expected_header: Sequence[str], label: str) -> list[list[str]]:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    if not rows or rows[0][: len(expected_header)] != list(expected_header):
-        raise MatrixFormatError(f"{label} header must start with {list(expected_header)}")
-    return rows
+def _wide_csv(reports: Mapping[str, EvaluationReport], level: int) -> str:
+    summary, attr, _ = _WIDE_TABLES[level]
+    tasks = next(iter(reports.values())).tasks
+    rows = [["score", *tasks, summary]]
+    for kind, report in reports.items():
+        result = getattr(report, f"level{level}")
+        rows.append([kind, *(result.per_target[t] for t in tasks), getattr(result, attr)])
+    return write_table(rows)
+
+
+def _read_wide_csv(text: str, level: int) -> dict:
+    summary, _, result_class = _WIDE_TABLES[level]
+    header, rows = read_table(text, f"level{level}", {"score": str, "*": float, summary: float})
+    tasks = header[1:-1]
+    return {kind: result_class(dict(zip(tasks, values)), value)
+            for kind, *values, value in rows}
 
 
 def level1_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Per-target Pearson table: one row per score, one column per target."""
-    tasks = next(iter(reports.values())).tasks
-    rows = [["score", *tasks, "all_at_once"]]
-    for kind, r in reports.items():
-        rows.append([kind, *(repr(r.level1.per_target[t]) for t in tasks),
-                     repr(r.level1.pooled)])
-    return _write_rows(rows)
+    return _wide_csv(reports, 1)
 
 
 def read_level1_csv(text: str) -> dict[str, Level1Result]:
-    rows = _read_rows(text, ["score"], "level1")
-    header = rows[0]
-    tasks = header[1:-1]
-    if header[-1] != "all_at_once":
-        raise MatrixFormatError("level1 header must end with 'all_at_once'")
-    out = {}
-    for row in rows[1:]:
-        per = {t: float(v) for t, v in zip(tasks, row[1:-1])}
-        out[row[0]] = Level1Result(per_target=per, pooled=float(row[-1]))
-    return out
+    return _read_wide_csv(text, 1)
 
 
 def level2_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Per-target Kendall table plus the across-target average column."""
-    tasks = next(iter(reports.values())).tasks
-    rows = [["score", *tasks, "average"]]
-    for kind, r in reports.items():
-        rows.append([kind, *(repr(r.level2.per_target[t]) for t in tasks),
-                     repr(r.level2.mean)])
-    return _write_rows(rows)
+    return _wide_csv(reports, 2)
 
 
 def read_level2_csv(text: str) -> dict[str, Level2Result]:
-    rows = _read_rows(text, ["score"], "level2")
-    header = rows[0]
-    tasks = header[1:-1]
-    if header[-1] != "average":
-        raise MatrixFormatError("level2 header must end with 'average'")
-    out = {}
-    for row in rows[1:]:
-        per = {t: float(v) for t, v in zip(tasks, row[1:-1])}
-        out[row[0]] = Level2Result(per_target=per, mean=float(row[-1]))
-    return out
+    return _read_wide_csv(text, 2)
 
 
-_LEVEL3_HEADER = ["score", "target", "selected", "tied", "true_best",
-                  "delta", "delta_tied_mean"]
+_LEVEL3_COLUMNS = {"score": str, "target": str, "selected": str, "tied": str,
+                   "true_best": str, "delta": float, "delta_tied_mean": float}
 
 
 def level3_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Best-partner table: one row per (score, target) cell."""
-    rows = [list(_LEVEL3_HEADER)]
+    rows = [list(_LEVEL3_COLUMNS)]
     for kind, r in reports.items():
         for t in r.tasks:
             s = r.level3.per_target[t]
             rows.append([kind, t, s.selected, "|".join(s.tied),
-                         s.true_best, repr(s.delta), repr(s.delta_tied_mean)])
-    return _write_rows(rows)
+                         s.true_best, s.delta, s.delta_tied_mean])
+    return write_table(rows)
 
 
 def read_level3_csv(text: str) -> dict[str, Level3Result]:
-    rows = _read_rows(text, _LEVEL3_HEADER, "level3")
     grouped: dict[str, dict[str, Level3Selection]] = {}
-    for row in rows[1:]:
-        kind, target, selected, tied, true_best, delta, tied_mean = row
+    for kind, target, selected, tied, true_best, delta, tied_mean in read_table(
+            text, "level3", _LEVEL3_COLUMNS)[1]:
         grouped.setdefault(kind, {})[target] = Level3Selection(
             target=target, selected=selected, tied=tuple(tied.split("|")),
-            true_best=true_best, delta=float(delta),
-            delta_tied_mean=float(tied_mean))
+            true_best=true_best, delta=delta, delta_tied_mean=tied_mean)
     return {k: Level3Result(per_target=v) for k, v in grouped.items()}

@@ -14,10 +14,8 @@ byte-identical files.
 
 from __future__ import annotations
 
-import csv
 import dataclasses
 import hashlib
-import io
 import json
 import platform
 from dataclasses import dataclass
@@ -41,7 +39,7 @@ from .evaluation import (
     score_cost,
     score_cost_expression,
 )
-from .matrices import MatrixFormatError, TaskMatrix
+from .matrices import TaskMatrix, read_table, write_table
 from .models import (
     BackboneConfig,
     Model,
@@ -99,6 +97,11 @@ class ExperimentError(RuntimeError):
     """A run could not complete; the message names the failing piece."""
 
 
+# Config fields that must hold integers, not bools; the first two hold lists of them.
+_INTEGER_FIELDS = ("seeds", "hidden", "n_tasks", "d_latent", "d_in", "n_examples",
+                   "latent_dim", "epochs", "batch_size", "eval_batch_size")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything one run needs; JSON-serializable, hashable by content.
@@ -133,9 +136,17 @@ class ExperimentConfig:
     display_gs_x100: bool = False
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden", tuple(int(w) for w in self.hidden))
+        for name in _INTEGER_FIELDS:
+            value = getattr(self, name)
+            listed = name in _INTEGER_FIELDS[:2]
+            if listed != isinstance(value, (list, tuple)) or not all(
+                    isinstance(v, int) and not isinstance(v, bool)
+                    for v in (value if listed else [value])):
+                what = "a list of integers" if listed else "an integer"
+                raise ValueError(f"{name} must be {what}, got {value!r}")
+        object.__setattr__(self, "hidden", tuple(self.hidden))
         object.__setattr__(self, "scores", tuple(str(s) for s in self.scores))
-        object.__setattr__(self, "seeds", tuple(int(s) for s in self.seeds))
+        object.__setattr__(self, "seeds", tuple(self.seeds))
         if not self.scores:
             raise ValueError("scores must name at least one score kind")
         unknown = [s for s in self.scores if s not in SCORE_KINDS]
@@ -385,20 +396,15 @@ class CostRow:
     multiply_adds: float
 
 
+_COSTS_COLUMNS = {"score": str, "expression": str, "n": int, "c_s": float, "multiply_adds": float}
+
+
 def costs_csv(rows: Sequence[CostRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["score", "expression", "n", "c_s", "multiply_adds"])
-    for r in rows:
-        writer.writerow([r.score, r.expression, r.n, repr(r.c_s), repr(r.multiply_adds)])
-    return buf.getvalue()
+    return write_table([list(_COSTS_COLUMNS), *map(dataclasses.astuple, rows)])
 
 
 def read_costs_csv(text: str) -> list[CostRow]:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    if not rows or rows[0] != ["score", "expression", "n", "c_s", "multiply_adds"]:
-        raise MatrixFormatError(f"bad costs header: {rows[:1]}")
-    return [CostRow(r[0], r[1], int(r[2]), float(r[3]), float(r[4])) for r in rows[1:]]
+    return [CostRow(*cells) for cells in read_table(text, "costs", _COSTS_COLUMNS)[1]]
 
 
 @dataclass(frozen=True)
@@ -411,21 +417,15 @@ class ScatterRow:
     gain: float                            # percent
 
 
+_SCATTER_COLUMNS = {"score": str, "target": str, "with": str, "score_value": float, "gain": float}
+
+
 def scatter_csv(rows: Sequence[ScatterRow]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["score", "target", "with", "score_value", "gain"])
-    for r in rows:
-        writer.writerow([r.score, r.target, r.with_task,
-                         repr(r.score_value), repr(r.gain)])
-    return buf.getvalue()
+    return write_table([list(_SCATTER_COLUMNS), *map(dataclasses.astuple, rows)])
 
 
 def read_scatter_csv(text: str) -> list[ScatterRow]:
-    rows = [r for r in csv.reader(io.StringIO(text)) if r]
-    if not rows or rows[0] != ["score", "target", "with", "score_value", "gain"]:
-        raise MatrixFormatError(f"bad scatter header: {rows[:1]}")
-    return [ScatterRow(r[0], r[1], r[2], float(r[3]), float(r[4])) for r in rows[1:]]
+    return [ScatterRow(*cells) for cells in read_table(text, "scatter", _SCATTER_COLUMNS)[1]]
 
 
 def manifest_json(config: ExperimentConfig, seed: int, c_s: float,

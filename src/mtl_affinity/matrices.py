@@ -9,17 +9,21 @@ cells do not exist; pairing a task with itself is meaningless here.
 The CSV layout mirrors that: header ``with,<task1>,...``, one row per
 partner, diagonal cells left empty. Values are written with ``repr`` so a
 write/read round trip is exact.
+
+Every CSV text table of the package, matrix or report, goes through the
+table codec here: :func:`write_table` and the checked :func:`read_table`.
 """
 
 from __future__ import annotations
 
 import csv
 import io
-from typing import Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["TaskMatrix", "MatrixFormatError", "MissingCellError"]
+__all__ = ["TaskMatrix", "MatrixFormatError", "MissingCellError", "optional_float",
+           "read_table", "write_table"]
 
 
 class MatrixFormatError(ValueError):
@@ -117,50 +121,71 @@ class TaskMatrix:
     # --- CSV ---
 
     def to_csv_text(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["with", *self.tasks])
-        for w in self.tasks:
-            row: list[str] = [w]
-            for t in self.tasks:
-                if w == t:
-                    row.append("")
-                else:
-                    row.append("" if (w, t) not in self._cells else repr(self._cells[(w, t)]))
-            writer.writerow(row)
-        return buf.getvalue()
+        return write_table([["with", *self.tasks],
+                            *([w, *(self._cells.get((w, t)) for t in self.tasks)]
+                              for w in self.tasks)])
 
     @classmethod
     def from_csv_text(cls, text: str) -> "TaskMatrix":
-        rows = list(csv.reader(io.StringIO(text)))
-        rows = [r for r in rows if r]
-        if not rows:
-            raise MatrixFormatError("empty matrix file")
-        header = rows[0]
-        if not header or header[0] != "with":
-            raise MatrixFormatError(f"first header cell must be 'with', got {header[:1]}")
-        tasks = _check_tasks(header[1:])
-        if len(rows) - 1 != len(tasks):
-            raise MatrixFormatError(f"expected {len(tasks)} data rows, got {len(rows) - 1}")
-        matrix = cls(tasks)
-        for row in rows[1:]:
-            if len(row) != len(tasks) + 1:
-                raise MatrixFormatError(f"row {row[:1]} has {len(row) - 1} cells, expected {len(tasks)}")
-            w = row[0]
-            if w not in tasks:
-                raise MatrixFormatError(f"row label {w!r} is not in the header tasks")
-            for t, cell in zip(tasks, row[1:]):
-                if w == t:
-                    if cell.strip() != "":
-                        raise MatrixFormatError(f"diagonal cell for {t!r} must be empty, got {cell!r}")
-                    continue
-                if cell.strip() == "":
-                    continue  # legitimately absent (partial matrix)
-                try:
-                    matrix.set(w, t, float(cell))
-                except ValueError as exc:
-                    raise MatrixFormatError(f"cell ({w!r}, {t!r}): {exc}") from exc
-        row_labels = [r[0] for r in rows[1:]]
-        if row_labels != list(tasks):
-            raise MatrixFormatError(f"row order {row_labels} must match header order {list(tasks)}")
-        return matrix
+        header, rows = read_table(text, "matrix", {"with": str, "*": optional_float})
+        tasks = header[1:]
+        labels = [row[0] for row in rows]
+        if labels != tasks:
+            raise MatrixFormatError(f"matrix: row labels {labels} must match header {tasks}")
+        try:  # a blank cell is absent (partial matrix); set() rejects the diagonal
+            return cls(tasks, {(w, t): v for w, *values in rows
+                               for t, v in zip(tasks, values) if v is not None})
+        except ValueError as exc:
+            raise MatrixFormatError(f"matrix: {exc}") from exc
+
+
+# --- the table codec ---
+
+
+def optional_float(cell: str) -> float | None:
+    """A float cell that may be left blank (None)."""
+    return float(cell) if cell.strip() else None
+
+
+def write_table(rows: Iterable[Sequence]) -> str:
+    """CSV text, one line per row; a float as its ``repr`` (exact), None as empty."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerows(rows)
+    return buf.getvalue()
+
+
+def read_table(text: str, kind: str, columns: Mapping[str, Callable[[str], object]],
+               ) -> tuple[list[str], list[list]]:
+    """The header and the typed rows of a CSV table; blank lines are skipped.
+
+    ``columns`` maps each header cell, in order, to the parser of its column;
+    a ``"*"`` key stands for any number of columns parsed alike. A wrong
+    header, a row whose cell count differs from the header's, or a cell its
+    parser rejects raises MatrixFormatError naming ``kind``, the 1-based
+    line and, for a cell, its column.
+    """
+    reader = csv.reader(io.StringIO(text))
+    # An empty text reads as an empty header on line 1.
+    (line, header), *rows = [(reader.line_num, row) for row in reader if row] or [(1, [])]
+    names, parsers = list(columns), list(columns.values())
+    if "*" in columns:
+        i, n = names.index("*"), len(header) - len(names) + 1
+        if n >= 0:
+            names[i:i + 1], parsers[i:i + 1] = header[i:i + n], [columns["*"]] * n
+    if header != names:
+        raise MatrixFormatError(f"{kind} line {line}: header must be {list(columns)}, "
+                                f"got {header}")
+    out = []
+    for line, row in rows:
+        if len(row) != len(header):
+            raise MatrixFormatError(f"{kind} line {line}: {len(row)} cells, "
+                                    f"header has {len(header)}")
+        cells = []
+        for name, parse, cell in zip(header, parsers, row):
+            try:
+                cells.append(parse(cell))
+            except ValueError:
+                raise MatrixFormatError(f"{kind} line {line}, column {name!r}: "
+                                        f"cannot read {cell!r}") from None
+        out.append(cells)
+    return header, out

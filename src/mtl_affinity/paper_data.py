@@ -20,13 +20,11 @@ fails loudly rather than skewing comparisons.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from importlib import resources
 
 from .evaluation import evaluate
-from .matrices import TaskMatrix
+from .matrices import MatrixFormatError, TaskMatrix, optional_float, read_table
 from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix, taxonomical_distance
 from .tasks import TaxonomyDistances, load_taxonomy_distances
 
@@ -164,25 +162,32 @@ class ExpectedSelection:
     flag: str
 
 
-def _parse_rows(name: str, expected_header: list[str]) -> list[list[str]]:
-    rows = [r for r in csv.reader(io.StringIO(_read_text(name))) if r]
-    if not rows or rows[0] != expected_header:
-        raise BundledDataError(f"{name}: header must be {expected_header}")
-    return rows[1:]
+def _parse_rows(name: str, columns: dict) -> list[list]:
+    text = _read_text(name)
+    try:
+        return read_table(text, "expected table", columns)[1]
+    except MatrixFormatError as exc:
+        raise BundledDataError(f"{name}: {exc}") from exc
+
+
+_EXPECTED_CELL_COLUMNS = {"score": str, "target": str, "paper": float,
+                          "recomputed": optional_float, "flag": str}
+_EXPECTED_LEVEL3_COLUMNS = {"score": str, "target": str, "selected": str, "tied": str,
+                            "true_best": str, "paper_delta": float,
+                            "recomputed_delta": optional_float,
+                            "recomputed_tied_mean": optional_float, "flag": str}
 
 
 def _load_expected_cells(name: str) -> list[ExpectedCell]:
     out = []
-    for row in _parse_rows(name, ["score", "target", "paper", "recomputed", "flag"]):
-        score, target, paper, recomputed, flag = row
+    for score, target, paper, recomputed, flag in _parse_rows(name, _EXPECTED_CELL_COLUMNS):
         if score not in SCORE_KINDS:
             raise BundledDataError(f"{name}: unknown score {score!r}")
-        if flag and not recomputed:
+        if flag and recomputed is None:
             raise BundledDataError(f"{name}: flagged cell ({score}, {target}) "
                                    f"needs a recomputed value")
-        out.append(ExpectedCell(score=score, target=target, paper=float(paper),
-                                recomputed=float(recomputed) if recomputed else None,
-                                flag=flag))
+        out.append(ExpectedCell(score=score, target=target, paper=paper,
+                                recomputed=recomputed, flag=flag))
     return out
 
 
@@ -198,11 +203,9 @@ def load_expected_level2() -> list[ExpectedCell]:
 
 def load_expected_level3() -> list[ExpectedSelection]:
     """Published best-partner selections with deltas in percent gain."""
-    header = ["score", "target", "selected", "tied", "true_best", "paper_delta",
-              "recomputed_delta", "recomputed_tied_mean", "flag"]
     out = []
-    for row in _parse_rows("expected_level3.csv", header):
-        score, target, selected, tied, true_best, paper_delta, rec_d, rec_m, flag = row
+    for (score, target, selected, tied, true_best, paper_delta, rec_d, rec_m,
+         flag) in _parse_rows("expected_level3.csv", _EXPECTED_LEVEL3_COLUMNS):
         if score not in SCORE_KINDS:
             raise BundledDataError(f"expected_level3.csv: unknown score {score!r}")
         tied_tuple = tuple(tied.split("|"))
@@ -211,9 +214,8 @@ def load_expected_level3() -> list[ExpectedSelection]:
                 raise BundledDataError(f"expected_level3.csv: unknown task {name!r}")
         out.append(ExpectedSelection(
             score=score, target=target, selected=selected, tied=tied_tuple,
-            true_best=true_best, paper_delta=float(paper_delta),
-            recomputed_delta=float(rec_d) if rec_d else None,
-            recomputed_tied_mean=float(rec_m) if rec_m else None, flag=flag))
+            true_best=true_best, paper_delta=paper_delta, recomputed_delta=rec_d,
+            recomputed_tied_mean=rec_m, flag=flag))
     return out
 
 

@@ -13,7 +13,6 @@ and loading a suite as files.
 from __future__ import annotations
 
 import csv
-import io
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -21,6 +20,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
+from .matrices import read_table
 from .seeding import DATASET, substream
 
 __all__ = [
@@ -264,28 +264,21 @@ class TaxonomyDistances:
 
 
 def load_taxonomy_distances(source: str | Path) -> TaxonomyDistances:
-    """Read a taxonomy CSV: header of task names, one labeled row per task.
+    """Read a taxonomy CSV: header ``task,<task1>,...``, one labeled row per task.
 
     Raises:
         ValueError: non-square layout, asymmetric values, nonzero diagonal,
             or positive off-diagonal entries.
     """
-    path = Path(source)
-    rows = [r for r in csv.reader(io.StringIO(path.read_text(encoding="utf-8"))) if r]
-    if len(rows) < 3:
-        raise ValueError("taxonomy file needs a header and at least two task rows")
-    tasks = tuple(rows[0][1:])
-    if len(set(tasks)) != len(tasks):
-        raise ValueError(f"duplicate task names in header: {tasks}")
-    if len(rows) - 1 != len(tasks):
-        raise ValueError(f"expected {len(tasks)} rows, got {len(rows) - 1}")
-    values = np.zeros((len(tasks), len(tasks)))
-    for i, row in enumerate(rows[1:]):
-        if row[0] != tasks[i]:
-            raise ValueError(f"row {i} is labeled {row[0]!r}, expected {tasks[i]!r}")
-        if len(row) - 1 != len(tasks):
-            raise ValueError(f"row {row[0]!r} has {len(row) - 1} cells, expected {len(tasks)}")
-        values[i] = [float(c) for c in row[1:]]
+    header, rows = read_table(Path(source).read_text(encoding="utf-8"), "taxonomy",
+                              {"task": str, "*": float})
+    tasks = tuple(header[1:])
+    if len(tasks) < 2 or len(set(tasks)) != len(tasks):
+        raise ValueError(f"taxonomy needs two or more distinct task names, got {list(tasks)}")
+    labels = tuple(row[0] for row in rows)
+    if labels != tasks:
+        raise ValueError(f"rows are labeled {list(labels)}, expected {list(tasks)}")
+    values = np.array([row[1:] for row in rows])
     if not np.array_equal(values, values.T):
         raise ValueError("taxonomy distances must be symmetric")
     if np.any(np.diag(values) != 0.0):

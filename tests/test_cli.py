@@ -88,6 +88,12 @@ def test_run_rejects_hidden_without_half_capacity(tmp_path, capsys):
     assert "hidden" in capsys.readouterr().err
 
 
+def test_run_rejects_non_list_seeds(tmp_path, capsys):
+    cfg = write_config(tmp_path, seeds=3)
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "seeds must be a list of integers, got 3" in capsys.readouterr().err
+
+
 def test_run_verbose_env_prints_progress(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("MTL_AFFINITY_VERBOSE", "1")
     cfg = write_config(tmp_path, n_tasks=2)

@@ -3,6 +3,7 @@
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -88,6 +89,17 @@ def test_config_rejects_bad_fields(tmp_path):
                          latent_dim=16)
     with pytest.raises(ExperimentError, match="hidden"):
         _SeedRun(loaded, 0)
+
+
+@pytest.mark.parametrize("field", ["seeds", "hidden", "n_tasks", "d_latent", "d_in",
+                                   "n_examples", "latent_dim", "epochs", "batch_size",
+                                   "eval_batch_size"])
+def test_config_rejects_non_integer_fields(field):
+    # JSON values: a float or a bool is no integer, and seeds/hidden are lists.
+    bad = [[1.7], [8, 4.2], [True], 3] if field in ("seeds", "hidden") else [1.5, True, "8"]
+    for value in bad:
+        with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+            ExperimentConfig.from_json_dict({field: value})
 
 
 def test_config_json_round_trip(tmp_path):

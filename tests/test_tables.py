@@ -1,11 +1,25 @@
 """The CSV table format: pinned writer output and checked reading.
 
 The five report writers are compared with literal expected text built
-from hand-made results, so the format is pinned without training.
+from hand-made results, so the format is pinned without training. Every
+table kind the package reads rejects a malformed row, naming the kind and
+the line.
 """
 
+import pytest
+
 from mtl_affinity import evaluation as ev
-from mtl_affinity.experiment import CostRow, ScatterRow, costs_csv, scatter_csv
+from mtl_affinity import paper_data as pd
+from mtl_affinity.experiment import (
+    CostRow,
+    ScatterRow,
+    costs_csv,
+    read_costs_csv,
+    read_scatter_csv,
+    scatter_csv,
+)
+from mtl_affinity.matrices import MatrixFormatError, TaskMatrix
+from mtl_affinity.tasks import load_taxonomy_distances
 
 
 def hand_made_reports() -> dict[str, ev.EvaluationReport]:
@@ -54,16 +68,90 @@ def test_level_writers_pinned():
         "LI,c,b,b,b,0.0,0.0\n")
 
 
+COSTS = [CostRow("GS", "C(n,2)*2*c_s", 3, 0.1, 0.6000000000000001),
+         CostRow("TD", "0", 3, 0.1, 0.0)]
+SCATTER = [ScatterRow("IAS", "a", "b", -0.0, 0.1),
+           ScatterRow("IAS", "b", "a", 1e-20, -12.5)]
+
+
 def test_cost_and_scatter_writers_pinned():
-    costs = [CostRow("GS", "C(n,2)*2*c_s", 3, 0.1, 0.6000000000000001),
-             CostRow("TD", "0", 3, 0.1, 0.0)]
-    assert costs_csv(costs) == (
+    assert costs_csv(COSTS) == (
         "score,expression,n,c_s,multiply_adds\n"
         'GS,"C(n,2)*2*c_s",3,0.1,0.6000000000000001\n'
         "TD,0,3,0.1,0.0\n")
-    scatter = [ScatterRow("IAS", "a", "b", -0.0, 0.1),
-               ScatterRow("IAS", "b", "a", 1e-20, -12.5)]
-    assert scatter_csv(scatter) == (
+    assert scatter_csv(SCATTER) == (
         "score,target,with,score_value,gain\n"
         "IAS,a,b,-0.0,0.1\n"
         "IAS,b,a,1e-20,-12.5\n")
+
+
+def _bundled_reader(monkeypatch, name, load):
+    """A reader that loads the bundled file ``name`` as the given text."""
+    original = pd._read_text
+
+    def read(text):
+        monkeypatch.setattr(pd, "_read_text",
+                            lambda requested: text if requested == name else original(requested))
+        return load()
+    return read, original(name)
+
+
+def _taxonomy_reader(tmp_path):
+    def read(text):
+        path = tmp_path / "taxonomy.csv"
+        path.write_text(text, encoding="utf-8")
+        return load_taxonomy_distances(path)
+    return read
+
+
+MATRIX_TEXT = "with,a,b,c\na,,1.0,2.0\nb,3.0,,4.0\nc,5.0,6.0,\n"
+TAXONOMY_TEXT = "task,a,b,c\na,0,-1,-2\nb,-1,0,-3\nc,-2,-3,0\n"
+# Each bundled expected table, with a numeric column of it.
+BUNDLED = {"expected_level1.csv": (pd.load_expected_level1, "paper"),
+           "expected_level2.csv": (pd.load_expected_level2, "paper"),
+           "expected_level3.csv": (pd.load_expected_level3, "paper_delta")}
+
+
+def table_case(kind, tmp_path, monkeypatch):
+    """(reader, valid text, a numeric column, error type, message prefix)."""
+    if kind in BUNDLED:
+        load, column = BUNDLED[kind]
+        read, text = _bundled_reader(monkeypatch, kind, load)
+        return read, text, column, pd.BundledDataError, f"{kind}: expected table"
+    reports = hand_made_reports()
+    return {
+        "level1": (ev.read_level1_csv, ev.level1_csv(reports), "b"),
+        "level2": (ev.read_level2_csv, ev.level2_csv(reports), "average"),
+        "level3": (ev.read_level3_csv, ev.level3_csv(reports), "delta"),
+        "costs": (read_costs_csv, costs_csv(COSTS), "n"),
+        "scatter": (read_scatter_csv, scatter_csv(SCATTER), "gain"),
+        "matrix": (TaskMatrix.from_csv_text, MATRIX_TEXT, "a"),
+        "taxonomy": (_taxonomy_reader(tmp_path), TAXONOMY_TEXT, "c"),
+    }[kind] + (MatrixFormatError, kind)
+
+
+def _fault(text, fault, column):
+    """``text`` with its line 3 (the second data row) made malformed."""
+    lines = text.splitlines()
+    header, row = lines[0].split(","), lines[2].split(",")
+    if fault == "short":
+        row = row[:-1]
+    elif fault == "long":
+        row = row + ["1.0"]
+    else:
+        row[header.index(column)] = "oops"
+    lines[2] = ",".join(row)
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("fault", ["short", "long", "cell"])
+@pytest.mark.parametrize("kind", ["level1", "level2", "level3", "costs", "scatter",
+                                  *BUNDLED, "matrix", "taxonomy"])
+def test_malformed_row_names_kind_and_line(kind, fault, tmp_path, monkeypatch):
+    read, text, column, error, prefix = table_case(kind, tmp_path, monkeypatch)
+    read(text)  # the valid text reads
+    with pytest.raises(error) as info:
+        read(_fault(text, fault, column))
+    message = str(info.value)
+    where = f"{prefix} line 3, column {column!r}" if fault == "cell" else f"{prefix} line 3: "
+    assert message.startswith(where), message
