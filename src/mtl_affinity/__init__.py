@@ -27,7 +27,6 @@ from .scores import (
     input_attribution_similarity,
     label_injection,
     rsa,
-    taxonomical_distance,
 )
 from .tasks import (
     TaskSpec,
@@ -69,5 +68,4 @@ __all__ = [
     "save_dataset",
     "score_cost",
     "score_cost_expression",
-    "taxonomical_distance",
 ]

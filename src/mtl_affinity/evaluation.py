@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from typing import Callable, Mapping, NamedTuple
 
 from .matrices import TaskMatrix, read_table, write_table
+from .scores import SCORE_KINDS
 from .stats import kendall_tau, pearson
 
 __all__ = [
@@ -37,7 +38,6 @@ __all__ = [
     "evaluate",
     "CostModel",
     "MODEL_FAMILIES",
-    "SCORE_FAMILIES",
     "score_cost",
     "score_cost_expression",
     "level1_csv",
@@ -207,29 +207,21 @@ class ModelFamily(NamedTuple):
 
 
 # The roster table: the families of trained models, keyed as in
-# models.model_key, and the families each score needs. Training a score
-# for all pairs of n tasks costs the sum of its families' terms; C(n,2) is
-# the unordered pair count.
+# models.model_key; scores.SCORE_KINDS lists the families each score needs.
+# Training a score for all pairs of n tasks costs the sum of its families'
+# terms; C(n,2) is the unordered pair count.
 MODEL_FAMILIES = {
     "stl": ModelFamily("n", lambda n: n, 1, "half"),
     "mtl": ModelFamily("C(n,2)", lambda n: math.comb(n, 2), 2, "full"),
     "inj": ModelFamily("2*C(n,2)", lambda n: 2 * math.comb(n, 2), 1, "half"),
 }
-SCORE_FAMILIES = {
-    "TD": (),
-    "IAS": ("stl",),
-    "RSA": ("stl",),
-    "LI": ("stl", "inj"),
-    "GS": ("mtl",),
-    "GT": ("mtl",),
-}
 
 
 def _families(score_kind: str) -> list[ModelFamily]:
-    if score_kind not in SCORE_FAMILIES:
+    if score_kind not in SCORE_KINDS:
         raise ValueError(f"unknown score kind {score_kind!r}; "
-                         f"expected one of {sorted(SCORE_FAMILIES)}")
-    return [MODEL_FAMILIES[f] for f in SCORE_FAMILIES[score_kind]]
+                         f"expected one of {sorted(SCORE_KINDS)}")
+    return [MODEL_FAMILIES[f] for f in SCORE_KINDS[score_kind].families]
 
 
 def score_cost_expression(score_kind: str) -> str:

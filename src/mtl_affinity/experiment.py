@@ -28,7 +28,6 @@ import numpy as np
 from . import __version__
 from .evaluation import (
     MODEL_FAMILIES,
-    SCORE_FAMILIES,
     CostModel,
     EvaluationReport,
     evaluate,
@@ -63,15 +62,8 @@ from .scores import (
     input_attribution_similarity,
     label_injection,
     rsa,
-    taxonomical_distance,
 )
-from .tasks import (
-    TaskSuite,
-    TaxonomyDistances,
-    generate_latent_factor_suite,
-    load_dataset,
-    load_taxonomy_distances,
-)
+from .tasks import TaskSuite, generate_latent_factor_suite, load_dataset, load_taxonomy_distances
 
 __all__ = [
     "CostRow",
@@ -97,9 +89,23 @@ class ExperimentError(RuntimeError):
     """A run could not complete; the message names the failing piece."""
 
 
-# Config fields that must hold integers, not bools; the first two hold lists of them.
-_INTEGER_FIELDS = ("seeds", "hidden", "n_tasks", "d_latent", "d_in", "n_examples",
-                   "latent_dim", "epochs", "batch_size", "eval_batch_size")
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+# Each config field's declared type -> (what a value must be, its check). A
+# bool is no number, and an int in a float field is kept, so JSON 1 stays 1.
+_FIELD_TYPES = {
+    "int": ("an integer", _is_int),
+    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "bool": ("true or false", lambda v: isinstance(v, bool)),
+    "str": ("a string", lambda v: isinstance(v, str)),
+    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
+    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(v, (list, tuple))
+                        and all(isinstance(s, str) for s in v)),
+}
 
 
 @dataclass(frozen=True)
@@ -136,17 +142,13 @@ class ExperimentConfig:
     display_gs_x100: bool = False
 
     def __post_init__(self):
-        for name in _INTEGER_FIELDS:
-            value = getattr(self, name)
-            listed = name in _INTEGER_FIELDS[:2]
-            if listed != isinstance(value, (list, tuple)) or not all(
-                    isinstance(v, int) and not isinstance(v, bool)
-                    for v in (value if listed else [value])):
-                what = "a list of integers" if listed else "an integer"
-                raise ValueError(f"{name} must be {what}, got {value!r}")
-        object.__setattr__(self, "hidden", tuple(self.hidden))
-        object.__setattr__(self, "scores", tuple(str(s) for s in self.scores))
-        object.__setattr__(self, "seeds", tuple(self.seeds))
+        for f in dataclasses.fields(self):
+            what, ok = _FIELD_TYPES[f.type]
+            value = getattr(self, f.name)
+            if not ok(value):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
+            if isinstance(value, list):
+                object.__setattr__(self, f.name, tuple(value))
         if not self.scores:
             raise ValueError("scores must name at least one score kind")
         unknown = [s for s in self.scores if s not in SCORE_KINDS]
@@ -270,7 +272,7 @@ def plan_roster(names: Sequence[str], scores: Sequence[str]) -> tuple[Job, ...]:
     injected models and the pair probes exactly when a requested score
     needs the ``inj`` or ``mtl`` family.
     """
-    needed = {family for kind in scores for family in SCORE_FAMILIES[kind]}
+    needed = {family for kind in scores for family in SCORE_KINDS[kind].families}
     jobs = [Job("stl", (t,)) for t in names]
     jobs += [Job("mtl", pair, probes="mtl" in needed) for pair in _name_pairs(names)]
     if "inj" in needed:
@@ -287,13 +289,19 @@ def _note_skips(notes: dict[str, str], label: str, value) -> None:
 class _SeedRun:
     """Working state for one seed: the trained roster and its test losses."""
 
-    def __init__(self, config: ExperimentConfig, seed: int):
+    def __init__(self, config: ExperimentConfig, seed: int,
+                 taxonomy: TaskMatrix | None = None):
         suite = _load_suite(config, seed)
         self.specs = {s.name: s for s in suite.specs}
         self.names = tuple(s.name for s in suite.specs)
         self.pairs = _name_pairs(self.names)
         if len(self.names) < 2:
             raise ExperimentError(f"need at least 2 tasks, dataset has {len(self.names)}")
+        self.taxonomy = taxonomy  # the TD source
+        missing = [t for t in self.names if taxonomy is not None and t not in taxonomy.tasks]
+        if missing:
+            raise ExperimentError(f"taxonomy {config.taxonomy_path} lacks the suite's "
+                                  f"tasks {missing}")
         self.dataset = suite.dataset
         cfg = config.train_config(seed)
         try:
@@ -343,12 +351,11 @@ class _SeedRun:
                 gain.set(partner, target, mtl_gain(self.stl_loss[target], mtl_loss[target]))
         return gain
 
-    def affinity(self, kind: str, taxonomy: TaxonomyDistances | None) -> TaskMatrix:
+    def affinity(self, kind: str) -> TaskMatrix:
         values: dict[tuple[str, str], float] = {}
         if kind == "TD":
-            assert taxonomy is not None
             for a, b in self.pairs:
-                values[(a, b)] = taxonomical_distance(taxonomy, a, b)
+                values[(a, b)] = self.taxonomy.get(a, b)
         elif kind == "IAS":
             for a, b in self.pairs:
                 v = input_attribution_similarity(
@@ -376,8 +383,6 @@ class _SeedRun:
                     v = gradient_transference(trace, target)
                     _note_skips(self.notes, f"GT {target}|{partner}", v)
                     values[(partner, target)] = float(v)
-        else:
-            raise ValueError(f"unknown score kind {kind!r}")
         return assemble_matrix(kind, self.names, values)
 
     def measured_c_s(self) -> float:
@@ -499,8 +504,9 @@ def run_experiment(config: ExperimentConfig,
     at least MIN_EVAL_TASKS tasks), costs.csv, scatter.csv, manifest.json.
 
     Raises:
-        ExperimentError: training diverged (the message names the model)
-            or the dataset has fewer than 2 tasks.
+        ExperimentError: training diverged (the message names the model),
+            the dataset has fewer than 2 tasks, or the taxonomy lacks some
+            of its tasks.
     """
     say = progress or (lambda _msg: None)
     taxonomy = (load_taxonomy_distances(config.taxonomy_path)
@@ -509,10 +515,10 @@ def run_experiment(config: ExperimentConfig,
     results = []
     for seed in config.seeds:
         say(f"seed {seed}: training roster")
-        run = _SeedRun(config, seed)
+        run = _SeedRun(config, seed, taxonomy)
         gain = run.gain_matrix()
         gain_percent = _x100(gain)
-        affinities = {kind: run.affinity(kind, taxonomy) for kind in config.scores}
+        affinities = {kind: run.affinity(kind) for kind in config.scores}
         if len(run.names) >= MIN_EVAL_TASKS:
             reports = {kind: evaluate(gain_percent, matrix)
                        for kind, matrix in affinities.items()}

@@ -25,8 +25,8 @@ from importlib import resources
 
 from .evaluation import evaluate
 from .matrices import MatrixFormatError, TaskMatrix, optional_float, read_table
-from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix, taxonomical_distance
-from .tasks import TaxonomyDistances, load_taxonomy_distances
+from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix
+from .tasks import load_taxonomy_distances
 
 __all__ = [
     "TASKS",
@@ -88,7 +88,7 @@ def load_gain() -> TaskMatrix:
     return _load_matrix("gain.csv")
 
 
-def load_taxonomy() -> TaxonomyDistances:
+def load_taxonomy() -> TaskMatrix:
     """The negated taxonomy tree distances between the five tasks."""
     source = resources.files("mtl_affinity").joinpath("data", "taxonomy_distances.csv")
     try:
@@ -101,7 +101,7 @@ def load_taxonomy() -> TaxonomyDistances:
 
 
 def load_affinity(score_kind: str) -> TaskMatrix:
-    """One raw affinity matrix; TD is derived from the taxonomy file.
+    """One raw affinity matrix; TD is read from the taxonomy file.
 
     LI values are in percent and GS values are x100, exactly as published.
     Both are positive rescalings, which all three evaluation levels are
@@ -113,14 +113,12 @@ def load_affinity(score_kind: str) -> TaskMatrix:
         raise ValueError(f"unknown score kind {score_kind!r}; "
                          f"expected one of {sorted(SCORE_KINDS)}")
     if score_kind == "TD":
-        tax = load_taxonomy()
-        values = {(a, b): taxonomical_distance(tax, a, b)
-                  for a in TASKS for b in TASKS if a != b}
-        return assemble_matrix("TD", TASKS, values)
-    name = f"{score_kind.lower()}.csv"
-    cells = _load_matrix(name).cells()
+        name, matrix = "taxonomy_distances.csv", load_taxonomy()
+    else:
+        name = f"{score_kind.lower()}.csv"
+        matrix = _load_matrix(name)
     try:
-        return assemble_matrix(score_kind, TASKS, cells)
+        return assemble_matrix(score_kind, TASKS, matrix.cells())
     except MatrixAssemblyError as exc:
         raise BundledDataError(f"{name}: {exc}") from exc
 

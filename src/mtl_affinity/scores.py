@@ -27,21 +27,20 @@ as 1 - score.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .matrices import TaskMatrix
 from .models import Model, TrainTrace
 from .stats import spearman
-from .tasks import TaxonomyDistances
 
 __all__ = [
     "SCORE_KINDS",
+    "ScoreKind",
     "ScoreValue",
     "DegenerateScoreError",
     "MatrixAssemblyError",
-    "taxonomical_distance",
     "input_x_gradient",
     "input_attribution_similarity",
     "representation_dissimilarity",
@@ -52,9 +51,21 @@ __all__ = [
     "assemble_matrix",
 ]
 
-# kind -> symmetric?
-SCORE_KINDS: dict[str, bool] = {
-    "TD": True, "IAS": True, "RSA": True, "LI": False, "GS": True, "GT": False,
+class ScoreKind(NamedTuple):
+    """How a score kind fills its matrix and which models it trains."""
+    symmetric: bool
+    families: tuple[str, ...]              # keys of evaluation.MODEL_FAMILIES
+
+
+# The one table of score kinds. A score's training cost is the sum of its
+# families' terms (evaluation.score_cost); TD reads a file and trains nothing.
+SCORE_KINDS: dict[str, ScoreKind] = {
+    "TD": ScoreKind(True, ()),
+    "IAS": ScoreKind(True, ("stl",)),
+    "RSA": ScoreKind(True, ("stl",)),
+    "LI": ScoreKind(False, ("stl", "inj")),
+    "GS": ScoreKind(True, ("mtl",)),
+    "GT": ScoreKind(False, ("mtl",)),
 }
 
 
@@ -77,11 +88,6 @@ class ScoreValue(float):
         obj.skipped = skipped
         obj.used = used
         return obj
-
-
-def taxonomical_distance(distances: TaxonomyDistances, a: str, b: str) -> float:
-    """The (already negated) tree distance between two tasks; symmetric."""
-    return distances.distance(a, b)
 
 
 def input_x_gradient(model: Model, inputs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -240,7 +246,7 @@ def assemble_matrix(score_kind: str, tasks: Sequence[str],
                                       f"tasks are {list(matrix.tasks)}")
         if w == t:
             raise MatrixAssemblyError(f"diagonal value supplied for {w!r}")
-    if SCORE_KINDS[score_kind]:
+    if SCORE_KINDS[score_kind].symmetric:
         for i, a in enumerate(matrix.tasks):
             for b in matrix.tasks[i + 1:]:
                 provided = [values[k] for k in ((a, b), (b, a)) if k in values]

@@ -14,13 +14,13 @@ from __future__ import annotations
 
 import csv
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .matrices import read_table
+from .matrices import TaskMatrix, read_table
 from .seeding import DATASET, substream
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "LatentOrigin",
     "MultiTaskDataset",
     "TaskSuite",
-    "TaxonomyDistances",
     "checked_labels",
     "generate_latent_factor_suite",
     "load_taxonomy_distances",
@@ -250,43 +249,38 @@ def generate_latent_factor_suite(
     return TaskSuite(tuple(specs), dataset)
 
 
-@dataclass(frozen=True, eq=False)
-class TaxonomyDistances:
-    """Symmetric negated tree distances between tasks: 0 on the diagonal, <= 0 off it."""
-    tasks: tuple[str, ...]
-    values: np.ndarray = field(repr=False)
+def load_taxonomy_distances(source: str | Path) -> TaskMatrix:
+    """The off-diagonal cells of a taxonomy CSV, tasks in header order.
 
-    def distance(self, a: str, b: str) -> float:
-        try:
-            return float(self.values[self.tasks.index(a), self.tasks.index(b)])
-        except ValueError as exc:
-            raise KeyError(f"unknown task in ({a!r}, {b!r}); tasks are {list(self.tasks)}") from exc
-
-
-def load_taxonomy_distances(source: str | Path) -> TaxonomyDistances:
-    """Read a taxonomy CSV: header ``task,<task1>,...``, one labeled row per task.
+    The file has a header ``task,<task1>,...`` and one labeled row per task.
 
     Raises:
-        ValueError: non-square layout, asymmetric values, nonzero diagonal,
-            or positive off-diagonal entries.
+        ValueError: naming the file: mislabeled rows, non-finite or
+            asymmetric values, nonzero diagonal, or positive off-diagonal
+            entries. A malformed row raises MatrixFormatError.
     """
-    header, rows = read_table(Path(source).read_text(encoding="utf-8"), "taxonomy",
+    path = Path(source)
+    header, rows = read_table(path.read_text(encoding="utf-8"), "taxonomy",
                               {"task": str, "*": float})
     tasks = tuple(header[1:])
-    if len(tasks) < 2 or len(set(tasks)) != len(tasks):
-        raise ValueError(f"taxonomy needs two or more distinct task names, got {list(tasks)}")
     labels = tuple(row[0] for row in rows)
-    if labels != tasks:
-        raise ValueError(f"rows are labeled {list(labels)}, expected {list(tasks)}")
     values = np.array([row[1:] for row in rows])
-    if not np.array_equal(values, values.T):
-        raise ValueError("taxonomy distances must be symmetric")
-    if np.any(np.diag(values) != 0.0):
-        raise ValueError("taxonomy diagonal must be 0")
-    off = values[~np.eye(len(tasks), dtype=bool)]
-    if np.any(off > 0.0):
-        raise ValueError("off-diagonal taxonomy values must be <= 0 (negated distances)")
-    return TaxonomyDistances(tasks, values)
+    if len(tasks) < 2 or len(set(tasks)) != len(tasks):
+        problem = f"taxonomy needs two or more distinct task names, got {list(tasks)}"
+    elif labels != tasks:
+        problem = f"rows are labeled {list(labels)}, expected {list(tasks)}"
+    elif not np.all(np.isfinite(values)):
+        problem = "taxonomy distances must be finite"
+    elif not np.array_equal(values, values.T):
+        problem = "taxonomy distances must be symmetric"
+    elif np.any(np.diag(values) != 0.0):
+        problem = "taxonomy diagonal must be 0"
+    elif np.any(values > 0.0):
+        problem = "off-diagonal taxonomy values must be <= 0 (negated distances)"
+    else:
+        return TaskMatrix(tasks, {(w, t): v for w, *row in rows
+                                  for t, v in zip(tasks, row) if w != t})
+    raise ValueError(f"{path}: {problem}")
 
 
 def save_dataset(suite: TaskSuite, directory: str | Path) -> None:

@@ -7,10 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mtl_affinity import experiment
 from mtl_affinity.cli import main
 from mtl_affinity.grouping import Grouping, is_valid_grouping, optimize_grouping
 from mtl_affinity.matrices import TaskMatrix
 from mtl_affinity.paper_data import TASKS
+from mtl_affinity.tasks import load_taxonomy_distances
 from oracles import best_grouping_naive
 
 
@@ -92,6 +94,44 @@ def test_run_rejects_non_list_seeds(tmp_path, capsys):
     cfg = write_config(tmp_path, seeds=3)
     assert main(["run", "--config", str(cfg)]) == 2
     assert "seeds must be a list of integers, got 3" in capsys.readouterr().err
+
+
+def test_run_rejects_mistyped_float_field(tmp_path, capsys):
+    cfg = write_config(tmp_path, lr_decay="0.9")
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "lr_decay must be a number, got '0.9'" in capsys.readouterr().err
+
+
+def write_taxonomy(path: Path, tasks) -> str:
+    """A valid taxonomy CSV over ``tasks``: tasks i and j are i + j + 1 apart."""
+    rows = [["task", *tasks]] + [[a, *(0 if a == b else -(i + j + 1) for j, b in enumerate(tasks))]
+                                 for i, a in enumerate(tasks)]
+    path.write_text("".join(",".join(map(str, row)) + "\n" for row in rows), encoding="utf-8")
+    return str(path)
+
+
+def test_run_td_with_taxonomy_lacking_a_task_fails_before_training(tmp_path, capsys,
+                                                                   monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the roster trained")
+
+    monkeypatch.setattr(experiment, "train_stl", no_training)
+    taxonomy = write_taxonomy(tmp_path / "taxonomy.csv", ["task0", "task1"])
+    cfg = write_config(tmp_path, scores=["TD", "GS"], seeds=[0, 1], taxonomy_path=taxonomy)
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"taxonomy {taxonomy} lacks the suite's tasks ['task2']" in err
+    assert not list((tmp_path / "out").glob("seed*"))
+
+
+def test_run_td_with_superset_taxonomy_writes_the_suite_cells(tmp_path):
+    taxonomy = write_taxonomy(tmp_path / "taxonomy.csv", ["task2", "extra", "task0", "task1"])
+    cfg = write_config(tmp_path, scores=["TD"], taxonomy_path=taxonomy)
+    assert main(["run", "--config", str(cfg)]) == 0
+    td = TaskMatrix.from_csv_text((tmp_path / "out" / "seed0" / "td.csv").read_text())
+    cells = load_taxonomy_distances(taxonomy).cells()
+    assert td.tasks == ("task0", "task1", "task2")
+    assert td.cells() == {(w, t): v for (w, t), v in cells.items() if "extra" not in (w, t)}
 
 
 def test_run_verbose_env_prints_progress(tmp_path, capsys, monkeypatch):

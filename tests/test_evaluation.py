@@ -218,7 +218,7 @@ def test_cost_expressions_are_fixed_strings():
     assert ev.score_cost_expression("GT") == "C(n,2)*2*c_s"
     with pytest.raises(ValueError, match="kind"):
         ev.score_cost_expression("XX")
-    assert set(ev.SCORE_FAMILIES) == set(SCORE_KINDS)
+    assert {f for kind in SCORE_KINDS.values() for f in kind.families} == set(ev.MODEL_FAMILIES)
 
 
 @pytest.mark.parametrize("n", [2, 5, 10])

@@ -15,7 +15,6 @@ import pytest
 import mtl_affinity
 from mtl_affinity.evaluation import (
     MODEL_FAMILIES,
-    SCORE_FAMILIES,
     CostModel,
     score_cost,
 )
@@ -26,6 +25,7 @@ from mtl_affinity.experiment import (
     ScatterRow,
     _SeedRun,
     costs_csv,
+    manifest_json,
     plan_roster,
     read_costs_csv,
     read_scatter_csv,
@@ -100,6 +100,26 @@ def test_config_rejects_non_integer_fields(field):
     for value in bad:
         with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
             ExperimentConfig.from_json_dict({field: value})
+
+
+@pytest.mark.parametrize("field, value", [
+    ("display_gs_x100", "no"), ("display_gs_x100", 1), ("overlap", "0.5"),
+    ("noise_std", True), ("initial_lr", True), ("lr_decay", "0.9"), ("out_dir", 3),
+    ("out_dir", None), ("dataset_path", 7), ("taxonomy_path", False),
+    ("scores", "IAS"), ("scores", ["IAS", 1])])
+def test_config_rejects_mistyped_fields(field, value):
+    # JSON values: floats take numbers but no bool, bools only a bool, paths a string.
+    with pytest.raises(ValueError, match=rf"^{field} must be .*, got {re.escape(repr(value))}$"):
+        ExperimentConfig.from_json_dict({field: value})
+
+
+def test_config_float_fields_keep_json_ints():
+    # An int is a valid float value and is not converted, so the manifest
+    # writes back what the config file said.
+    cfg = ExperimentConfig.from_json_dict({"overlap": 1, "noise_std": 0})
+    assert type(cfg.overlap) is int and type(cfg.noise_std) is int
+    manifest = manifest_json(cfg, 0, 1.0, {})
+    assert '"overlap": 1,' in manifest and '"noise_std": 0,' in manifest
 
 
 def test_config_json_round_trip(tmp_path):
@@ -289,7 +309,7 @@ def test_plan_roster_matches_cost_model(n, kind):
     jobs = plan_roster(names, (kind,))
     counts = Counter(job.family for job in jobs)
     closed_form = {"stl": n, "mtl": math.comb(n, 2), "inj": n * (n - 1)}
-    needed = SCORE_FAMILIES[kind]
+    needed = SCORE_KINDS[kind].families
     # The gain matrix needs the STL and pair models whatever the score.
     assert set(counts) == {"stl", "mtl"} | set(needed)
     for family, count in counts.items():

@@ -22,10 +22,12 @@ def test_gain_matrix_spot_values():
 
 def test_taxonomy_distances():
     tax = pd.load_taxonomy()
-    assert tax.distance("SemSeg", "Keypts") == -8.0
-    assert tax.distance("Keypts", "SemSeg") == -8.0
-    assert tax.distance("Keypts", "Depth") == -12.0
-    assert tax.distance("SemSeg", "SemSeg") == 0.0
+    assert tax.tasks == pd.TASKS
+    assert tax.is_complete()
+    assert tax.get("SemSeg", "Keypts") == -8.0
+    assert tax.get("Keypts", "SemSeg") == -8.0
+    assert tax.get("Keypts", "Depth") == -12.0
+    assert tax == pd.load_affinity("TD")
 
 
 def test_affinity_matrices_load_and_mirror():
@@ -34,7 +36,7 @@ def test_affinity_matrices_load_and_mirror():
     for kind, m in matrices.items():
         assert m.tasks == pd.TASKS
         assert m.is_complete()
-        if SCORE_KINDS[kind]:
+        if SCORE_KINDS[kind].symmetric:
             assert m.is_symmetric()
     assert matrices["TD"].get("SemSeg", "Normal") == -5.0
     assert matrices["IAS"].get("Keypts", "Edges") == 0.52

@@ -15,7 +15,7 @@ from mtl_affinity.models import (
     train_mtl,
 )
 from mtl_affinity.seeding import BATCHING, INIT, model_stream
-from mtl_affinity.tasks import TaskSpec, TaxonomyDistances, generate_latent_factor_suite
+from mtl_affinity.tasks import TaskSpec, generate_latent_factor_suite
 from oracles import spearman_naive
 
 
@@ -36,18 +36,6 @@ def linear_stl(name, wb, bb, wh, bh, kind="regression"):
 def trace_with(gs=None, lookahead=None):
     return TrainTrace(val_loss=[], combined_val=[0.0], best_epoch=0,
                       gs_cosine=gs, lookahead=lookahead)
-
-
-# --- TD ---
-
-
-def test_taxonomical_distance_lookup_and_symmetry():
-    tax = TaxonomyDistances(("A", "B"), np.array([[0.0, -3.0], [-3.0, 0.0]]))
-    assert scores.taxonomical_distance(tax, "A", "B") == -3.0
-    assert scores.taxonomical_distance(tax, "B", "A") == -3.0
-    assert scores.taxonomical_distance(tax, "A", "A") == 0.0
-    with pytest.raises(KeyError):
-        scores.taxonomical_distance(tax, "A", "Z")
 
 
 # --- IAS ---

@@ -114,11 +114,14 @@ def test_taxonomy_load_and_lookup(tmp_path):
     p.write_text(TAXONOMY_OK)
     tax = load_taxonomy_distances(p)
     assert tax.tasks == ("A", "B", "C")
-    assert tax.distance("A", "B") == -2.0
-    assert tax.distance("B", "A") == -2.0
-    assert tax.distance("C", "C") == 0.0
+    assert tax.is_complete()
+    assert tax.get("A", "B") == -2.0
+    assert tax.get("B", "A") == -2.0
+    assert tax.get("C", "B") == -6.0
+    with pytest.raises(ValueError, match="diagonal"):
+        tax.get("C", "C")
     with pytest.raises(KeyError):
-        tax.distance("A", "Z")
+        tax.get("A", "Z")
 
 
 @pytest.mark.parametrize("text,msg", [
@@ -126,12 +129,15 @@ def test_taxonomy_load_and_lookup(tmp_path):
     ("task,A,B\nA,1,-2\nB,-2,0\n", "diagonal"),
     ("task,A,B\nA,0,2\nB,2,0\n", "<= 0"),
     ("task,A,B\nB,0,-2\nA,-2,0\n", "labeled"),
+    ("task,A,B\nA,0,-inf\nB,-inf,0\n", "finite"),
+    ("task,A,B\nA,0,nan\nB,nan,0\n", "finite"),
 ])
 def test_taxonomy_rejects_malformed(tmp_path, text, msg):
     p = tmp_path / "bad.csv"
     p.write_text(text)
-    with pytest.raises(ValueError, match=msg):
+    with pytest.raises(ValueError, match=msg) as info:
         load_taxonomy_distances(p)
+    assert str(info.value).startswith(f"{p}: ")
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
