@@ -113,8 +113,10 @@ def cmd_group(args) -> int:
             gain = TaskMatrix.from_csv_text(Path(args.gain).read_text(encoding="utf-8"))
         else:
             gain = load_gain()
-    except (OSError, MatrixFormatError, BundledDataError, ValueError) as exc:
+    except OSError as exc:
         return _fail(str(exc))
+    except ValueError as exc:  # a bundled table's message names its file already
+        return _fail(f"{args.gain}: {exc}" if args.gain is not None else str(exc))
     try:
         grouping, total = optimize_grouping(gain.tasks, gain, args.budget,
                                             stl_cost=args.stl_cost,

@@ -11,8 +11,9 @@ of increasing coarseness, always per target column:
    report carries the gain difference (always <= 0) and explicit tie info.
 
 Correlations are invariant to the gain unit; level-3 deltas are expressed
-in whatever unit the gain matrix uses. The module also hosts the
-training-cost model for the scores themselves.
+in whatever unit the gain matrix uses. An undefined correlation (a constant
+column) raises DegenerateInputError naming the level and the target. The
+module also hosts the training-cost model for the scores themselves.
 """
 
 from __future__ import annotations
@@ -23,14 +24,12 @@ from typing import Callable, Mapping, NamedTuple
 
 from .matrices import TaskMatrix, read_table, write_table
 from .scores import SCORE_KINDS
-from .stats import kendall_tau, pearson
+from .stats import DegenerateInputError, kendall_tau, pearson
 
 __all__ = [
     "mtl_gain",
-    "Level1Result",
-    "Level2Result",
+    "Correlations",
     "Level3Selection",
-    "Level3Result",
     "EvaluationReport",
     "level1_predictive",
     "level2_ranking",
@@ -74,19 +73,15 @@ def _check_aligned(gain: TaskMatrix, score: TaskMatrix) -> tuple[str, ...]:
 
 
 @dataclass(frozen=True)
-class Level1Result:
-    """Per-target Pearson between score and gain, plus the pooled value."""
+class Correlations:
+    """Level 1 or 2: a correlation per target, plus one summary value.
+
+    Level 1 holds Pearson values and the Pearson over all pairs pooled;
+    level 2 holds Kendall tau-b values and their mean.
+    """
 
     per_target: Mapping[str, float]
-    pooled: float
-
-
-@dataclass(frozen=True)
-class Level2Result:
-    """Per-target Kendall correlation and its mean across targets."""
-
-    per_target: Mapping[str, float]
-    mean: float
+    summary: float
 
 
 @dataclass(frozen=True)
@@ -112,18 +107,13 @@ class Level3Selection:
 
 
 @dataclass(frozen=True)
-class Level3Result:
-    per_target: Mapping[str, Level3Selection]
-
-
-@dataclass(frozen=True)
 class EvaluationReport:
     """All three levels for one score matrix against one gain matrix."""
 
     tasks: tuple[str, ...]
-    level1: Level1Result
-    level2: Level2Result
-    level3: Level3Result
+    level1: Correlations
+    level2: Correlations
+    level3: Mapping[str, Level3Selection]   # target -> its best-partner pick
 
 
 def _columns(gain: TaskMatrix, score: TaskMatrix, target: str) -> tuple[list, list]:
@@ -132,26 +122,40 @@ def _columns(gain: TaskMatrix, score: TaskMatrix, target: str) -> tuple[list, li
     return s, g
 
 
-def level1_predictive(gain: TaskMatrix, score: TaskMatrix) -> Level1Result:
+def _per_target(level: int, statistic, gain: TaskMatrix, score: TaskMatrix) -> dict:
+    """``statistic(score column, gain column)`` for each target.
+
+    An undefined value raises DegenerateInputError naming the level and target.
+    """
+    out = {}
+    for t in _check_aligned(gain, score):
+        try:
+            out[t] = statistic(*_columns(gain, score, t))
+        except DegenerateInputError as exc:
+            raise DegenerateInputError(f"level {level}, target {t!r}: {exc}") from None
+    return out
+
+
+def level1_predictive(gain: TaskMatrix, score: TaskMatrix) -> Correlations:
     """Pearson between score and gain per target, plus all pairs pooled.
 
-    Needs at least 3 tasks (two partner values per column).
+    Needs at least 3 tasks (two partner values per column). Every column
+    varies once the per-target values exist, so the pooled value does too.
     """
-    tasks = _check_aligned(gain, score)
-    per = {t: pearson(*_columns(gain, score, t)) for t in tasks}
+    per = _per_target(1, pearson, gain, score)
+    tasks = gain.tasks
     pool_s = [score.get(w, t) for t in tasks for w in tasks if w != t]
     pool_g = [gain.get(w, t) for t in tasks for w in tasks if w != t]
-    return Level1Result(per_target=per, pooled=pearson(pool_s, pool_g))
+    return Correlations(per, pearson(pool_s, pool_g))
 
 
-def level2_ranking(gain: TaskMatrix, score: TaskMatrix) -> Level2Result:
+def level2_ranking(gain: TaskMatrix, score: TaskMatrix) -> Correlations:
     """Kendall tau-b of partner rankings per target, plus the mean."""
-    tasks = _check_aligned(gain, score)
-    per = {t: kendall_tau(*_columns(gain, score, t)) for t in tasks}
-    return Level2Result(per_target=per, mean=sum(per.values()) / len(per))
+    per = _per_target(2, kendall_tau, gain, score)
+    return Correlations(per, sum(per.values()) / len(per))
 
 
-def level3_best_partner(gain: TaskMatrix, score: TaskMatrix) -> Level3Result:
+def level3_best_partner(gain: TaskMatrix, score: TaskMatrix) -> dict[str, Level3Selection]:
     """Pick each target's best partner by score and compare with the truth."""
     tasks = _check_aligned(gain, score)
     out = {}
@@ -168,7 +172,7 @@ def level3_best_partner(gain: TaskMatrix, score: TaskMatrix) -> Level3Result:
             target=t, selected=selected, tied=tied, true_best=true_best,
             delta=gain.get(selected, t) - best_gain,
             delta_tied_mean=tied_mean - best_gain)
-    return Level3Result(per_target=out)
+    return out
 
 
 def evaluate(gain: TaskMatrix, score: TaskMatrix) -> EvaluationReport:
@@ -238,27 +242,24 @@ def score_cost(score_kind: str, cost: CostModel) -> float:
 # --- CSV table emission (one file per level; reports keyed by score kind,
 # one row per kind in the mapping's order) ---
 
-# Levels 1 and 2: a column per target, then a summary column; result (per_target, summary).
-_WIDE_TABLES = {1: ("all_at_once", "pooled", Level1Result),
-                2: ("average", "mean", Level2Result)}
+# Levels 1 and 2: a column per target, then the summary column named here.
+_WIDE_TABLES = {1: "all_at_once", 2: "average"}
 
 
 def _wide_csv(reports: Mapping[str, EvaluationReport], level: int) -> str:
-    summary, attr, _ = _WIDE_TABLES[level]
     tasks = next(iter(reports.values())).tasks
-    rows = [["score", *tasks, summary]]
+    rows = [["score", *tasks, _WIDE_TABLES[level]]]
     for kind, report in reports.items():
         result = getattr(report, f"level{level}")
-        rows.append([kind, *(result.per_target[t] for t in tasks), getattr(result, attr)])
+        rows.append([kind, *(result.per_target[t] for t in tasks), result.summary])
     return write_table(rows)
 
 
-def _read_wide_csv(text: str, level: int) -> dict:
-    summary, _, result_class = _WIDE_TABLES[level]
-    header, rows = read_table(text, f"level{level}", {"score": str, "*": float, summary: float})
+def _read_wide_csv(text: str, level: int) -> dict[str, Correlations]:
+    header, rows = read_table(text, f"level{level}",
+                              {"score": str, "*": float, _WIDE_TABLES[level]: float})
     tasks = header[1:-1]
-    return {kind: result_class(dict(zip(tasks, values)), value)
-            for kind, *values, value in rows}
+    return {kind: Correlations(dict(zip(tasks, values)), value) for kind, *values, value in rows}
 
 
 def level1_csv(reports: Mapping[str, EvaluationReport]) -> str:
@@ -266,7 +267,7 @@ def level1_csv(reports: Mapping[str, EvaluationReport]) -> str:
     return _wide_csv(reports, 1)
 
 
-def read_level1_csv(text: str) -> dict[str, Level1Result]:
+def read_level1_csv(text: str) -> dict[str, Correlations]:
     return _read_wide_csv(text, 1)
 
 
@@ -275,7 +276,7 @@ def level2_csv(reports: Mapping[str, EvaluationReport]) -> str:
     return _wide_csv(reports, 2)
 
 
-def read_level2_csv(text: str) -> dict[str, Level2Result]:
+def read_level2_csv(text: str) -> dict[str, Correlations]:
     return _read_wide_csv(text, 2)
 
 
@@ -288,17 +289,17 @@ def level3_csv(reports: Mapping[str, EvaluationReport]) -> str:
     rows = [list(_LEVEL3_COLUMNS)]
     for kind, r in reports.items():
         for t in r.tasks:
-            s = r.level3.per_target[t]
+            s = r.level3[t]
             rows.append([kind, t, s.selected, "|".join(s.tied),
                          s.true_best, s.delta, s.delta_tied_mean])
     return write_table(rows)
 
 
-def read_level3_csv(text: str) -> dict[str, Level3Result]:
+def read_level3_csv(text: str) -> dict[str, dict[str, Level3Selection]]:
     grouped: dict[str, dict[str, Level3Selection]] = {}
     for kind, target, selected, tied, true_best, delta, tied_mean in read_table(
             text, "level3", _LEVEL3_COLUMNS)[1]:
         grouped.setdefault(kind, {})[target] = Level3Selection(
             target=target, selected=selected, tied=tuple(tied.split("|")),
             true_best=true_best, delta=delta, delta_tied_mean=tied_mean)
-    return {k: Level3Result(per_target=v) for k, v in grouped.items()}
+    return grouped

@@ -17,6 +17,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import platform
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -63,7 +64,14 @@ from .scores import (
     label_injection,
     rsa,
 )
-from .tasks import TaskSuite, generate_latent_factor_suite, load_dataset, load_taxonomy_distances
+from .stats import DegenerateInputError
+from .tasks import (
+    TaskSuite,
+    check_suite_args,
+    generate_latent_factor_suite,
+    load_dataset,
+    load_taxonomy_distances,
+)
 
 __all__ = [
     "CostRow",
@@ -94,10 +102,12 @@ def _is_int(value) -> bool:
 
 
 # Each config field's declared type -> (what a value must be, its check). A
-# bool is no number, and an int in a float field is kept, so JSON 1 stays 1.
+# bool is no number, and an int in a float field is kept, so JSON 1 stays 1;
+# JSON's NaN and Infinity are refused.
 _FIELD_TYPES = {
     "int": ("an integer", _is_int),
-    "float": ("a number", lambda v: _is_int(v) or isinstance(v, float)),
+    "float": ("a finite number",
+              lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
     "bool": ("true or false", lambda v: isinstance(v, bool)),
     "str": ("a string", lambda v: isinstance(v, str)),
     "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
@@ -173,8 +183,8 @@ class ExperimentConfig:
         self.train_config(seed=0)
         BackboneConfig(1, self.hidden, self.latent_dim)
         if self.dataset_path is None:
-            if self.d_in < 1:
-                raise ValueError(f"d_in must be positive, got {self.d_in}")
+            check_suite_args(self.n_tasks, self.d_latent, self.d_in, self.n_examples,
+                             self.overlap, self.noise_std)
             _backbones(self, self.d_in)
 
     def to_json_dict(self) -> dict:
@@ -302,6 +312,13 @@ class _SeedRun:
         if missing:
             raise ExperimentError(f"taxonomy {config.taxonomy_path} lacks the suite's "
                                   f"tasks {missing}")
+        if taxonomy is not None and len(self.names) >= MIN_EVAL_TASKS:
+            flat = [t for t in self.names
+                    if len({taxonomy.get(w, t) for w in self.names if w != t}) == 1]
+            if flat:
+                raise ExperimentError(
+                    f"taxonomy {config.taxonomy_path}: targets {flat} have equidistant "
+                    f"partners, so TD's level-1 and level-2 correlations are undefined")
         self.dataset = suite.dataset
         cfg = config.train_config(seed)
         try:
@@ -505,8 +522,10 @@ def run_experiment(config: ExperimentConfig,
 
     Raises:
         ExperimentError: training diverged (the message names the model),
-            the dataset has fewer than 2 tasks, or the taxonomy lacks some
-            of its tasks.
+            the dataset has fewer than 2 tasks, the taxonomy lacks some of
+            its tasks or leaves a target's TD column constant, or a level-1
+            or level-2 correlation is undefined (naming score, level and
+            target).
     """
     say = progress or (lambda _msg: None)
     taxonomy = (load_taxonomy_distances(config.taxonomy_path)
@@ -519,13 +538,15 @@ def run_experiment(config: ExperimentConfig,
         gain = run.gain_matrix()
         gain_percent = _x100(gain)
         affinities = {kind: run.affinity(kind) for kind in config.scores}
-        if len(run.names) >= MIN_EVAL_TASKS:
-            reports = {kind: evaluate(gain_percent, matrix)
-                       for kind, matrix in affinities.items()}
+        reports = {}
+        if len(run.names) < MIN_EVAL_TASKS:
+            run.notes["evaluation"] = f"skipped: {len(run.names)} tasks < {MIN_EVAL_TASKS}"
         else:
-            reports = {}
-            run.notes["evaluation"] = (
-                f"skipped: {len(run.names)} tasks < {MIN_EVAL_TASKS}")
+            for kind, matrix in affinities.items():
+                try:
+                    reports[kind] = evaluate(gain_percent, matrix)
+                except DegenerateInputError as exc:
+                    raise ExperimentError(f"score {kind}: {exc}") from exc
         result = SeedResult(seed=seed, directory=out_root / f"seed{seed}",
                             gain=gain, affinities=affinities, reports=reports,
                             c_s=run.measured_c_s(), notes=run.notes)

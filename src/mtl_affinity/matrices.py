@@ -162,7 +162,9 @@ def read_table(text: str, kind: str, columns: Mapping[str, Callable[[str], objec
     a ``"*"`` key stands for any number of columns parsed alike. A wrong
     header, a row whose cell count differs from the header's, or a cell its
     parser rejects raises MatrixFormatError naming ``kind``, the 1-based
-    line and, for a cell, its column.
+    line and, for a cell, its column. A table read from a file the user
+    names passes ``"<path>: <kind>"`` as ``kind``, so the message leads
+    with the file.
     """
     reader = csv.reader(io.StringIO(text))
     # An empty text reads as an empty header on line 1.

@@ -176,11 +176,13 @@ _EXPECTED_LEVEL3_COLUMNS = {"score": str, "target": str, "selected": str, "tied"
                             "recomputed_tied_mean": optional_float, "flag": str}
 
 
-def _load_expected_cells(name: str) -> list[ExpectedCell]:
+def _load_expected_cells(name: str, summary: str) -> list[ExpectedCell]:
     out = []
     for score, target, paper, recomputed, flag in _parse_rows(name, _EXPECTED_CELL_COLUMNS):
         if score not in SCORE_KINDS:
             raise BundledDataError(f"{name}: unknown score {score!r}")
+        if target not in (*TASKS, summary):
+            raise BundledDataError(f"{name}: unknown target {target!r}")
         if flag and recomputed is None:
             raise BundledDataError(f"{name}: flagged cell ({score}, {target}) "
                                    f"needs a recomputed value")
@@ -191,12 +193,12 @@ def _load_expected_cells(name: str) -> list[ExpectedCell]:
 
 def load_expected_level1() -> list[ExpectedCell]:
     """Published per-target and pooled Pearson cells (target 'all_at_once')."""
-    return _load_expected_cells("expected_level1.csv")
+    return _load_expected_cells("expected_level1.csv", "all_at_once")
 
 
 def load_expected_level2() -> list[ExpectedCell]:
     """Published per-target and mean Kendall cells (target 'average')."""
-    return _load_expected_cells("expected_level2.csv")
+    return _load_expected_cells("expected_level2.csv", "average")
 
 
 def load_expected_level3() -> list[ExpectedSelection]:
@@ -207,7 +209,7 @@ def load_expected_level3() -> list[ExpectedSelection]:
         if score not in SCORE_KINDS:
             raise BundledDataError(f"expected_level3.csv: unknown score {score!r}")
         tied_tuple = tuple(tied.split("|"))
-        for name in (selected, true_best, *tied_tuple):
+        for name in (target, selected, true_best, *tied_tuple):
             if name not in TASKS:
                 raise BundledDataError(f"expected_level3.csv: unknown task {name!r}")
         out.append(ExpectedSelection(
@@ -234,18 +236,6 @@ class CheckRow:
         return f"{mark} {self.table} {self.score} x {self.target}: {self.detail}{tag}"
 
 
-def _check_cells(table: str, cells, value_of) -> list[CheckRow]:
-    rows = []
-    for cell in cells:
-        got = value_of(cell)
-        want, tol = cell.expectation()
-        rows.append(CheckRow(
-            table, cell.score, cell.target,
-            f"recomputed {got:.6f}, expected {want} within {tol}",
-            bool(cell.flag), abs(got - want) <= tol))
-    return rows
-
-
 def check_tables() -> list[CheckRow]:
     """Re-derive every published evaluation cell and compare.
 
@@ -258,18 +248,17 @@ def check_tables() -> list[CheckRow]:
     reports = {kind: evaluate(gain, matrix)
                for kind, matrix in load_all_affinities().items()}
 
-    def level1_value(cell):
-        r = reports[cell.score].level1
-        return r.pooled if cell.target == "all_at_once" else r.per_target[cell.target]
-
-    def level2_value(cell):
-        r = reports[cell.score].level2
-        return r.mean if cell.target == "average" else r.per_target[cell.target]
-
-    rows = _check_cells("level1", load_expected_level1(), level1_value)
-    rows += _check_cells("level2", load_expected_level2(), level2_value)
+    rows = []
+    for table, cells in (("level1", load_expected_level1()), ("level2", load_expected_level2())):
+        for cell in cells:  # a target column, or the table's summary column
+            result = getattr(reports[cell.score], table)
+            got = result.per_target[cell.target] if cell.target in TASKS else result.summary
+            want, tol = cell.expectation()
+            rows.append(CheckRow(table, cell.score, cell.target,
+                                 f"recomputed {got:.6f}, expected {want} within {tol}",
+                                 bool(cell.flag), abs(got - want) <= tol))
     for exp in load_expected_level3():
-        got = reports[exp.score].level3.per_target[exp.target]
+        got = reports[exp.score].level3[exp.target]
         checks = [got.selected == exp.selected, got.tied == exp.tied,
                   got.true_best == exp.true_best]
         if exp.flag:

@@ -12,15 +12,15 @@ and loading a suite as files.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .matrices import TaskMatrix, read_table
+from .matrices import TaskMatrix, read_table, write_table
 from .seeding import DATASET, substream
 
 __all__ = [
@@ -29,6 +29,7 @@ __all__ = [
     "MultiTaskDataset",
     "TaskSuite",
     "checked_labels",
+    "check_suite_args",
     "generate_latent_factor_suite",
     "load_taxonomy_distances",
     "save_dataset",
@@ -148,10 +149,6 @@ def _split_indices(n: int) -> dict[str, np.ndarray]:
 
 def _latent_subsets(n_tasks: int, d_latent: int, overlap: float) -> list[tuple[int, ...]]:
     size = d_latent // n_tasks
-    if size == 0:
-        raise ValueError(
-            f"disjoint latent subsets are impossible: {n_tasks} tasks need at least "
-            f"{n_tasks} latent dims, got {d_latent}")
     shared = int(round(overlap * size))
     private = size - shared
     subsets = []
@@ -159,6 +156,29 @@ def _latent_subsets(n_tasks: int, d_latent: int, overlap: float) -> list[tuple[i
         start = shared + i * private
         subsets.append(tuple(range(shared)) + tuple(range(start, start + private)))
     return subsets
+
+
+def check_suite_args(n_tasks: int, d_latent: int, d_in: int, n_examples: int,
+                     overlap: float, noise_std: float, n_classes: int = 3) -> None:
+    """Raise ValueError naming the first argument of the generator out of range.
+
+    A NaN fails every range it is checked against.
+    """
+    if not 0.0 <= overlap <= 1.0:
+        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
+    if not 0.0 <= noise_std < math.inf:
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if n_tasks < 1:
+        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
+    if d_latent > d_in:
+        raise ValueError(f"d_latent ({d_latent}) must not exceed d_in ({d_in})")
+    if d_latent < n_tasks:
+        raise ValueError(f"d_latent must be at least n_tasks ({n_tasks}) to give each task "
+                         f"disjoint latent dims, got {d_latent}")
+    if n_examples < 30:
+        raise ValueError(f"n_examples must be at least 30, got {n_examples}")
+    if n_classes < 2:
+        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
 
 
 def generate_latent_factor_suite(
@@ -193,18 +213,7 @@ def generate_latent_factor_suite(
 
     Deterministic: the same arguments always produce bit-identical output.
     """
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
-    if noise_std < 0:
-        raise ValueError(f"noise_std must be >= 0, got {noise_std}")
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
-    if d_latent > d_in:
-        raise ValueError(f"d_latent ({d_latent}) must not exceed d_in ({d_in})")
-    if n_examples < 30:
-        raise ValueError(f"need at least 30 examples, got {n_examples}")
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
+    check_suite_args(n_tasks, d_latent, d_in, n_examples, overlap, noise_std, n_classes)
     if kinds is None:
         kinds = [KINDS[i % 2] for i in range(n_tasks)]
     kinds = list(kinds)
@@ -257,10 +266,11 @@ def load_taxonomy_distances(source: str | Path) -> TaskMatrix:
     Raises:
         ValueError: naming the file: mislabeled rows, non-finite or
             asymmetric values, nonzero diagonal, or positive off-diagonal
-            entries. A malformed row raises MatrixFormatError.
+            entries. A malformed row raises MatrixFormatError, also
+            naming the file.
     """
     path = Path(source)
-    header, rows = read_table(path.read_text(encoding="utf-8"), "taxonomy",
+    header, rows = read_table(path.read_text(encoding="utf-8"), f"{path}: taxonomy",
                               {"task": str, "*": float})
     tasks = tuple(header[1:])
     labels = tuple(row[0] for row in rows)
@@ -294,12 +304,8 @@ def save_dataset(suite: TaskSuite, directory: str | Path) -> None:
             np.savetxt(d / f"labels_{name}.csv", lab, delimiter=",", fmt="%d")
         else:
             np.savetxt(d / f"labels_{name}.csv", lab, delimiter=",", fmt="%.17g")
-    with (d / "splits.csv").open("w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["split", "index"])
-        for split in SPLIT_NAMES:
-            for idx in ds.splits[split]:
-                writer.writerow([split, int(idx)])
+    rows = [[split, int(i)] for split in SPLIT_NAMES for i in ds.splits[split]]
+    (d / "splits.csv").write_text(write_table([["split", "index"], *rows]), encoding="utf-8")
     manifest = {"seed": ds.seed, "specs": [s.to_json_dict() for s in suite.specs]}
     (d / "manifest.json").write_text(json.dumps(manifest, indent=2) + "\n", encoding="utf-8")
 
@@ -334,6 +340,13 @@ def _load_labels(path: Path, spec: TaskSpec) -> np.ndarray:
         raise ValueError(f"{path}: {exc}") from None
 
 
+def _index(cell: str) -> int:
+    """An example index: ASCII digits only, so no sign, space or fraction."""
+    if not (cell.isascii() and cell.isdigit()):
+        raise ValueError(cell)
+    return int(cell)
+
+
 def load_dataset(directory: str | Path) -> TaskSuite:
     """Read a suite written by :func:`save_dataset`; misfit labels or splits raise ValueError."""
     d = Path(directory)
@@ -341,19 +354,13 @@ def load_dataset(directory: str | Path) -> TaskSuite:
     specs = tuple(TaskSpec.from_json_dict(s) for s in manifest["specs"])
     inputs = np.loadtxt(d / "inputs.csv", delimiter=",", ndmin=2)
     labels = {spec.name: _load_labels(d / f"labels_{spec.name}.csv", spec) for spec in specs}
+    path = d / "splits.csv"
     splits: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
-    with (d / "splits.csv").open(encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if header != ["split", "index"]:
-            raise ValueError(f"bad splits.csv header: {header}")
-        for row in reader:
-            where = f"{fh.name} line {reader.line_num}"
-            if len(row) != 2 or not row[1].isdecimal():
-                raise ValueError(f"{where}: expected a split name and an integer index, got {row}")
-            if row[0] not in splits:
-                raise ValueError(f"{where}: unknown split {row[0]!r}; splits are {SPLIT_NAMES}")
-            splits[row[0]].append(int(row[1]))
+    for split, index in read_table(path.read_text(encoding="utf-8"), f"{path}: splits",
+                                   {"split": str, "index": _index})[1]:
+        if split not in splits:
+            raise ValueError(f"{path}: unknown split {split!r}; splits are {SPLIT_NAMES}")
+        splits[split].append(index)
     split_arrays = {name: np.asarray(v, dtype=np.int64) for name, v in splits.items()}
     dataset = MultiTaskDataset(inputs, labels, split_arrays, int(manifest["seed"]))
     return TaskSuite(specs, dataset)

@@ -36,13 +36,13 @@ def golden_values(result: SeedResult) -> dict:
     for kind, report in result.reports.items():
         levels[kind] = {
             "level1": {"per_target": dict(report.level1.per_target),
-                       "pooled": report.level1.pooled},
+                       "pooled": report.level1.summary},
             "level2": {"per_target": dict(report.level2.per_target),
-                       "mean": report.level2.mean},
+                       "mean": report.level2.summary},
             "level3": {t: {"selected": s.selected, "tied": list(s.tied),
                            "true_best": s.true_best, "delta": s.delta,
                            "delta_tied_mean": s.delta_tied_mean}
-                       for t, s in report.level3.per_target.items()},
+                       for t, s in report.level3.items()},
         }
     return {
         "tasks": list(result.gain.tasks),

@@ -88,16 +88,16 @@ def test_criterion_1_published_tables():
     # Spot-check headline cells straight from the tables.
     gain = load_gain()
     li = evaluate(gain, load_affinity("LI"))
-    assert li.level1.pooled == pytest.approx(0.47, abs=0.005)
+    assert li.level1.summary == pytest.approx(0.47, abs=0.005)
     assert li.level2.per_target["SemSeg"] == pytest.approx(1.0, abs=0.005)
     td = evaluate(gain, load_affinity("TD"))
     assert td.level2.per_target["Depth"] == pytest.approx(1.0, abs=0.005)
     gs = evaluate(gain, load_affinity("GS"))
-    assert gs.level2.mean == pytest.approx(0.40, abs=0.005)
-    keypts = gs.level3.per_target["Keypts"]
+    assert gs.level2.summary == pytest.approx(0.40, abs=0.005)
+    keypts = gs.level3["Keypts"]
     assert keypts.selected == "Edges"
     assert keypts.delta == pytest.approx(-28.3, abs=0.05)
-    hits = sum(s.selected == s.true_best for s in li.level3.per_target.values())
+    hits = sum(s.selected == s.true_best for s in li.level3.values())
     assert hits == 4  # LI picks the true best partner for 4 of 5 targets
 
     assert elapsed < 1.0, f"table checks took {elapsed:.2f}s"

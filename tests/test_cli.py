@@ -99,7 +99,16 @@ def test_run_rejects_non_list_seeds(tmp_path, capsys):
 def test_run_rejects_mistyped_float_field(tmp_path, capsys):
     cfg = write_config(tmp_path, lr_decay="0.9")
     assert main(["run", "--config", str(cfg)]) == 2
-    assert "lr_decay must be a number, got '0.9'" in capsys.readouterr().err
+    assert "lr_decay must be a finite number, got '0.9'" in capsys.readouterr().err
+
+
+def test_run_rejects_non_finite_float_field(tmp_path, capsys):
+    # JSON config files may hold NaN; it is refused before anything runs.
+    cfg = write_config(tmp_path, noise_std=math.nan)
+    assert "NaN" in cfg.read_text()
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert "noise_std must be a finite number, got nan" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
 
 
 def write_taxonomy(path: Path, tasks) -> str:
@@ -121,6 +130,32 @@ def test_run_td_with_taxonomy_lacking_a_task_fails_before_training(tmp_path, cap
     assert main(["run", "--config", str(cfg)]) == 2
     err = capsys.readouterr().err
     assert f"taxonomy {taxonomy} lacks the suite's tasks ['task2']" in err
+    assert not list((tmp_path / "out").glob("seed*"))
+
+
+def test_run_td_with_equidistant_partners_fails_before_training(tmp_path, capsys,
+                                                               monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the roster trained")
+
+    monkeypatch.setattr(experiment, "train_stl", no_training)
+    taxonomy = tmp_path / "taxonomy.csv"
+    taxonomy.write_text("task,task0,task1,task2\ntask0,0,-1,-1\n"
+                        "task1,-1,0,-2\ntask2,-1,-2,0\n", encoding="utf-8")
+    cfg = write_config(tmp_path, scores=["TD", "IAS"], taxonomy_path=str(taxonomy))
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert f"taxonomy {taxonomy}: targets ['task0'] have equidistant partners" in err
+    assert not list((tmp_path / "out").glob("seed*"))
+
+
+def test_run_undefined_correlation_names_score_level_and_target(tmp_path, capsys,
+                                                                monkeypatch):
+    monkeypatch.setattr(experiment, "rsa", lambda *args: 0.5)  # a constant score
+    cfg = write_config(tmp_path, scores=["GS", "RSA"])
+    assert main(["run", "--config", str(cfg)]) == 2
+    err = capsys.readouterr().err
+    assert "error: score RSA: level 1, target 'task0': correlation undefined" in err
     assert not list((tmp_path / "out").glob("seed*"))
 
 
@@ -220,6 +255,14 @@ def test_group_rejects_gain_file_with_empty_cell(tmp_path, capsys):
     assert captured.out == ""
     assert "missing cells [('b', 'c')]" in captured.err
     assert "Traceback" not in captured.err
+
+
+def test_group_malformed_gain_row_names_the_file(tmp_path, capsys):
+    gain_path = tmp_path / "gain.csv"
+    gain_path.write_text("with,a,b,c\na,,4.0,-1.0\nb,2.0,\nc,-3.0,1.5,\n", encoding="utf-8")
+    assert main(["group", "--gain", str(gain_path), "--budget", "3"]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: {gain_path}: matrix line 3: 3 cells, header has 4\n"
 
 
 def strict_json(text: str):

@@ -53,7 +53,7 @@ def test_level1_identity_is_all_ones():
     g = full_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     r = ev.level1_predictive(g, g)
     assert all(v == pytest.approx(1.0) for v in r.per_target.values())
-    assert r.pooled == pytest.approx(1.0)
+    assert r.summary == pytest.approx(1.0)
 
 
 def test_level1_negated_score_is_minus_one():
@@ -61,7 +61,7 @@ def test_level1_negated_score_is_minus_one():
     s = mapped(g, lambda v: -v)
     r = ev.level1_predictive(g, s)
     assert all(v == pytest.approx(-1.0) for v in r.per_target.values())
-    assert r.pooled == pytest.approx(-1.0)
+    assert r.summary == pytest.approx(-1.0)
 
 
 def test_level1_matches_column_oracle():
@@ -74,7 +74,7 @@ def test_level1_matches_column_oracle():
         assert r.per_target[t] == pytest.approx(pearson_naive(sv, gv), abs=1e-12)
     pool_s = [s.get(w, t) for t in TASKS for w in TASKS if w != t]
     pool_g = [g.get(w, t) for t in TASKS for w in TASKS if w != t]
-    assert r.pooled == pytest.approx(pearson_naive(pool_s, pool_g), abs=1e-12)
+    assert r.summary == pytest.approx(pearson_naive(pool_s, pool_g), abs=1e-12)
 
 
 def test_level_checks_task_alignment_and_completeness():
@@ -94,9 +94,9 @@ def test_level2_identity_and_reverse():
     g = full_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     r = ev.level2_ranking(g, g)
     assert all(v == pytest.approx(1.0) for v in r.per_target.values())
-    assert r.mean == pytest.approx(1.0)
+    assert r.summary == pytest.approx(1.0)
     rev = ev.level2_ranking(g, mapped(g, lambda v: -v))
-    assert rev.mean == pytest.approx(-1.0)
+    assert rev.summary == pytest.approx(-1.0)
 
 
 def test_level2_matches_oracle_and_variant():
@@ -112,7 +112,16 @@ def test_level2_matches_oracle_and_variant():
         assert r.per_target[t] == pytest.approx(kendall_tau_naive(sv, gv, variant="b"),
                                                 abs=1e-12)
         assert r.per_target[t] != pytest.approx(kendall_tau_naive(sv, gv, variant="a"))
-    assert r.mean == pytest.approx(sum(r.per_target.values()) / 4, abs=1e-12)
+    assert r.summary == pytest.approx(sum(r.per_target.values()) / 4, abs=1e-12)
+
+
+@pytest.mark.parametrize("level, function", [(1, ev.level1_predictive),
+                                             (2, ev.level2_ranking)])
+def test_undefined_correlation_names_level_and_target(level, function):
+    g = full_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
+    s = full_matrix([7.0, 2.0, 3.0, 4.0, 5.0, 7.0])  # t2's two partners score alike
+    with pytest.raises(DegenerateInputError, match=f"^level {level}, target 't2': "):
+        function(g, s)
 
 
 # --- level 3 ---
@@ -121,7 +130,7 @@ def test_level2_matches_oracle_and_variant():
 def test_level3_identity_selects_true_best():
     g = full_matrix([1.0, 2.0, 3.0, 4.0, 5.0, 6.0])
     r = ev.level3_best_partner(g, g)
-    for t, sel in r.per_target.items():
+    for t, sel in r.items():
         assert sel.selected == sel.true_best
         assert sel.delta == 0.0
         assert not sel.tie
@@ -136,10 +145,10 @@ def test_level3_wrong_pick_and_delta():
                            ("a", "b"): 0.9, ("c", "b"): 0.1,
                            ("a", "c"): 0.1, ("b", "c"): 0.9})
     r = ev.level3_best_partner(g, s)
-    assert r.per_target["a"].selected == "c"
-    assert r.per_target["a"].true_best == "b"
-    assert r.per_target["a"].delta == pytest.approx(2.0 - 10.0)
-    assert r.per_target["c"].delta == 0.0
+    assert r["a"].selected == "c"
+    assert r["a"].true_best == "b"
+    assert r["a"].delta == pytest.approx(2.0 - 10.0)
+    assert r["c"].delta == 0.0
 
 
 def test_level3_tie_reporting():
@@ -157,7 +166,7 @@ def test_level3_tie_reporting():
     score_cells[("c", "a")] = 0.9
     g = TaskMatrix(tasks, gain_cells)
     s = TaskMatrix(tasks, score_cells)
-    sel = ev.level3_best_partner(g, s).per_target["a"]
+    sel = ev.level3_best_partner(g, s)["a"]
     assert sel.tied == ("c", "d")
     assert sel.selected == "c"
     assert sel.tie
@@ -180,7 +189,7 @@ def test_level3_delta_never_positive(gvals, svals):
                 cells_g[(w, t)] = float(next(it_g))
                 cells_s[(w, t)] = float(next(it_s))
     r = ev.level3_best_partner(TaskMatrix(tasks, cells_g), TaskMatrix(tasks, cells_s))
-    for sel in r.per_target.values():
+    for sel in r.values():
         assert sel.delta <= 0.0
         assert sel.delta_tied_mean <= 0.0
         assert (sel.delta == 0.0) == (sel.selected == sel.true_best
@@ -195,7 +204,7 @@ def test_evaluate_bundles_all_levels():
     report = ev.evaluate(g, s)
     assert report.tasks == TASKS
     assert set(report.level1.per_target) == set(TASKS)
-    assert report.level3.per_target["t1"].target == "t1"
+    assert report.level3["t1"].target == "t1"
 
 
 # --- cost model ---
@@ -291,6 +300,6 @@ def test_levels_invariant_to_positive_affine_score_transform(gv, sv, scale, shif
     for t in TASKS:
         assert r_a.per_target[t] == pytest.approx(r_b.per_target[t], abs=1e-9)
         assert k_a.per_target[t] == pytest.approx(k_b.per_target[t], abs=1e-12)
-    sel_a = ev.level3_best_partner(g, s).per_target
-    sel_b = ev.level3_best_partner(g, s2).per_target
+    sel_a = ev.level3_best_partner(g, s)
+    sel_b = ev.level3_best_partner(g, s2)
     assert {t: x.selected for t, x in sel_a.items()} == {t: x.selected for t, x in sel_b.items()}

@@ -113,6 +113,28 @@ def test_config_rejects_mistyped_fields(field, value):
         ExperimentConfig.from_json_dict({field: value})
 
 
+@pytest.mark.parametrize("field", ["overlap", "noise_std", "initial_lr", "lr_decay"])
+def test_config_rejects_non_finite_floats(field):
+    # JSON config files may hold NaN and Infinity.
+    for value in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match=rf"^{field} must be a finite number, got {value}$"):
+            ExperimentConfig.from_json_dict({field: value})
+
+
+@pytest.mark.parametrize("overrides, message", [
+    ({"overlap": 1.5}, r"overlap must be in \[0, 1\], got 1.5"),
+    ({"noise_std": -1}, "noise_std must be finite and >= 0, got -1"),
+    ({"n_examples": 10}, "n_examples must be at least 30, got 10"),
+    ({"d_latent": 100}, r"d_latent \(100\) must not exceed d_in \(24\)"),
+    ({"n_tasks": 13}, r"d_latent must be at least n_tasks \(13\)"),
+])
+def test_config_checks_generator_ranges_at_construction(tmp_path, overrides, message):
+    with pytest.raises(ValueError, match=message):
+        ExperimentConfig(**overrides)
+    # A dataset directory replaces the generator, so its arguments go unchecked.
+    assert ExperimentConfig(dataset_path=str(tmp_path), **overrides).dataset_path
+
+
 def test_config_float_fields_keep_json_ints():
     # An int is a valid float value and is not converted, so the manifest
     # writes back what the config file said.
@@ -384,11 +406,11 @@ def test_results_do_not_depend_on_task_listing_order(tmp_path):
                     == [matrix.get(*c) for c in cells]), kind
         for kind, report in base.reports.items():
             got = other.reports[kind]
-            assert got.level1.pooled == pytest.approx(report.level1.pooled, abs=1e-12)
-            assert got.level2.mean == pytest.approx(report.level2.mean, abs=1e-12)
+            assert got.level1.summary == pytest.approx(report.level1.summary, abs=1e-12)
+            assert got.level2.summary == pytest.approx(report.level2.summary, abs=1e-12)
             for t in names:
                 assert got.level1.per_target[t] == pytest.approx(
                     report.level1.per_target[t], abs=1e-12)
                 assert got.level2.per_target[t] == pytest.approx(
                     report.level2.per_target[t], abs=1e-12)
-                assert got.level3.per_target[t].selected == report.level3.per_target[t].selected
+                assert got.level3[t].selected == report.level3[t].selected

@@ -3,7 +3,7 @@
 The five report writers are compared with literal expected text built
 from hand-made results, so the format is pinned without training. Every
 table kind the package reads rejects a malformed row, naming the kind and
-the line.
+the line, after the file's path when a user names the file.
 """
 
 import pytest
@@ -19,7 +19,12 @@ from mtl_affinity.experiment import (
     scatter_csv,
 )
 from mtl_affinity.matrices import MatrixFormatError, TaskMatrix
-from mtl_affinity.tasks import load_taxonomy_distances
+from mtl_affinity.tasks import (
+    generate_latent_factor_suite,
+    load_dataset,
+    load_taxonomy_distances,
+    save_dataset,
+)
 
 
 def hand_made_reports() -> dict[str, ev.EvaluationReport]:
@@ -28,23 +33,19 @@ def hand_made_reports() -> dict[str, ev.EvaluationReport]:
                              delta=-0.1, delta_tied_mean=-0.05)
     report = ev.EvaluationReport(
         tasks=tasks,
-        level1=ev.Level1Result(per_target={"a": 0.1, "b": -0.0, "c": 1.0},
-                               pooled=1 / 3),
-        level2=ev.Level2Result(per_target={"a": -1.0, "b": 0.5, "c": 0.0},
-                               mean=-0.16666666666666666),
-        level3=ev.Level3Result(per_target={
-            "a": ev.Level3Selection("a", "b", ("b",), "b", -0.0, -0.0),
-            "b": ev.Level3Selection("b", "c", ("c",), "a", -2.5, -2.5),
-            "c": tie}))
+        level1=ev.Correlations({"a": 0.1, "b": -0.0, "c": 1.0}, summary=1 / 3),
+        level2=ev.Correlations({"a": -1.0, "b": 0.5, "c": 0.0},
+                               summary=-0.16666666666666666),
+        level3={"a": ev.Level3Selection("a", "b", ("b",), "b", -0.0, -0.0),
+                "b": ev.Level3Selection("b", "c", ("c",), "a", -2.5, -2.5),
+                "c": tie})
     other = ev.EvaluationReport(
         tasks=tasks,
-        level1=ev.Level1Result(per_target={"a": 0.2, "b": 0.3, "c": -0.7},
-                               pooled=0.0),
-        level2=ev.Level2Result(per_target={"a": 1.0, "b": 1.0, "c": 1.0}, mean=1.0),
-        level3=ev.Level3Result(per_target={
-            "a": ev.Level3Selection("a", "c", ("c",), "c", 0.0, 0.0),
-            "b": ev.Level3Selection("b", "a", ("a",), "a", 0.0, 0.0),
-            "c": ev.Level3Selection("c", "b", ("b",), "b", 0.0, 0.0)}))
+        level1=ev.Correlations({"a": 0.2, "b": 0.3, "c": -0.7}, summary=0.0),
+        level2=ev.Correlations({"a": 1.0, "b": 1.0, "c": 1.0}, summary=1.0),
+        level3={"a": ev.Level3Selection("a", "c", ("c",), "c", 0.0, 0.0),
+                "b": ev.Level3Selection("b", "a", ("a",), "a", 0.0, 0.0),
+                "c": ev.Level3Selection("c", "b", ("b",), "b", 0.0, 0.0)})
     return {"GS": report, "LI": other}
 
 
@@ -96,12 +97,22 @@ def _bundled_reader(monkeypatch, name, load):
     return read, original(name)
 
 
-def _taxonomy_reader(tmp_path):
-    def read(text):
+def _file_case(kind, tmp_path):
+    """(reader, valid text, a numeric column, path) of a table read from a file."""
+    if kind == "taxonomy":
         path = tmp_path / "taxonomy.csv"
-        path.write_text(text, encoding="utf-8")
-        return load_taxonomy_distances(path)
-    return read
+        text, column, load = TAXONOMY_TEXT, "c", lambda: load_taxonomy_distances(path)
+    else:
+        save_dataset(generate_latent_factor_suite(seed=0, n_tasks=2, d_latent=2, d_in=2,
+                                                  n_examples=30, overlap=0.5, noise_std=0.1),
+                     tmp_path / "ds")
+        path = tmp_path / "ds" / "splits.csv"
+        text, column, load = path.read_text(), "index", lambda: load_dataset(tmp_path / "ds")
+
+    def read(new_text):
+        path.write_text(new_text, encoding="utf-8")
+        return load()
+    return read, text, column, path
 
 
 MATRIX_TEXT = "with,a,b,c\na,,1.0,2.0\nb,3.0,,4.0\nc,5.0,6.0,\n"
@@ -118,6 +129,9 @@ def table_case(kind, tmp_path, monkeypatch):
         load, column = BUNDLED[kind]
         read, text = _bundled_reader(monkeypatch, kind, load)
         return read, text, column, pd.BundledDataError, f"{kind}: expected table"
+    if kind in ("taxonomy", "splits"):  # a file the user names: messages start with it
+        read, text, column, path = _file_case(kind, tmp_path)
+        return read, text, column, MatrixFormatError, f"{path}: {kind}"
     reports = hand_made_reports()
     return {
         "level1": (ev.read_level1_csv, ev.level1_csv(reports), "b"),
@@ -126,7 +140,6 @@ def table_case(kind, tmp_path, monkeypatch):
         "costs": (read_costs_csv, costs_csv(COSTS), "n"),
         "scatter": (read_scatter_csv, scatter_csv(SCATTER), "gain"),
         "matrix": (TaskMatrix.from_csv_text, MATRIX_TEXT, "a"),
-        "taxonomy": (_taxonomy_reader(tmp_path), TAXONOMY_TEXT, "c"),
     }[kind] + (MatrixFormatError, kind)
 
 
@@ -146,7 +159,7 @@ def _fault(text, fault, column):
 
 @pytest.mark.parametrize("fault", ["short", "long", "cell"])
 @pytest.mark.parametrize("kind", ["level1", "level2", "level3", "costs", "scatter",
-                                  *BUNDLED, "matrix", "taxonomy"])
+                                  *BUNDLED, "matrix", "taxonomy", "splits"])
 def test_malformed_row_names_kind_and_line(kind, fault, tmp_path, monkeypatch):
     read, text, column, error, prefix = table_case(kind, tmp_path, monkeypatch)
     read(text)  # the valid text reads

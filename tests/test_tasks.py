@@ -1,5 +1,7 @@
 """Synthetic suite generation, taxonomy loading, dataset I/O."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +145,7 @@ def test_taxonomy_rejects_malformed(tmp_path, text, msg):
 def test_dataset_save_load_roundtrip(tmp_path):
     suite = small_suite()
     save_dataset(suite, tmp_path / "ds")
+    assert (tmp_path / "ds" / "splits.csv").read_text().startswith("split,index\ntrain,0\n")
     loaded = load_dataset(tmp_path / "ds")
     np.testing.assert_array_equal(loaded.dataset.inputs, suite.dataset.inputs)
     for t in suite.dataset.labels:
@@ -166,9 +169,12 @@ def _corrupt(path, replace):
     ("splits.csv", lambda lines: [*lines[:-1], lines[-1].replace("test", "holdout")],
      "unknown split 'holdout'"),
     ("splits.csv", lambda lines: [*lines[:-1], lines[-1] + ",0"],
-     r"line \d+: expected a split name and an integer index, got \['test', '\d+', '0'\]"),
+     r"line \d+: 3 cells, header has 2"),
     ("splits.csv", lambda lines: [lines[0], "train,1.5", *lines[2:]],
-     r"line 2: expected a split name and an integer index, got \['train', '1.5'\]"),
+     r"line 2, column 'index': cannot read '1.5'"),
+    *(("splits.csv", lambda lines, i=index: [lines[0], f"train,{i}", *lines[2:]],
+       f"line 2, column 'index': cannot read {re.escape(repr(index))}$")
+      for index in ("-1", "+1", " 1", "", "\u0661")),
 ])
 def test_dataset_load_rejects_labels_and_splits_that_misfit(tmp_path, file, replace, msg):
     save_dataset(small_suite(), tmp_path / "ds")
