@@ -18,12 +18,12 @@ module also hosts the training-cost model for the scores themselves.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, NamedTuple
+from itertools import combinations, permutations
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .matrices import TaskMatrix, read_table, write_table
-from .scores import SCORE_KINDS
+from .scores import lookup_kind
 from .stats import DegenerateInputError, kendall_tau, pearson
 
 __all__ = [
@@ -203,11 +203,11 @@ class CostModel:
 
 
 class ModelFamily(NamedTuple):
-    """``count(n)`` models of ``unit`` * c_s multiply-adds each, at ``capacity``."""
-    count_term: str                        # ``count`` spelled in n
-    count: Callable[[int], int]
+    """One model per entry of ``members``, ``unit`` * c_s multiply-adds each, at ``capacity``."""
+    count_term: str                        # the number of members, spelled in n
     unit: int
     capacity: str                          # "half" or "full" backbone
+    members: Callable[[Sequence[str]], list[tuple[str, ...]]]  # each model's tasks, plan order
 
 
 # The roster table: the families of trained models, keyed as in
@@ -215,17 +215,16 @@ class ModelFamily(NamedTuple):
 # Training a score for all pairs of n tasks costs the sum of its families'
 # terms; C(n,2) is the unordered pair count.
 MODEL_FAMILIES = {
-    "stl": ModelFamily("n", lambda n: n, 1, "half"),
-    "mtl": ModelFamily("C(n,2)", lambda n: math.comb(n, 2), 2, "full"),
-    "inj": ModelFamily("2*C(n,2)", lambda n: 2 * math.comb(n, 2), 1, "half"),
+    "stl": ModelFamily("n", 1, "half", lambda tasks: [(t,) for t in tasks]),
+    # A pair model's key and head order follow the pair sorted by name, so a
+    # seed's results do not depend on the order in which its tasks are listed.
+    "mtl": ModelFamily("C(n,2)", 2, "full", lambda tasks: list(combinations(sorted(tasks), 2))),
+    "inj": ModelFamily("2*C(n,2)", 1, "half", lambda tasks: list(permutations(tasks, 2))),
 }
 
 
 def _families(score_kind: str) -> list[ModelFamily]:
-    if score_kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {score_kind!r}; "
-                         f"expected one of {sorted(SCORE_KINDS)}")
-    return [MODEL_FAMILIES[f] for f in SCORE_KINDS[score_kind].families]
+    return [MODEL_FAMILIES[f] for f in lookup_kind(score_kind).families]
 
 
 def score_cost_expression(score_kind: str) -> str:
@@ -235,8 +234,9 @@ def score_cost_expression(score_kind: str) -> str:
 
 
 def score_cost(score_kind: str, cost: CostModel) -> float:
-    """Evaluate the score's training cost for a concrete n and c_s."""
-    return sum((f.count(cost.n) * f.unit * cost.c_s for f in _families(score_kind)), 0.0)
+    """The score's training cost for a concrete n and c_s: its families' members of n tasks."""
+    return sum((len(f.members(range(cost.n))) * f.unit * cost.c_s
+                for f in _families(score_kind)), 0.0)
 
 
 # --- CSV table emission (one file per level; reports keyed by score kind,

@@ -20,7 +20,6 @@ import json
 import math
 import platform
 from dataclasses import dataclass
-from itertools import combinations, permutations
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -56,12 +55,13 @@ from .models import (
     train_stl,
 )
 from .scores import (
-    SCORE_KINDS,
+    DegenerateScoreError,
     assemble_matrix,
     gradient_similarity,
     gradient_transference,
     input_attribution_similarity,
     label_injection,
+    lookup_kind,
     rsa,
 )
 from .stats import DegenerateInputError
@@ -161,9 +161,8 @@ class ExperimentConfig:
                 object.__setattr__(self, f.name, tuple(value))
         if not self.scores:
             raise ValueError("scores must name at least one score kind")
-        unknown = [s for s in self.scores if s not in SCORE_KINDS]
-        if unknown:
-            raise ValueError(f"unknown score kinds {unknown}; known: {sorted(SCORE_KINDS)}")
+        for kind in self.scores:
+            lookup_kind(kind)
         if len(set(self.scores)) != len(self.scores):
             raise ValueError(f"scores must be unique, got {list(self.scores)}")
         if not self.seeds:
@@ -188,11 +187,7 @@ class ExperimentConfig:
             _backbones(self, self.d_in)
 
     def to_json_dict(self) -> dict:
-        d = dataclasses.asdict(self)
-        d["hidden"] = list(self.hidden)
-        d["scores"] = list(self.scores)
-        d["seeds"] = list(self.seeds)
-        return d
+        return dataclasses.asdict(self)  # json writes the tuples as lists
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ExperimentConfig":
@@ -256,38 +251,24 @@ def _load_suite(config: ExperimentConfig, seed: int) -> TaskSuite:
 
 
 class Job(NamedTuple):
-    """One model of the roster: its family, its tasks in order, its probes."""
+    """One model of the roster: its family and its tasks in order."""
     family: str                            # a key of MODEL_FAMILIES
     tasks: tuple[str, ...]
-    probes: bool = False                   # record the GS/GT probes (pair only)
 
     @property
     def key(self) -> str:
         return model_key(self.family, self.tasks)
 
 
-def _name_pairs(names: Sequence[str]) -> list[tuple[str, str]]:
-    """Every unordered pair of ``names``, each sorted by name.
-
-    A pair model's key and head order follow this order, so a seed's
-    results do not depend on the order in which its tasks are listed.
-    """
-    return list(combinations(sorted(names), 2))
-
-
 def plan_roster(names: Sequence[str], scores: Sequence[str]) -> tuple[Job, ...]:
-    """Every model one seed trains, in training order.
+    """Every model one seed trains, in training order: the members of each family.
 
     STL and pair (``mtl``) models always, as the gain matrix needs them;
-    injected models and the pair probes exactly when a requested score
-    needs the ``inj`` or ``mtl`` family.
+    injected models exactly when a requested score needs the ``inj`` family.
     """
-    needed = {family for kind in scores for family in SCORE_KINDS[kind].families}
-    jobs = [Job("stl", (t,)) for t in names]
-    jobs += [Job("mtl", pair, probes="mtl" in needed) for pair in _name_pairs(names)]
-    if "inj" in needed:
-        jobs += [Job("inj", pair) for pair in permutations(names, 2)]
-    return tuple(jobs)
+    needed = {"stl", "mtl"}.union(*(lookup_kind(kind).families for kind in scores))
+    return tuple(Job(family, tasks) for family, row in MODEL_FAMILIES.items()
+                 if family in needed for tasks in row.members(names))
 
 
 def _note_skips(notes: dict[str, str], label: str, value) -> None:
@@ -304,7 +285,7 @@ class _SeedRun:
         suite = _load_suite(config, seed)
         self.specs = {s.name: s for s in suite.specs}
         self.names = tuple(s.name for s in suite.specs)
-        self.pairs = _name_pairs(self.names)
+        self.pairs = MODEL_FAMILIES["mtl"].members(self.names)
         if len(self.names) < 2:
             raise ExperimentError(f"need at least 2 tasks, dataset has {len(self.names)}")
         self.taxonomy = taxonomy  # the TD source
@@ -320,6 +301,7 @@ class _SeedRun:
                     f"taxonomy {config.taxonomy_path}: targets {flat} have equidistant "
                     f"partners, so TD's level-1 and level-2 correlations are undefined")
         self.dataset = suite.dataset
+        self.seed = seed
         cfg = config.train_config(seed)
         try:
             backbones = _backbones(config, self.dataset.d_in)
@@ -335,11 +317,12 @@ class _SeedRun:
         specs = {f: [tuple(self.specs[t] for t in j.tasks) for j in group]
                  for f, group in jobs.items()}
         backbone = {f: backbones[row.capacity] for f, row in MODEL_FAMILIES.items()}
+        # The pair probes run when a requested score reads the pair models.
+        probes = any("mtl" in lookup_kind(kind).families for kind in config.scores)
         try:
             trained = {
                 "stl": train_stl([t for t, in specs["stl"]], self.dataset, backbone["stl"], cfg),
-                "mtl": train_mtl(specs["mtl"], self.dataset, backbone["mtl"], cfg,
-                                 any(j.probes for j in jobs["mtl"])),
+                "mtl": train_mtl(specs["mtl"], self.dataset, backbone["mtl"], cfg, probes),
                 "inj": (train_injected(specs["inj"], self.dataset, backbone["inj"], cfg)
                         if jobs["inj"] else []),
             }
@@ -370,36 +353,41 @@ class _SeedRun:
 
     def affinity(self, kind: str) -> TaskMatrix:
         values: dict[tuple[str, str], float] = {}
-        if kind == "TD":
-            for a, b in self.pairs:
-                values[(a, b)] = self.taxonomy.get(a, b)
-        elif kind == "IAS":
-            for a, b in self.pairs:
-                v = input_attribution_similarity(
-                    self.model("stl", a), self.model("stl", b), self.eval_x,
-                    self.eval_y[a], self.eval_y[b])
-                _note_skips(self.notes, f"IAS {a}/{b}", v)
-                values[(a, b)] = float(v)
-        elif kind == "RSA":
-            for a, b in self.pairs:
-                values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
-        elif kind == "LI":
-            extended = {t: extend_inputs(self.test_x, self.specs[t], self.test_y[t])
-                        for t in self.names}
-            for target, partner in permutations(self.names, 2):
-                loss = self.model("inj", target, partner).task_losses(
-                    extended[partner], {target: self.test_y[target]})[target]
-                values[(partner, target)] = label_injection(self.stl_loss[target], loss)
-        elif kind == "GS":
-            for pair in self.pairs:
-                values[pair] = gradient_similarity(self.trained[model_key("mtl", pair)][1])
-        elif kind == "GT":
-            for a, b in self.pairs:
-                trace = self.trained[model_key("mtl", (a, b))][1]
-                for target, partner in ((a, b), (b, a)):
-                    v = gradient_transference(trace, target)
-                    _note_skips(self.notes, f"GT {target}|{partner}", v)
-                    values[(partner, target)] = float(v)
+        try:
+            if kind == "TD":
+                for a, b in self.pairs:
+                    values[(a, b)] = self.taxonomy.get(a, b)
+            elif kind == "IAS":
+                for a, b in self.pairs:
+                    v = input_attribution_similarity(
+                        self.model("stl", a), self.model("stl", b), self.eval_x,
+                        self.eval_y[a], self.eval_y[b])
+                    _note_skips(self.notes, f"IAS {a}/{b}", v)
+                    values[(a, b)] = float(v)
+            elif kind == "RSA":
+                for a, b in self.pairs:
+                    values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
+            elif kind == "LI":
+                extended = {t: extend_inputs(self.test_x, self.specs[t], self.test_y[t])
+                            for t in self.names}
+                for target, partner in MODEL_FAMILIES["inj"].members(self.names):
+                    loss = self.model("inj", target, partner).task_losses(
+                        extended[partner], {target: self.test_y[target]})[target]
+                    values[(partner, target)] = label_injection(self.stl_loss[target], loss)
+            elif kind == "GS":
+                for pair in self.pairs:
+                    values[pair] = gradient_similarity(self.trained[model_key("mtl", pair)][1])
+            elif kind == "GT":
+                for a, b in self.pairs:
+                    trace = self.trained[model_key("mtl", (a, b))][1]
+                    for target, partner in ((a, b), (b, a)):
+                        v = gradient_transference(trace, target)
+                        _note_skips(self.notes, f"GT {target}|{partner}", v)
+                        values[(partner, target)] = float(v)
+        except DegenerateScoreError as exc:
+            # IAS, RSA and GT, the kinds that can be degenerate, loop over (a, b).
+            raise ExperimentError(f"seed {self.seed}, score {kind}, pair ({a!r}, {b!r}): "
+                                  f"{exc}") from exc
         return assemble_matrix(kind, self.names, values)
 
     def measured_c_s(self) -> float:
@@ -523,9 +511,9 @@ def run_experiment(config: ExperimentConfig,
     Raises:
         ExperimentError: training diverged (the message names the model),
             the dataset has fewer than 2 tasks, the taxonomy lacks some of
-            its tasks or leaves a target's TD column constant, or a level-1
-            or level-2 correlation is undefined (naming score, level and
-            target).
+            its tasks or leaves a target's TD column constant, a pair's score
+            is degenerate (naming seed, score and pair), or a level-1 or
+            level-2 correlation is undefined (naming score, level and target).
     """
     say = progress or (lambda _msg: None)
     taxonomy = (load_taxonomy_distances(config.taxonomy_path)

@@ -179,11 +179,10 @@ def is_valid_grouping(tasks: Iterable[str], grouping: Grouping) -> list[Violatio
     return violations
 
 
-def aggregate_performance(grouping: Grouping, gain: TaskMatrix,
-                          stl_baseline: float = 0.0) -> float:
+def aggregate_performance(grouping: Grouping, gain: TaskMatrix) -> float:
     """Sum each task's gain under its serving model.
 
-    Single-task models contribute the STL baseline per served task;
+    A task served by its single-task model counts as 0, the STL baseline;
     two-task models contribute the served task's gain with its training
     partner. Gains are read in whatever unit the matrix uses.
 
@@ -197,14 +196,12 @@ def aggregate_performance(grouping: Grouping, gain: TaskMatrix,
         raise InvalidGroupingError("; ".join(str(v) for v in violations))
     total = 0.0
     for cand in grouping.candidates:
-        if len(cand.training) == 1:
-            total += stl_baseline * len(cand.serving)
-        elif len(cand.training) == 2:
+        if len(cand.training) == 2:
             a, b = cand.training
             for t in cand.serving:
                 partner = b if t == a else a
                 total += gain.get(partner, t)
-        else:
+        elif len(cand.training) > 2:
             raise ValueError(f"model {cand.describe()} trains on "
                              f"{len(cand.training)} tasks; only 1 or 2 supported")
     return total

@@ -123,8 +123,8 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
-        if self.initial_lr <= 0:
-            raise ValueError(f"initial_lr must be > 0, got {self.initial_lr}")
+        if not 0.0 < self.initial_lr < math.inf:
+            raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
         for name in ("batch_size", "eval_batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

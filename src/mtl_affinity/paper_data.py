@@ -25,7 +25,7 @@ from importlib import resources
 
 from .evaluation import evaluate
 from .matrices import MatrixFormatError, TaskMatrix, optional_float, read_table
-from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix
+from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix, lookup_kind
 from .tasks import load_taxonomy_distances
 
 __all__ = [
@@ -109,9 +109,7 @@ def load_affinity(score_kind: str) -> TaskMatrix:
     matrix goes through :func:`assemble_matrix`, so a symmetric kind whose
     mirror cells disagree is rejected.
     """
-    if score_kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {score_kind!r}; "
-                         f"expected one of {sorted(SCORE_KINDS)}")
+    lookup_kind(score_kind)
     if score_kind == "TD":
         name, matrix = "taxonomy_distances.csv", load_taxonomy()
     else:

@@ -49,6 +49,7 @@ __all__ = [
     "gradient_similarity",
     "gradient_transference",
     "assemble_matrix",
+    "lookup_kind",
 ]
 
 class ScoreKind(NamedTuple):
@@ -67,6 +68,15 @@ SCORE_KINDS: dict[str, ScoreKind] = {
     "GS": ScoreKind(True, ("mtl",)),
     "GT": ScoreKind(False, ("mtl",)),
 }
+
+
+def lookup_kind(kind: str) -> ScoreKind:
+    """The ``SCORE_KINDS`` row of ``kind``; ValueError if no such kind (the one check)."""
+    try:
+        return SCORE_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown score kind {kind!r}; "
+                         f"expected one of {sorted(SCORE_KINDS)}") from None
 
 
 class DegenerateScoreError(ValueError):
@@ -233,37 +243,24 @@ def assemble_matrix(score_kind: str, tasks: Sequence[str],
     Raises:
         ValueError: ``score_kind`` is not a known score kind.
         MatrixAssemblyError: a pair is missing, a symmetric pair disagrees,
-            or a key names an unknown task.
+            or a key names an unknown task or a diagonal cell.
     """
-    if score_kind not in SCORE_KINDS:
-        raise ValueError(f"unknown score kind {score_kind!r}; "
-                         f"expected one of {sorted(SCORE_KINDS)}")
-    matrix = TaskMatrix(tasks)
-    known = set(matrix.tasks)
-    for (w, t) in values:
-        if w not in known or t not in known:
-            raise MatrixAssemblyError(f"value for unknown pair ({w!r}, {t!r}); "
-                                      f"tasks are {list(matrix.tasks)}")
-        if w == t:
-            raise MatrixAssemblyError(f"diagonal value supplied for {w!r}")
-    if SCORE_KINDS[score_kind].symmetric:
-        for i, a in enumerate(matrix.tasks):
-            for b in matrix.tasks[i + 1:]:
-                provided = [values[k] for k in ((a, b), (b, a)) if k in values]
-                if not provided:
-                    raise MatrixAssemblyError(f"missing value for pair ({a!r}, {b!r})")
-                if len(provided) == 2 and provided[0] != provided[1]:
-                    raise MatrixAssemblyError(
-                        f"symmetric kind {score_kind} got conflicting values for "
-                        f"({a!r}, {b!r}): {provided[0]} vs {provided[1]}")
-                matrix.set(a, b, provided[0])
-                matrix.set(b, a, provided[0])
-    else:
-        for w in matrix.tasks:
-            for t in matrix.tasks:
-                if w == t:
-                    continue
-                if (w, t) not in values:
-                    raise MatrixAssemblyError(f"missing value for ordered pair ({w!r}, {t!r})")
-                matrix.set(w, t, values[(w, t)])
+    symmetric = lookup_kind(score_kind).symmetric
+    try:
+        matrix = TaskMatrix(tasks, values)
+    except KeyError as exc:                # an unknown task
+        raise MatrixAssemblyError(exc.args[0]) from None
+    except ValueError as exc:              # a bad task list, diagonal or non-finite cell
+        raise MatrixAssemblyError(str(exc)) from None
+    if symmetric:
+        for (w, t), v in matrix.cells().items():
+            if not matrix.has(t, w):
+                matrix.set(t, w, v)
+            elif matrix.get(t, w) != v:
+                raise MatrixAssemblyError(
+                    f"symmetric kind {score_kind} got conflicting values for "
+                    f"({w!r}, {t!r}): {v} vs {matrix.get(t, w)}")
+    missing = matrix.missing_cells()
+    if missing:
+        raise MatrixAssemblyError(f"missing value for ordered pair {missing[0]}")
     return matrix

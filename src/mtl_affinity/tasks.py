@@ -332,10 +332,11 @@ def checked_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
     raise ValueError(f"task {spec.name!r}: {problem}")
 
 
-def _load_labels(path: Path, spec: TaskSpec) -> np.ndarray:
-    """One task's label file, checked against its spec."""
+def _load_array(path: Path, spec: TaskSpec | None = None) -> np.ndarray:
+    """A numeric CSV file of a suite, checked as ``spec``'s labels if given; errors name it."""
     try:
-        return checked_labels(spec, np.loadtxt(path, delimiter=",", ndmin=2))
+        array = np.loadtxt(path, delimiter=",", ndmin=2)
+        return array if spec is None else checked_labels(spec, array)
     except ValueError as exc:
         raise ValueError(f"{path}: {exc}") from None
 
@@ -348,12 +349,23 @@ def _index(cell: str) -> int:
 
 
 def load_dataset(directory: str | Path) -> TaskSuite:
-    """Read a suite written by :func:`save_dataset`; misfit labels or splits raise ValueError."""
+    """Read a suite written by :func:`save_dataset`.
+
+    A manifest that is not JSON or lacks a key, a cell that does not parse,
+    or misfit labels or splits raise ValueError, led by the file's path.
+    """
     d = Path(directory)
-    manifest = json.loads((d / "manifest.json").read_text(encoding="utf-8"))
-    specs = tuple(TaskSpec.from_json_dict(s) for s in manifest["specs"])
-    inputs = np.loadtxt(d / "inputs.csv", delimiter=",", ndmin=2)
-    labels = {spec.name: _load_labels(d / f"labels_{spec.name}.csv", spec) for spec in specs}
+    path = d / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+        specs = tuple(TaskSpec.from_json_dict(s) for s in manifest["specs"])
+        seed = int(manifest["seed"])
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from None
+    inputs = _load_array(d / "inputs.csv")
+    labels = {spec.name: _load_array(d / f"labels_{spec.name}.csv", spec) for spec in specs}
     path = d / "splits.csv"
     splits: dict[str, list[int]] = {name: [] for name in SPLIT_NAMES}
     for split, index in read_table(path.read_text(encoding="utf-8"), f"{path}: splits",
@@ -362,5 +374,5 @@ def load_dataset(directory: str | Path) -> TaskSuite:
             raise ValueError(f"{path}: unknown split {split!r}; splits are {SPLIT_NAMES}")
         splits[split].append(index)
     split_arrays = {name: np.asarray(v, dtype=np.int64) for name, v in splits.items()}
-    dataset = MultiTaskDataset(inputs, labels, split_arrays, int(manifest["seed"]))
+    dataset = MultiTaskDataset(inputs, labels, split_arrays, seed)
     return TaskSuite(specs, dataset)

@@ -159,6 +159,19 @@ def test_run_undefined_correlation_names_score_level_and_target(tmp_path, capsys
     assert not list((tmp_path / "out").glob("seed*"))
 
 
+def test_run_on_suite_without_manifest_seed_exits_2(tmp_path, capsys):
+    suite = tmp_path / "suite"
+    assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(suite)]) == 0
+    manifest = suite / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    del payload["seed"]
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_config(tmp_path, dataset_path=str(suite))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"error: {manifest}: missing key 'seed'" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("seed*"))
+
+
 def test_run_td_with_superset_taxonomy_writes_the_suite_cells(tmp_path):
     taxonomy = write_taxonomy(tmp_path / "taxonomy.csv", ["task2", "extra", "task0", "task1"])
     cfg = write_config(tmp_path, scores=["TD"], taxonomy_path=taxonomy)

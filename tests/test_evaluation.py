@@ -215,7 +215,8 @@ def test_cost_model_validation():
         ev.CostModel(1, 10.0)
     with pytest.raises(ValueError, match="c_s"):
         ev.CostModel(3, 0.0)
-    assert ev.MODEL_FAMILIES["mtl"].count(5) == 10
+    assert ev.MODEL_FAMILIES["mtl"].members(("c", "a", "b")) == [("a", "b"), ("a", "c"),
+                                                                 ("b", "c")]
 
 
 def test_cost_expressions_are_fixed_strings():

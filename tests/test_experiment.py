@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import mtl_affinity
+from mtl_affinity import experiment
 from mtl_affinity.evaluation import (
     MODEL_FAMILIES,
     CostModel,
@@ -34,7 +35,7 @@ from mtl_affinity.experiment import (
 )
 from mtl_affinity.evaluation import read_level1_csv, read_level2_csv, read_level3_csv
 from mtl_affinity.matrices import TaskMatrix
-from mtl_affinity.scores import SCORE_KINDS
+from mtl_affinity.scores import SCORE_KINDS, DegenerateScoreError
 from mtl_affinity.tasks import TaskSuite, generate_latent_factor_suite, save_dataset
 
 
@@ -304,13 +305,26 @@ def test_divergence_names_the_model(tmp_path):
 
 
 @pytest.mark.parametrize("scores, probed", [(("IAS", "RSA", "LI"), False),
-                                            (("GS",), True), (("GT",), True)])
+                                            (("GS",), True), (("GT",), True),
+                                            (("IAS", "LI", "GT"), True)])
 def test_pair_probes_run_only_for_gs_or_gt(tmp_path, scores, probed):
     run = _SeedRun(tiny_config(tmp_path, n_tasks=2, scores=scores), 0)
     assert list(run.trained) == [job.key for job in plan_roster(run.names, scores)]
     _, trace = run.trained["mtl/task0/task1"]
     assert (trace.gs_cosine is not None) == probed
     assert (trace.lookahead is not None) == probed
+
+
+def test_degenerate_score_names_seed_kind_and_pair(tmp_path, monkeypatch):
+    def degenerate(*args):
+        raise DegenerateScoreError("all 64 examples had a zero-norm attribution map")
+
+    monkeypatch.setattr(experiment, "input_attribution_similarity", degenerate)
+    cfg = tiny_config(tmp_path, scores=("GS", "IAS"), seeds=(4,))
+    with pytest.raises(ExperimentError, match=re.escape(
+            "seed 4, score IAS, pair ('task0', 'task1'): all 64 examples had a zero-norm")):
+        run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
 
 
 # --- the roster plan ---
@@ -320,7 +334,6 @@ def test_plan_roster_order_and_keys():
     assert [job.key for job in jobs] == [
         "stl/a", "stl/b", "stl/c", "mtl/a/b", "mtl/a/c", "mtl/b/c",
         "inj/a/b", "inj/a/c", "inj/b/a", "inj/b/c", "inj/c/a", "inj/c/b"]
-    assert [job.probes for job in jobs] == [False] * 3 + [True] * 3 + [False] * 6
     assert plan_roster(("a", "b", "c"), ("LI", "GS")) == jobs
 
 
@@ -335,8 +348,7 @@ def test_plan_roster_matches_cost_model(n, kind):
     # The gain matrix needs the STL and pair models whatever the score.
     assert set(counts) == {"stl", "mtl"} | set(needed)
     for family, count in counts.items():
-        assert count == closed_form[family] == MODEL_FAMILIES[family].count(n)
-    assert all(job.probes == (job.family == "mtl" and "mtl" in needed) for job in jobs)
+        assert count == closed_form[family] == len(MODEL_FAMILIES[family].members(names))
 
     c_s = 123.25
     total = 0.0

@@ -117,7 +117,6 @@ def test_aggregate_all_stl_is_baseline():
     g = Grouping(tuple(ModelCandidate((t,), (t,), 1.0) for t in ABC), budget=3.0)
     gains = gain_matrix([5.0, -1.0, 2.0, 3.0, -4.0, 6.0])
     assert aggregate_performance(g, gains) == 0.0
-    assert aggregate_performance(g, gains, stl_baseline=1.5) == pytest.approx(4.5)
 
 
 def test_aggregate_sums_directional_gains():

@@ -122,8 +122,9 @@ def test_train_config_validation():
         m.TrainConfig(seed=0, epochs=0)
     with pytest.raises(ValueError):
         m.TrainConfig(seed=0, lr_decay=0.0)
-    with pytest.raises(ValueError):
-        m.TrainConfig(seed=0, initial_lr=-1.0)
+    for lr in (-1.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="initial_lr must be finite and > 0"):
+            m.TrainConfig(seed=0, initial_lr=lr)
     with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
         m.TrainConfig(seed=-3)
     assert m.TrainConfig(seed=0, lr_decay=1.0).lr_at(9) == pytest.approx(0.05)

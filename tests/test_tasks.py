@@ -1,5 +1,6 @@
 """Synthetic suite generation, taxonomy loading, dataset I/O."""
 
+import json
 import re
 
 import numpy as np
@@ -193,6 +194,31 @@ def test_dataset_rejects_empty_split(split):
     splits[split] = np.array([], dtype=np.int64)
     with pytest.raises(ValueError, match=f"split '{split}' is empty"):
         MultiTaskDataset(ds.inputs, ds.labels, splits, ds.seed)
+
+
+def _drop_key(key):
+    def replace(lines):
+        manifest = json.loads("\n".join(lines))
+        del manifest[key]
+        return json.dumps(manifest).splitlines()
+    return replace
+
+
+@pytest.mark.parametrize("file, replace, msg", [
+    ("manifest.json", _drop_key("seed"), r"manifest\.json: missing key 'seed'"),
+    ("manifest.json", _drop_key("specs"), r"manifest\.json: missing key 'specs'"),
+    ("manifest.json", lambda lines: [line.replace('"kind": ', '"kind_": ') for line in lines],
+     r"manifest\.json: missing key 'kind'"),
+    ("manifest.json", lambda lines: ["{oops", *lines], r"manifest\.json: Expecting property name"),
+    ("inputs.csv", lambda lines: [lines[0], "oops," + lines[1].partition(",")[2], *lines[2:]],
+     r"inputs\.csv: could not convert string 'oops'"),
+])
+def test_dataset_load_names_the_damaged_file(tmp_path, file, replace, msg):
+    save_dataset(small_suite(), tmp_path / "ds")
+    _corrupt(tmp_path / "ds" / file, replace)
+    with pytest.raises(ValueError, match=msg) as info:
+        load_dataset(tmp_path / "ds")
+    assert str(info.value).startswith(str(tmp_path / "ds" / file))
 
 
 def test_dataset_load_rejects_empty_split(tmp_path):
