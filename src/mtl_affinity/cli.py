@@ -129,7 +129,10 @@ def cmd_group(args) -> int:
     payload["total_gain"] = total
     text = json.dumps(payload, indent=2, sort_keys=True, allow_nan=False) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        try:
+            Path(args.out).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            return _fail(f"cannot write {args.out}: {exc.strerror or exc}")
         print(f"wrote grouping to {args.out}")
     else:
         print(text, end="")

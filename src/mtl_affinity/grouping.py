@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -240,12 +241,15 @@ class _Completions:
         self.slack = _TIE_RTOL * sum(max(abs(gains[p][t]) for p in range(n) if p != t)
                                      for t in range(n))
 
-    def solo_gains(self, used: set[tuple[int, int]]) -> list[float | None]:
-        """Each task's best gain from a model serving it alone, skipping used pairs."""
-        best: list[float | None] = []
+    def solo_gains(self, mask: int, used: list[int]) -> list[float | None]:
+        """Best solo gain of each task in ``mask``, skipping the partner bits in ``used[t]``."""
+        best: list[float | None] = [None] * len(used)
         for t, partners in enumerate(self.by_solo_gain):
-            free = [q for q in partners if (min(q, t), max(q, t)) not in used]
-            best.append(self.gains[free[0]][t] if free else None)
+            if mask >> t & 1:
+                for q in partners:
+                    if not used[t] >> q & 1:
+                        best[t] = self.gains[q][t]
+                        break
         return best
 
     def best(self, mask: int, spent: float, solo: list[float | None],
@@ -323,8 +327,8 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     Raises:
         InfeasibleGroupingError: nothing fits within the budget.
         ValueError: more than 10 tasks, task set not matching the gain
-            matrix, an empty gain cell, non-positive costs, or a NaN budget
-            or cost.
+            matrix, an empty gain cell, non-positive costs, a NaN budget or
+            cost, or gains so large that the tie slack overflows.
     """
     names = tuple(tasks)
     if not 2 <= len(names) <= MAX_EXHAUSTIVE_TASKS:
@@ -345,13 +349,13 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     if stl_cost <= 0 or mtl_cost <= 0:
         raise ValueError(f"costs must be positive, got stl={stl_cost}, mtl={mtl_cost}")
 
-    order = sorted(names)  # index order is encoding order
-    n = len(order)
-    gains = [[gain.get(order[p], order[t]) if p != t else 0.0 for t in range(n)]
-             for p in range(n)]
+    order, n = sorted(names), len(names)  # index order is encoding order
+    gains = [[gain.get(p, t) if p != t else 0.0 for t in order] for p in order]
     completions = _Completions(gains, budget + BUDGET_SLACK, stl_cost, mtl_cost)
+    if not math.isfinite(completions.slack):
+        raise ValueError("gains too large: the sum of each task's largest |gain| overflows")
     everyone = (1 << n) - 1
-    best = completions.best(everyone, 0.0, completions.solo_gains(set()),
+    best = completions.best(everyone, 0.0, completions.solo_gains(everyone, [0] * n),
                             -math.inf, first=False)
     if best is None:
         raise InfeasibleGroupingError(
@@ -359,23 +363,21 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
             f"(stl_cost={stl_cost}, mtl_cost={mtl_cost})")
 
     goal = best - completions.slack
-    chosen: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
-    served, used, spent, total = 0, set(), 0.0, 0.0
-    for training, serving in _encoding_order(n):
-        serves = sum(1 << t for t in serving)
-        if served & serves or training in used:
+    chosen, served, used, spent, total = [], 0, [0] * n, 0.0, 0.0  # used: as in solo_gains
+    for training, serving, serves in _encoding_order(n):
+        if served & serves or used[training[0]] >> training[-1] & 1:  # a used pair
             continue
-        cost = stl_cost if len(training) == 1 else mtl_cost
-        rest = everyone ^ (served | serves)
-        if spent + cost + completions.floor[rest.bit_count()] > completions.limit:
-            continue
-        after = total  # summed task by task, in encoding order
+        cost, after, pairs = stl_cost, total, used  # after: summed task by task, in order
         if len(training) == 2:
+            a, b = training
+            cost, pairs = mtl_cost, used.copy()
+            pairs[a], pairs[b] = used[a] | 1 << b, used[b] | 1 << a
             for t in serving:
-                after += gains[training[0] + training[1] - t][t]
-        pairs = used | {training} if len(training) == 2 else used
-        if completions.best(rest, spent + cost, completions.solo_gains(pairs),
-                            goal - after, first=True) is None:
+                after += gains[a + b - t][t]
+        rest = everyone ^ (served | serves)
+        if (spent + cost + completions.floor[rest.bit_count()] > completions.limit
+                or completions.best(rest, spent + cost, completions.solo_gains(rest, pairs),
+                                    goal - after, first=True) is None):
             continue
         chosen.append((training, serving))
         served, used, spent, total = served | serves, pairs, spent + cost, after
@@ -390,9 +392,10 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     return grouping, total
 
 
-def _encoding_order(n: int) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    """Every candidate as (training, serving) index tuples, in encoding order."""
+@cache
+def _encoding_order(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
+    """Every candidate as (training, serving, serving mask), in encoding order."""
     candidates = [((t,), (t,)) for t in range(n)]
     for a, b in combinations(range(n), 2):
         candidates += [((a, b), (a,)), ((a, b), (a, b)), ((a, b), (b,))]
-    return sorted(candidates)
+    return tuple((tr, sv, sum(1 << t for t in sv)) for tr, sv in sorted(candidates))

@@ -278,6 +278,25 @@ def test_group_malformed_gain_row_names_the_file(tmp_path, capsys):
     assert err == f"error: {gain_path}: matrix line 3: 3 cells, header has 4\n"
 
 
+def test_group_overflowing_gains_exit_2(tmp_path, capsys):
+    gain_path = tmp_path / "gain.csv"
+    gain_path.write_text("with,a,b,c\na,,0.1,1e308\nb,0.2,,0.3\nc,1e308,0.15,\n",
+                         encoding="utf-8")
+    assert main(["group", "--gain", str(gain_path), "--budget", "6"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "overflows" in captured.err and "Traceback" not in captured.err
+
+
+def test_group_out_into_missing_directory_exits_2(tmp_path, capsys):
+    out_path = tmp_path / "missing" / "grouping.json"
+    assert main(["group", "--budget", "5", "--out", str(out_path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: cannot write {out_path}: No such file or directory\n"
+    assert not out_path.parent.exists()
+
+
 def strict_json(text: str):
     """Parse standard JSON only: NaN and Infinity tokens are errors."""
     def reject(token):

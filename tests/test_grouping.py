@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grouping_pins import PINS_PATH, pin_instances, solve_pin
 from mtl_affinity.grouping import (
     Grouping,
     InfeasibleGroupingError,
@@ -346,12 +347,28 @@ def test_optimizer_ten_equal_gains_takes_smallest_tie(budget, expected):
     assert grouping.encoding() == expected
 
 
+def test_optimizer_matches_pinned_tie_breaks_at_seven_to_ten_tasks():
+    """Identical encodings and ``==`` totals on 144 pinned instances, ties included."""
+    pins = json.loads(PINS_PATH.read_text(encoding="utf-8"))
+    got = {label: solve_pin(gain, budget, mtl_cost)
+           for label, gain, budget, mtl_cost in pin_instances()}
+    assert set(got) == set(pins)
+    assert [label for label in pins if got[label] != pins[label]] == []
+
+
 @pytest.mark.parametrize("field", ["budget", "stl_cost", "mtl_cost"])
 def test_optimizer_rejects_nan_budget_and_costs(field):
     gains = gain_matrix([1.0] * 6)
     kwargs = {"budget": 6.0, field: float("nan")}
     with pytest.raises(ValueError, match=field):
         optimize_grouping(ABC, gains, **kwargs)
+
+
+def test_optimizer_rejects_gains_whose_tie_slack_overflows():
+    """Two gains of 1e308 sum past the float range; no grouping is returned."""
+    gains = gain_matrix([0.1, 1e308, 0.2, 0.3, 1e308, 0.15])
+    with pytest.raises(ValueError, match="overflows"):
+        optimize_grouping(ABC, gains, budget=6.0)
 
 
 def test_optimizer_allows_infinite_budget_and_costs():
