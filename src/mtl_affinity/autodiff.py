@@ -20,8 +20,9 @@ its groups and backpropagated once; the losses come back per slice.
 
 The arithmetic is fixed so that results repeat to the bit, and a stack
 slice gets the bits its model would get on its own: a layer is
-``x @ W + b``; ReLU is ``np.where(z > 0.0, z, 0.0)`` with derivative
-``g * (z > 0.0)``, so 0 at the kink; a layer's gradients are
+``x @ W + b``; ReLU equals ``np.where(z > 0.0, z, 0.0)`` to the bit (so
+0.0 for -0.0, NaN and -inf), computed in place as ``fmax(z, 0.0) + 0.0``,
+with derivative ``g * (z > 0.0)``, so 0 at the kink; a layer's gradients are
 ``a.swapaxes(-1, -2) @ g``, ``g.sum(axis=-2)`` and ``g @ W.swapaxes(-1, -2)``.
 """
 
@@ -139,11 +140,13 @@ def _forward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     masks = []
     last = len(weights) - 1
     for i, (w, b) in enumerate(zip(weights, biases)):
-        z = acts[-1] @ w + b[..., None, :]
+        z = acts[-1] @ w
+        z += b[..., None, :]
         if i != last:
-            mask = z > 0.0
-            masks.append(mask)
-            z = np.where(mask, z, 0.0)
+            masks.append(z > 0.0)
+            # fmax sends NaN and -inf to 0; + 0.0 turns -0.0 into +0.0.
+            np.fmax(z, 0.0, out=z)
+            z += 0.0
         acts.append(z)
     return acts, masks
 

@@ -85,6 +85,30 @@ def test_relu_derivative_zero_at_zero():
     assert grads.inputs[0, 2] != 0.0
 
 
+EDGE_VALUES = [0.0, -0.0, np.nan, -np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+               2.2e-308, -2.2e-308, 1.0, -1.0]
+
+
+@pytest.mark.parametrize("shape", [(12,), (9000,), (4, 32), (10, 1000)])
+def test_relu_matches_where_to_the_bit_on_edge_values(shape):
+    """ReLU gives the bits of np.where(z > 0.0, z, 0.0): 0.0 for NaN and -inf, denormals kept.
+
+    The hidden layer is one unit wide, so the identity last layer copies it
+    into the latent bit for bit. 9,000 rows, and a stack of 10 on 1,000 rows,
+    put the hidden array past numpy's 8,192-element buffer.
+    """
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=(*shape, 1))
+    x.reshape(-1)[:len(EDGE_VALUES)] = EDGE_VALUES
+    x.reshape(-1)[-len(EDGE_VALUES):] = EDGE_VALUES
+    stack = shape[:-1]
+    weights = [np.ones((*stack, 1, 1)), np.ones((*stack, 1, 1))]
+    biases = [np.zeros((*stack, 1)), np.zeros((*stack, 1))]
+    z = x @ weights[0] + biases[0][..., None, :]
+    want = np.where(z > 0.0, z, 0.0) @ weights[1] + biases[1][..., None, :]
+    assert ad.forward(weights, biases, x).tobytes() == want.tobytes()
+
+
 def test_softmax_cross_entropy_grad_is_softmax_minus_onehot():
     logits = np.array([[1.0, 2.0, 0.5], [0.0, 0.0, 0.0]])
     onehot = np.array([[0.0, 1.0, 0.0], [1.0, 0.0, 0.0]])
@@ -182,17 +206,31 @@ def _loss_for(kind: str, target) -> ad.Loss:
     return partial(ad.softmax_cross_entropy if kind == "cls" else ad.mse_loss, target=target)
 
 
+# Stacked-slice cases: (stack, batch, layer shapes, head slots). Each slot
+# lists (kind, width, slices) groups that cover the stack once. The second
+# case's (10, 32, 32) hidden arrays are past numpy's 8,192-element buffer.
+STACK_CASES = [
+    (5, 9, [(4, 6), (6, 5), (5, 3)],
+     [[("reg", 2, [0, 2, 3]), ("cls", 3, [1, 4])],
+      [("cls", 4, [0, 1, 2, 3, 4])]]),
+    (10, 32, [(24, 32), (32, 16), (16, 16)],
+     [[("reg", 2, [0, 3, 4, 7, 9]), ("cls", 3, [1, 2, 5, 6, 8])],
+      [("cls", 4, list(range(10)))]]),
+]
+
+
 def test_stacked_backward_matches_each_slice_to_the_bit():
     """One stacked call with grouped head slots gives each slice its own 2-D result."""
+    for case in STACK_CASES:
+        _check_stacked_slices(*case)
+
+
+def _check_stacked_slices(stack, batch, layers, slots):
     rng = np.random.default_rng(7)
-    stack, batch = 5, 9
-    layers = [(4, 6), (6, 5), (5, 3)]
     weights = [rng.normal(size=(stack, a, b)) for a, b in layers]
     biases = [rng.normal(size=(stack, b)) for _, b in layers]
-    x = rng.normal(size=(stack, batch, 4))
-    # Per slot: (kind, width, slices) groups that cover the stack once.
-    slots = [[("reg", 2, [0, 2, 3]), ("cls", 3, [1, 4])],
-             [("cls", 4, [0, 1, 2, 3, 4])]]
+    x = rng.normal(size=(stack, batch, layers[0][0]))
+    latent = layers[-1][1]
     params = {}
     for s, slot in enumerate(slots):
         for kind, width, slices in slot:
@@ -200,7 +238,7 @@ def test_stacked_backward_matches_each_slice_to_the_bit():
                 labels = np.eye(width)[rng.integers(0, width, (len(slices), batch))]
             else:
                 labels = rng.normal(size=(len(slices), batch, width))
-            params[s, kind] = (rng.normal(size=(len(slices), 3, width)),
+            params[s, kind] = (rng.normal(size=(len(slices), latent, width)),
                                rng.normal(size=(len(slices), width)), labels)
 
     heads = [[ad.Head(*params[s, kind][:2], _loss_for(kind, params[s, kind][2]),
