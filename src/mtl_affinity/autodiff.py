@@ -4,19 +4,20 @@ Every model is a backbone, a stack of dense layers with ReLU between them
 and a linear last layer (the latent), followed by one or more dense linear
 heads, each scored by its own loss against a target shaped like its
 output, floats for mean squared error or one-hot rows for softmax
-cross-entropy. :func:`backward` runs the backbone forward once, each head
-and its loss, then backpropagates each head's latent gradient through the
-backbone separately and adds the parameter gradients head by head. It
-returns the losses, every parameter gradient and, on request, the gradient
-with respect to the input. :func:`sgd_step` applies one plain SGD update in
-place. Parameters are plain float64 ndarrays owned by the caller.
+cross-entropy. :func:`backward` runs the backbone forward once, then each
+head and its loss, adds the heads' latent gradients in head order and
+backpropagates that sum through the backbone once. It returns the losses,
+every parameter gradient and, on request, the gradient with respect to the
+input. :func:`sgd_step` applies one plain SGD update in place. Parameters
+are plain float64 ndarrays owned by the caller.
 
 The same calls serve a *stack* of M models of one backbone shape: every
 backbone parameter and the input batch then carry a leading ``(M, ...)``
 axis, and each head position (a *slot*) is a sequence of :class:`Head`
 groups, one per (output width, loss) over the stack slices listed in its
 ``slices``. A slot's latent gradient is assembled over the whole stack from
-its groups and backpropagated once; the losses come back per slice.
+its groups, the slots' latent gradients are summed in slot order, and the
+sum is backpropagated once; the losses come back per slice.
 
 The arithmetic is fixed so that results repeat to the bit, and a stack
 slice gets the bits its model would get on its own: a layer is
@@ -197,32 +198,26 @@ def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     """Losses and gradients of the summed head losses on one batch.
 
     ``heads`` lists the head slots in order: a :class:`Head`, or in a stack
-    the head groups that together cover every slice once. Each slot's
-    backbone gradients are computed on their own and then added, slot by
-    slot; summing the latent gradients first would reorder float sums and
-    change the results in the last bits.
+    the head groups that together cover every slice once. The slots' latent
+    gradients are added in slot order and the sum is backpropagated through
+    the backbone once. A single slot's arithmetic is that of the slot alone.
     """
     acts, masks = _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))
     out = Gradients(losses=[], weights=[], biases=[], heads=[])
+    g = None
     for slot in heads:
-        loss, g = _slot_pass(slot, acts[-1], out)
+        loss, slot_grad = _slot_pass(slot, acts[-1], out)
         out.losses.append(loss)
-        gws, gbs = [], []
-        for i in range(len(weights) - 1, -1, -1):
-            gws.append(_swap(acts[i]) @ g)
-            gbs.append(g.sum(axis=-2))
-            if i > 0:
-                g = (g @ _swap(weights[i])) * masks[i - 1]
-            elif input_grad:
-                g = g @ _swap(weights[0])
-                out.inputs = g if out.inputs is None else out.inputs + g
-        gws.reverse()
-        gbs.reverse()
-        if out.weights:
-            out.weights = [a + b for a, b in zip(out.weights, gws)]
-            out.biases = [a + b for a, b in zip(out.biases, gbs)]
-        else:
-            out.weights, out.biases = gws, gbs
+        g = slot_grad if g is None else g + slot_grad
+    for i in range(len(weights) - 1, -1, -1):
+        out.weights.append(_swap(acts[i]) @ g)
+        out.biases.append(g.sum(axis=-2))
+        if i > 0:
+            g = (g @ _swap(weights[i])) * masks[i - 1]
+        elif input_grad:
+            out.inputs = g @ _swap(weights[0])
+    out.weights.reverse()
+    out.biases.reverse()
     return out
 
 

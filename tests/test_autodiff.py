@@ -1,6 +1,6 @@
 """The explicit MLP kernel: losses, gradients and SGD against hand values and finite differences."""
 
-from functools import partial
+from functools import partial, reduce
 
 import numpy as np
 import pytest
@@ -225,8 +225,8 @@ def test_stacked_backward_matches_each_slice_to_the_bit():
         _check_stacked_slices(*case)
 
 
-def _check_stacked_slices(stack, batch, layers, slots):
-    rng = np.random.default_rng(7)
+def _random_stack(rng, stack, batch, layers, slots):
+    """Backbone parameters, inputs, head parameters by (slot, kind), and the head slots."""
     weights = [rng.normal(size=(stack, a, b)) for a, b in layers]
     biases = [rng.normal(size=(stack, b)) for _, b in layers]
     x = rng.normal(size=(stack, batch, layers[0][0]))
@@ -244,6 +244,12 @@ def _check_stacked_slices(stack, batch, layers, slots):
     heads = [[ad.Head(*params[s, kind][:2], _loss_for(kind, params[s, kind][2]),
                       None if len(slot) == 1 else np.array(slices))
               for kind, _, slices in slot] for s, slot in enumerate(slots)]
+    return weights, biases, x, params, heads
+
+
+def _check_stacked_slices(stack, batch, layers, slots):
+    rng = np.random.default_rng(7)
+    weights, biases, x, params, heads = _random_stack(rng, stack, batch, layers, slots)
     got = ad.backward(weights, biases, heads, x, input_grad=True)
     # Head gradients come slot by slot, group by group.
     group_grads = dict(zip([(s, kind) for s, slot in enumerate(slots) for kind, _, _ in slot],
@@ -267,3 +273,32 @@ def _check_stacked_slices(stack, batch, layers, slots):
             assert a[i].tobytes() == b.tobytes()
         for (gw, gb), (ww, wb) in zip(head_grads, want.heads):
             assert gw.tobytes() == ww.tobytes() and gb.tobytes() == wb.tobytes()
+
+
+def test_summed_slot_backprop_matches_per_slot_backprop():
+    """Backpropagating the slots' summed latent gradient once equals backpropagating
+    each slot alone and adding the gradients, to 1e-12 of the largest entry."""
+    rng = np.random.default_rng(21)
+    for _ in range(30):
+        stack, batch = int(rng.integers(1, 8)), int(rng.integers(1, 40))
+        widths = [int(w) for w in rng.integers(1, 12, int(rng.integers(2, 5)))]
+        slots = []
+        for _ in range(int(rng.integers(2, 4))):
+            kinds = rng.integers(0, 2, stack)
+            slot = [(kind, int(rng.integers(1, 5)), [i for i in range(stack) if kinds[i] == k])
+                    for k, kind in enumerate(("reg", "cls"))]
+            slots.append([group for group in slot if group[2]])
+        weights, biases, x, _, heads = _random_stack(rng, stack, batch,
+                                                     list(zip(widths, widths[1:])), slots)
+        got = ad.backward(weights, biases, heads, x, input_grad=True)
+        alone = [ad.backward(weights, biases, [slot], x, input_grad=True) for slot in heads]
+
+        # Losses and head gradients do not pass through the backbone: same bits.
+        assert [np.asarray(v).tobytes() for v in got.losses] == \
+            [np.asarray(a.losses[0]).tobytes() for a in alone]
+        assert [g.tobytes() for gw_gb in got.heads for g in gw_gb] == \
+            [g.tobytes() for a in alone for gw_gb in a.heads for g in gw_gb]
+        per_slot = [[*a.backbone(), a.inputs] for a in alone]
+        for k, have in enumerate([*got.backbone(), got.inputs]):
+            want = reduce(np.add, [grads[k] for grads in per_slot])
+            assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
