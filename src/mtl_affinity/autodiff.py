@@ -200,7 +200,8 @@ def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     ``heads`` lists the head slots in order: a :class:`Head`, or in a stack
     the head groups that together cover every slice once. The slots' latent
     gradients are added in slot order and the sum is backpropagated through
-    the backbone once. A single slot's arithmetic is that of the slot alone.
+    the backbone once. That differs in the last bits from backpropagating
+    each slot alone and adding the results; one slot takes no addition.
     """
     acts, masks = _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))
     out = Gradients(losses=[], weights=[], biases=[], heads=[])
