@@ -8,8 +8,10 @@ cross-entropy. :func:`backward` runs the backbone forward once, then each
 head and its loss, adds the heads' latent gradients in head order and
 backpropagates that sum through the backbone once. It returns the losses,
 every parameter gradient and, on request, the gradient with respect to the
-input. :func:`sgd_step` applies one plain SGD update in place. Parameters
-are plain float64 ndarrays owned by the caller.
+input, all gradients in one flat array. :func:`sgd_step` applies one plain
+SGD update in place. Parameters are plain float64 ndarrays owned by the
+caller; :func:`flat_views` lays several out in one flat array, so that one
+update covers them all.
 
 The same calls serve a *stack* of M models of one backbone shape: every
 backbone parameter and the input batch then carry a leading ``(M, ...)``
@@ -25,10 +27,13 @@ slice gets the bits its model would get on its own: a layer is
 0.0 for -0.0, NaN and -inf), computed in place as ``fmax(z, 0.0) + 0.0``,
 with derivative ``g * (z > 0.0)``, so 0 at the kink; a layer's gradients are
 ``a.swapaxes(-1, -2) @ g``, ``g.sum(axis=-2)`` and ``g @ W.swapaxes(-1, -2)``.
+The losses call ``np.add.reduce`` and ``np.maximum.reduce`` directly: the
+ufuncs that ``np.mean``, ``.sum`` and ``.max`` call, in the same order.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, NamedTuple, Sequence
 
@@ -43,6 +48,7 @@ __all__ = [
     "losses",
     "backward",
     "sgd_step",
+    "flat_views",
 ]
 
 # A loss maps (prediction, grad) to (mean loss, d loss / d prediction or None).
@@ -72,6 +78,8 @@ class Gradients:
         heads: (weight, bias) gradient of each head, in head order; in a
             stack, of each group of each slot.
         inputs: gradient with respect to the input batch, when requested.
+        flat: every parameter gradient in one array, in :meth:`params`
+            order; each of those gradients is a view of it.
     """
 
     losses: list
@@ -79,6 +87,7 @@ class Gradients:
     biases: list[np.ndarray]
     heads: list[tuple[np.ndarray, np.ndarray]]
     inputs: np.ndarray | None = None
+    flat: np.ndarray | None = None
 
     def backbone(self) -> list[np.ndarray]:
         """Backbone gradients: every weight, then every bias."""
@@ -97,6 +106,18 @@ def _swap(a: np.ndarray) -> np.ndarray:
     return a.swapaxes(-1, -2)
 
 
+def flat_views(shapes: Sequence[tuple[int, ...]], alloc=np.empty,
+               ) -> tuple[np.ndarray, list[np.ndarray]]:
+    """One float64 array from ``alloc(size)``, and a view of it per shape, in order."""
+    sizes = [math.prod(shape) for shape in shapes]
+    flat = alloc(sum(sizes))
+    views, start = [], 0
+    for shape, size in zip(shapes, sizes):
+        views.append(flat[start:start + size].reshape(shape))
+        start += size
+    return flat, views
+
+
 def mse_loss(pred: np.ndarray, target: np.ndarray,
              grad: bool = False) -> tuple[float | np.ndarray, np.ndarray | None]:
     """Mean squared error over all elements, and its gradient when ``grad``.
@@ -110,9 +131,11 @@ def mse_loss(pred: np.ndarray, target: np.ndarray,
         raise ValueError("mse_loss: empty batch")
     diff = pred - target
     if pred.ndim == 3:
-        loss, size = np.mean(diff * diff, axis=(-2, -1)), pred[0].size
+        size = pred[0].size
+        loss = np.add.reduce(diff * diff, axis=(-2, -1)) / size
     else:
-        loss, size = float(np.mean(diff * diff)), pred.size
+        size = pred.size
+        loss = float(np.add.reduce(diff * diff, axis=None) / size)
     return loss, ((2.0 / size) * diff if grad else None)
 
 
@@ -127,9 +150,10 @@ def softmax_cross_entropy(logits: np.ndarray, target: np.ndarray,
         raise ValueError(f"softmax_cross_entropy: shapes differ, {logits.shape} vs {target.shape}")
     if logits.size == 0:
         raise ValueError("softmax_cross_entropy: empty batch")
-    shifted = logits - logits.max(axis=-1, keepdims=True)
-    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
-    loss = -(target * log_probs).sum(axis=-1).mean(axis=-1)
+    shifted = logits - np.maximum.reduce(logits, axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.add.reduce(np.exp(shifted), axis=-1, keepdims=True))
+    loss = -(np.add.reduce(np.add.reduce(target * log_probs, axis=-1), axis=-1)
+             / logits.shape[-2])
     loss = loss if logits.ndim == 3 else float(loss)
     return loss, ((np.exp(log_probs) - target) / logits.shape[-2] if grad else None)
 
@@ -169,10 +193,15 @@ def losses(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     return [_slot_pass(slot, latent)[0] for slot in heads]
 
 
-def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads: Gradients | None = None,
+def _groups(slot: Head | Sequence[Head]) -> list[Head]:
+    return [slot] if isinstance(slot, Head) else list(slot)
+
+
+def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads=None,
                ) -> tuple[float | np.ndarray, np.ndarray | None]:
-    """One head slot's loss; with ``grads``, its head gradients (appended) and latent gradient."""
-    groups = [slot] if isinstance(slot, Head) else list(slot)
+    """One head slot's loss; with ``grads``, an iterator over one (weight, bias)
+    gradient array pair per group to fill, also the slot's latent gradient."""
+    groups = _groups(slot)
     whole = len(groups) == 1 and groups[0].slices is None
     if not whole:
         slot_loss = np.empty(latent.shape[0])
@@ -181,7 +210,9 @@ def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads: Gradients
         z = latent if h.slices is None else latent[h.slices]
         loss, g = h.loss(_head_output(h, z), grad=grads is not None)
         if g is not None:
-            grads.heads.append((_swap(z) @ g, g.sum(axis=-2)))
+            gw, gb = next(grads)
+            np.matmul(_swap(z), g, out=gw)
+            np.add.reduce(g, axis=-2, out=gb)
             g = g @ _swap(h.weight)
         if whole:
             slot_loss, slot_grad = loss, g
@@ -204,21 +235,25 @@ def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     each slot alone and adding the results; one slot takes no addition.
     """
     acts, masks = _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))
-    out = Gradients(losses=[], weights=[], biases=[], heads=[])
+    n = len(weights)
+    flat, views = flat_views([p.shape for p in (*weights, *biases)]
+                             + [p.shape for slot in heads for h in _groups(slot)
+                                for p in (h.weight, h.bias)])
+    out = Gradients(losses=[], weights=views[:n], biases=views[n:2 * n],
+                    heads=list(zip(views[2 * n::2], views[2 * n + 1::2])), flat=flat)
+    head_grads = iter(out.heads)
     g = None
     for slot in heads:
-        loss, slot_grad = _slot_pass(slot, acts[-1], out)
+        loss, slot_grad = _slot_pass(slot, acts[-1], head_grads)
         out.losses.append(loss)
         g = slot_grad if g is None else g + slot_grad
-    for i in range(len(weights) - 1, -1, -1):
-        out.weights.append(_swap(acts[i]) @ g)
-        out.biases.append(g.sum(axis=-2))
+    for i in range(n - 1, -1, -1):
+        np.matmul(_swap(acts[i]), g, out=out.weights[i])
+        np.add.reduce(g, axis=-2, out=out.biases[i])
         if i > 0:
             g = (g @ _swap(weights[i])) * masks[i - 1]
         elif input_grad:
             out.inputs = g @ _swap(weights[0])
-    out.weights.reverse()
-    out.biases.reverse()
     return out
 
 

@@ -353,12 +353,15 @@ class _SeedRun:
 
     def affinity(self, kind: str) -> TaskMatrix:
         values: dict[tuple[str, str], float] = {}
+        # The cell being scored, named in a degenerate-score error.
+        where = ""
         try:
             if kind == "TD":
                 for a, b in self.pairs:
                     values[(a, b)] = self.taxonomy.get(a, b)
             elif kind == "IAS":
                 for a, b in self.pairs:
+                    where = f"pair ({a!r}, {b!r})"
                     v = input_attribution_similarity(
                         self.model("stl", a), self.model("stl", b), self.eval_x,
                         self.eval_y[a], self.eval_y[b])
@@ -366,11 +369,13 @@ class _SeedRun:
                     values[(a, b)] = float(v)
             elif kind == "RSA":
                 for a, b in self.pairs:
+                    where = f"pair ({a!r}, {b!r})"
                     values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
             elif kind == "LI":
                 extended = {t: extend_inputs(self.test_x, self.specs[t], self.test_y[t])
                             for t in self.names}
                 for target, partner in MODEL_FAMILIES["inj"].members(self.names):
+                    where = f"partner {partner!r} -> target {target!r}"
                     loss = self.model("inj", target, partner).task_losses(
                         extended[partner], {target: self.test_y[target]})[target]
                     values[(partner, target)] = label_injection(self.stl_loss[target], loss)
@@ -381,13 +386,13 @@ class _SeedRun:
                 for a, b in self.pairs:
                     trace = self.trained[model_key("mtl", (a, b))][1]
                     for target, partner in ((a, b), (b, a)):
+                        where = f"partner {partner!r} -> target {target!r}"
                         v = gradient_transference(trace, target)
                         _note_skips(self.notes, f"GT {target}|{partner}", v)
                         values[(partner, target)] = float(v)
         except DegenerateScoreError as exc:
-            # IAS, RSA and GT, the kinds that can be degenerate, loop over (a, b).
-            raise ExperimentError(f"seed {self.seed}, score {kind}, pair ({a!r}, {b!r}): "
-                                  f"{exc}") from exc
+            # IAS, RSA, LI and GT, the kinds that can be degenerate, set ``where``.
+            raise ExperimentError(f"seed {self.seed}, score {kind}, {where}: {exc}") from exc
         return assemble_matrix(kind, self.names, values)
 
     def measured_c_s(self) -> float:

@@ -293,7 +293,7 @@ class _Job(NamedTuple):
     key: str
     specs: tuple[TaskSpec, ...]
     backbone: BackboneConfig
-    inputs: np.ndarray                     # every example's input row, as the model reads it
+    source: int                            # the input block this model reads, a row of ``inputs``
 
 
 class _HeadGroup(NamedTuple):
@@ -313,66 +313,76 @@ class _HeadGroup(NamedTuple):
 
 
 class _Stack:
-    """The models of one backbone shape, trained as one.
+    """Models whose backbones differ at most in input width, trained as one.
 
     Each backbone parameter is one ``(M, ...)`` array, and each head slot
     holds one :class:`_HeadGroup` per (output width, kind) of its slices'
-    tasks. Every model's parameters are views into these arrays, so a step
-    of the stack is a step of each model. ``members`` are the models' plan
-    indices; slice ``i`` reads its inputs from ``sources[source[i]]``.
-    ``best`` holds each slice's parameters of its best epoch so far.
+    tasks; all of them are views of the one array ``flat``, so one update
+    of ``flat`` is a step of every model. The first weight has the widest
+    input's rows: a narrower model's weight is a view of its first rows,
+    the rows below stay zero, and so do the columns past its width in the
+    block it reads, slice ``i`` reading ``inputs[source[i]]``. ``best``
+    holds each slice's parameters of its best epoch so far, and ``owner``
+    names the slice of each element of ``flat``.
     """
 
-    def __init__(self, members: Sequence[int], models: Sequence[Model],
-                 jobs: Sequence[_Job], dataset: MultiTaskDataset):
-        self.members = np.asarray(members)
-        distinct = {id(job.inputs): job.inputs for job in jobs}
-        position = {key: p for p, key in enumerate(distinct)}
-        self.source = np.array([[position[id(job.inputs)]] for job in jobs])
-        arrays = list(distinct.values())
-        self.sources = arrays[0][None] if len(arrays) == 1 else np.stack(arrays)
-        self.weights = [np.stack(ws) for ws in zip(*(m.weights for m in models))]
-        self.biases = [np.stack(bs) for bs in zip(*(m.biases for m in models))]
-        for k, model in enumerate(models):
-            model.weights = [w[k] for w in self.weights]
-            model.biases = [b[k] for b in self.biases]
-
-        self.slots: list[list[_HeadGroup]] = []
+    def __init__(self, models: Sequence[Model], jobs: Sequence[_Job], inputs: np.ndarray,
+                 dataset: MultiTaskDataset):
+        self.inputs = inputs
+        self.source = np.array([[job.source] for job in jobs])
+        # Each slot's groups: (output width, kind) -> the slices whose task has it.
+        slots: list[dict[tuple[int, str], list[int]]] = []
         for slot in range(len(jobs[0].specs)):
-            groups: dict[tuple[int, str], list[int]] = {}
+            slots.append({})
             for k, job in enumerate(jobs):
                 spec = job.specs[slot]
-                groups.setdefault((spec.output_dim, spec.kind), []).append(k)
+                slots[-1].setdefault((spec.output_dim, spec.kind), []).append(k)
+        n, m = len(models[0].weights), len(models)
+        width = max(job.backbone.input_dim for job in jobs)
+        latent = models[0].config.latent_dim
+        self.flat, views = ad.flat_views(
+            [(m, width if i == 0 else w.shape[0], w.shape[1])
+             for i, w in enumerate(models[0].weights)]
+            + [(m, *b.shape) for b in models[0].biases]
+            + [shape for groups in slots for (out, _), slices in groups.items()
+               for shape in ((len(slices), latent, out), (len(slices), out))], np.zeros)
+        self.weights, self.biases = views[:n], views[n:2 * n]
+        for k, model in enumerate(models):
+            for stacked, w in zip(self.weights, model.weights):
+                stacked[k, :len(w)] = w
+            for stacked, b in zip(self.biases, model.biases):
+                stacked[k] = b
+            model.weights = [stacked[k, :len(w)] for stacked, w in zip(self.weights, model.weights)]
+            model.biases = [b[k] for b in self.biases]
+
+        head_views = iter(views[2 * n:])
+        owners = [np.arange(m)] * (2 * n)
+        self.slots: list[list[_HeadGroup]] = []
+        for slot, groups in enumerate(slots):
             self.slots.append([])
             for slices in groups.values():
                 specs = [jobs[k].specs[slot] for k in slices]
-                heads = [models[k].heads[s.name] for k, s in zip(slices, specs)]
                 group = _HeadGroup(specs[0], np.asarray(slices),
                                    np.stack([encode_labels(s, dataset.labels[s.name])
                                              for s in specs]),
-                                   np.stack([w for w, _ in heads]),
-                                   np.stack([b for _, b in heads]))
+                                   next(head_views), next(head_views))
                 for i, (k, s) in enumerate(zip(slices, specs)):
+                    group.weight[i], group.bias[i] = models[k].heads[s.name]
                     models[k].heads[s.name] = (group.weight[i], group.bias[i])
                 self.slots[-1].append(group)
-        self.params = [*self.weights, *self.biases]
-        self.param_slices = [np.arange(len(models))] * len(self.params)
-        for slot in self.slots:
-            for group in slot:
-                self.params.extend((group.weight, group.bias))
-                self.param_slices.extend((group.slices, group.slices))
-        self.best = [p.copy() for p in self.params]
+                owners += [group.slices] * 2
+        self.owner = np.concatenate([np.repeat(slices, view[0].size)
+                                     for slices, view in zip(owners, views)])
+        self.best = self.flat.copy()
 
     def batch(self, rows: np.ndarray) -> tuple[list[list[ad.Head]], np.ndarray]:
         """Heads and inputs, slice ``i`` on rows ``rows[i]`` (every slice on a 1-D ``rows``)."""
         heads = [[g.head(rows, len(slot) == 1) for g in slot] for slot in self.slots]
-        return heads, self.sources[self.source, rows]
+        return heads, self.inputs[self.source, rows]
 
     def keep(self, improved: np.ndarray) -> None:
         """Copy the parameters of the ``improved`` slices into ``best``."""
-        for param, best, slices in zip(self.params, self.best, self.param_slices):
-            mask = improved[slices]
-            best[mask] = param[mask]
+        np.copyto(self.best, self.flat, where=improved[self.owner])
 
     def probe(self, lr: float, heads: list[list[ad.Head]], inputs: np.ndarray,
               traces: Sequence[TrainTrace]) -> None:
@@ -399,15 +409,15 @@ def _cosine(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.clip(a @ b / (na * nb), -1.0, 1.0))
 
 
-def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfig,
-                probes: bool = False) -> list[tuple[Model, TrainTrace]]:
+def _train_jobs(jobs: Sequence[_Job], inputs: np.ndarray, dataset: MultiTaskDataset,
+                cfg: TrainConfig, probes: bool = False) -> list[tuple[Model, TrainTrace]]:
     """Build each job's model, seeded by its key, and train them all on ``dataset``.
 
-    Jobs with the same backbone and head count share a :class:`_Stack`;
-    the stacks take their steps in lockstep, so a divergence is reported
-    for the model that went non-finite at the earliest (epoch, step), the
-    first in ``jobs`` order on a tie. Each model keeps its own batch order;
-    validation, the best-epoch copy and the probes run per stack.
+    The jobs share one head count and differ in backbone at most by input
+    width, so they make one :class:`_Stack`, whose slices follow ``jobs``
+    order. Each model keeps its own batch order; a divergence is reported
+    for the first model in ``jobs`` order whose loss went non-finite at
+    the earliest (epoch, step).
     """
     if not jobs:
         raise ValueError("no models to train")
@@ -418,18 +428,18 @@ def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfi
 
     models = [Model(job.specs, job.backbone, model_stream(cfg.seed, INIT, job.key))
               for job in jobs]
-    shapes: dict[tuple[BackboneConfig, int], list[int]] = {}
-    for i, job in enumerate(jobs):
-        shapes.setdefault((job.backbone, len(job.specs)), []).append(i)
-    stacks = [_Stack(members, [models[i] for i in members], [jobs[i] for i in members],
-                     dataset) for members in shapes.values()]
+    stack = _Stack(models, jobs, inputs, dataset)
+
+    def check(finite: np.ndarray, epoch: int) -> None:
+        if not finite.all():
+            raise TrainingDivergedError(keys[np.flatnonzero(~finite)[0]], epoch)
 
     batch_rngs = [model_stream(cfg.seed, BATCHING, key) for key in keys]
     train_idx = dataset.splits["train"]
-    val_batches = [stack.batch(dataset.splits["val"]) for stack in stacks]
+    val_batch = stack.batch(dataset.splits["val"])
     traces = [TrainTrace(val_loss=[], combined_val=[], best_epoch=0) for _ in jobs]
     if probes:
-        probe_batches = [stack.batch(eval_rows(dataset, cfg.eval_batch_size)) for stack in stacks]
+        probe_batch = stack.batch(eval_rows(dataset, cfg.eval_batch_size))
         for trace, model in zip(traces, models):
             trace.gs_cosine = []
             trace.lookahead = {t: [] for t in model.specs}
@@ -438,40 +448,24 @@ def _train_jobs(jobs: Sequence[_Job], dataset: MultiTaskDataset, cfg: TrainConfi
         lr = cfg.lr_at(epoch)
         order = train_idx[np.stack([rng.permutation(len(train_idx)) for rng in batch_rngs])]
         for start in range(0, len(train_idx), cfg.batch_size):
-            rows = order[:, start:start + cfg.batch_size]
-            diverged = []
-            for stack in stacks:
-                grads = ad.backward(stack.weights, stack.biases, *stack.batch(rows[stack.members]))
-                finite = np.isfinite(sum(grads.losses))
-                if finite.all():
-                    ad.sgd_step(stack.params, grads.params(), lr)
-                else:
-                    diverged.extend(stack.members[~finite])
-            if diverged:
-                raise TrainingDivergedError(keys[min(diverged)], epoch)
+            grads = ad.backward(stack.weights, stack.biases,
+                                *stack.batch(order[:, start:start + cfg.batch_size]))
+            check(np.isfinite(sum(grads.losses)), epoch)
+            ad.sgd_step([stack.flat], [grads.flat], lr)
 
-        val = [np.array(ad.losses(stack.weights, stack.biases, *batch))
-               for stack, batch in zip(stacks, val_batches)]
-        diverged = [i for stack, losses in zip(stacks, val)
-                    for i in stack.members[~np.isfinite(losses).all(axis=0)]]
-        if diverged:
-            raise TrainingDivergedError(keys[min(diverged)], epoch)
+        val = np.array(ad.losses(stack.weights, stack.biases, *val_batch))
+        check(np.isfinite(val).all(axis=0), epoch)
+        for trace, model, column in zip(traces, models, val.T.tolist()):
+            trace.val_loss.append(dict(zip(model.specs, column)))
+            trace.combined_val.append(sum(column))
+            # Strictly lower, so the earliest epoch wins ties.
+            if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
+                trace.best_epoch = epoch
+        stack.keep(np.array([trace.best_epoch == epoch for trace in traces]))
+        if probes:
+            stack.probe(lr, *probe_batch, traces)
 
-        for s, (stack, losses) in enumerate(zip(stacks, val)):
-            for i, column in zip(stack.members, losses.T.tolist()):
-                trace = traces[i]
-                trace.val_loss.append(dict(zip(models[i].specs, column)))
-                trace.combined_val.append(sum(column))
-                # Strictly lower, so the earliest epoch wins ties.
-                if epoch == 0 or trace.combined_val[-1] < trace.combined_val[trace.best_epoch]:
-                    trace.best_epoch = epoch
-            stack.keep(np.array([traces[i].best_epoch == epoch for i in stack.members]))
-            if probes:
-                stack.probe(lr, *probe_batches[s], [traces[i] for i in stack.members])
-
-    for stack in stacks:
-        for param, best in zip(stack.params, stack.best):
-            param[...] = best
+    stack.flat[...] = stack.best
     return list(zip(models, traces))
 
 
@@ -485,8 +479,8 @@ def train_stl(tasks: Sequence[TaskSpec], dataset: MultiTaskDataset,
               backbone: BackboneConfig, cfg: TrainConfig) -> list[tuple[Model, TrainTrace]]:
     """Train one single-task model per task, each returned at its best validation epoch."""
     _check_labels(dataset, tasks)
-    return _train_jobs([_Job(model_key("stl", [t.name]), (t,), backbone, dataset.inputs)
-                        for t in tasks], dataset, cfg)
+    return _train_jobs([_Job(model_key("stl", [t.name]), (t,), backbone, 0) for t in tasks],
+                       dataset.inputs[None], dataset, cfg)
 
 
 def train_mtl(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskDataset,
@@ -501,8 +495,8 @@ def train_mtl(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskData
     same either way.
     """
     _check_labels(dataset, [s for pair in pairs for s in pair])
-    return _train_jobs([_Job(model_key("mtl", [a.name, b.name]), (a, b), backbone,
-                             dataset.inputs) for a, b in pairs], dataset, cfg, probes)
+    return _train_jobs([_Job(model_key("mtl", [a.name, b.name]), (a, b), backbone, 0)
+                        for a, b in pairs], dataset.inputs[None], dataset, cfg, probes)
 
 
 def train_injected(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskDataset,
@@ -513,18 +507,21 @@ def train_injected(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTas
     The backbone keeps the half-capacity hidden widths; only the input layer
     widens by the label encoding (one-hot for classification, raw values for
     regression; see :func:`extend_inputs`). A partner may equal its target:
-    injecting a task's own label is the upper-bound case. Models with the
-    same partner share one extended-input array.
+    injecting a task's own label is the upper-bound case. The inputs are one
+    block with a row per partner, zero-padded to the widest encoding, which
+    every model of that partner reads.
     """
     _check_labels(dataset, [s for pair in pairs for s in pair])
-    extended: dict[str, np.ndarray] = {}
-    jobs = []
-    for target, partner in pairs:
-        if partner.name not in extended:
-            extended[partner.name] = extend_inputs(dataset.inputs, partner,
-                                                   dataset.labels[partner.name])
-        backbone = replace(half_backbone,
-                           input_dim=half_backbone.input_dim + partner.output_dim)
-        jobs.append(_Job(model_key("inj", [target.name, partner.name]), (target,), backbone,
-                         extended[partner.name]))
-    return _train_jobs(jobs, dataset, cfg)
+    partners = {partner.name: partner for _, partner in pairs}
+    n, d_in = dataset.inputs.shape
+    inputs = np.zeros((len(partners), n,
+                       d_in + max((p.output_dim for p in partners.values()), default=0)))
+    inputs[:, :, :d_in] = dataset.inputs
+    for block, partner in zip(inputs, partners.values()):
+        block[:, d_in:d_in + partner.output_dim] = encode_labels(
+            partner, dataset.labels[partner.name])
+    source = {name: i for i, name in enumerate(partners)}
+    jobs = [_Job(model_key("inj", [target.name, partner.name]), (target,),
+                 replace(half_backbone, input_dim=half_backbone.input_dim + partner.output_dim),
+                 source[partner.name]) for target, partner in pairs]
+    return _train_jobs(jobs, inputs, dataset, cfg)

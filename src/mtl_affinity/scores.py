@@ -192,11 +192,12 @@ def label_injection(loss_stl: float, loss_injected: float) -> float:
     direction. Positive means the injected label helped.
 
     Raises:
-        ValueError: either loss is <= 0; losses here are non-negative by
-            construction and a zero denominator marks a degenerate task.
+        DegenerateScoreError: either loss is <= 0; losses here are
+            non-negative by construction and a zero denominator marks a
+            degenerate task.
     """
     if loss_stl <= 0.0 or loss_injected <= 0.0:
-        raise ValueError(f"label injection needs positive losses, got "
+        raise DegenerateScoreError(f"label injection needs positive losses, got "
                          f"stl={loss_stl}, injected={loss_injected}")
     return (loss_stl - loss_injected) / loss_injected
 

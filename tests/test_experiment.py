@@ -1,5 +1,6 @@
 """Harness tests: config plumbing, file inventory, round trips, determinism."""
 
+import functools
 import json
 import math
 import os
@@ -35,7 +36,12 @@ from mtl_affinity.experiment import (
 )
 from mtl_affinity.evaluation import read_level1_csv, read_level2_csv, read_level3_csv
 from mtl_affinity.matrices import TaskMatrix
-from mtl_affinity.scores import SCORE_KINDS, DegenerateScoreError
+from mtl_affinity.scores import (
+    SCORE_KINDS,
+    DegenerateScoreError,
+    gradient_transference,
+    label_injection,
+)
 from mtl_affinity.tasks import TaskSuite, generate_latent_factor_suite, save_dataset
 
 
@@ -324,6 +330,37 @@ def test_degenerate_score_names_seed_kind_and_pair(tmp_path, monkeypatch):
     with pytest.raises(ExperimentError, match=re.escape(
             "seed 4, score IAS, pair ('task0', 'task1'): all 64 examples had a zero-norm")):
         run_experiment(cfg)
+    assert not (tmp_path / "out").exists()
+
+
+def zero_loss_on_second_call(stl_loss, injected_loss, *, calls):
+    """The real LI score, given a zero injected loss on its second call."""
+    calls.append(None)
+    return label_injection(stl_loss, 0.0 if len(calls) == 2 else injected_loss)
+
+
+def degenerate_on_second_call(trace, target, *, calls):
+    calls.append(None)
+    if len(calls) == 2:
+        raise DegenerateScoreError("every epoch had a zero pre-update loss")
+    return gradient_transference(trace, target)
+
+
+# The second LI model is (target task0, partner task2); the second GT call
+# scores the pair (task0, task1) in its other direction.
+@pytest.mark.parametrize("kind, name, replacement, message", [
+    ("LI", "label_injection", zero_loss_on_second_call,
+     "seed 4, score LI, partner 'task2' -> target 'task0': label injection needs positive"),
+    ("GT", "gradient_transference", degenerate_on_second_call,
+     "seed 4, score GT, partner 'task0' -> target 'task1': every epoch had a zero"),
+])
+def test_degenerate_directed_score_names_seed_kind_and_cell(tmp_path, monkeypatch, kind, name,
+                                                            replacement, message):
+    monkeypatch.setattr(experiment, name, functools.partial(replacement, calls=[]))
+    cfg = tiny_config(tmp_path, scores=(kind,), seeds=(4,))
+    with pytest.raises(ExperimentError, match=re.escape(message)) as info:
+        run_experiment(cfg)
+    assert isinstance(info.value.__cause__, DegenerateScoreError)
     assert not (tmp_path / "out").exists()
 
 
