@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
@@ -109,13 +110,9 @@ def _swap(a: np.ndarray) -> np.ndarray:
 def flat_views(shapes: Sequence[tuple[int, ...]], alloc=np.empty,
                ) -> tuple[np.ndarray, list[np.ndarray]]:
     """One float64 array from ``alloc(size)``, and a view of it per shape, in order."""
-    sizes = [math.prod(shape) for shape in shapes]
-    flat = alloc(sum(sizes))
-    views, start = [], 0
-    for shape, size in zip(shapes, sizes):
-        views.append(flat[start:start + size].reshape(shape))
-        start += size
-    return flat, views
+    ends = [0, *accumulate(map(math.prod, shapes))]
+    flat = alloc(ends[-1])
+    return flat, [flat[a:b].reshape(shape) for a, b, shape in zip(ends, ends[1:], shapes)]
 
 
 def mse_loss(pred: np.ndarray, target: np.ndarray,
@@ -131,11 +128,9 @@ def mse_loss(pred: np.ndarray, target: np.ndarray,
         raise ValueError("mse_loss: empty batch")
     diff = pred - target
     if pred.ndim == 3:
-        size = pred[0].size
-        loss = np.add.reduce(diff * diff, axis=(-2, -1)) / size
+        loss, size = np.add.reduce(diff * diff, axis=(-2, -1)) / pred[0].size, pred[0].size
     else:
-        size = pred.size
-        loss = float(np.add.reduce(diff * diff, axis=None) / size)
+        loss, size = float(np.add.reduce(diff * diff, axis=None) / pred.size), pred.size
     return loss, ((2.0 / size) * diff if grad else None)
 
 
@@ -193,15 +188,11 @@ def losses(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     return [_slot_pass(slot, latent)[0] for slot in heads]
 
 
-def _groups(slot: Head | Sequence[Head]) -> list[Head]:
-    return [slot] if isinstance(slot, Head) else list(slot)
-
-
 def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads=None,
                ) -> tuple[float | np.ndarray, np.ndarray | None]:
-    """One head slot's loss; with ``grads``, an iterator over one (weight, bias)
-    gradient array pair per group to fill, also the slot's latent gradient."""
-    groups = _groups(slot)
+    """One head slot's loss; with ``grads``, which yields a (weight, bias) gradient
+    pair to fill per group, also its latent gradient."""
+    groups = [slot] if isinstance(slot, Head) else list(slot)
     whole = len(groups) == 1 and groups[0].slices is None
     if not whole:
         slot_loss = np.empty(latent.shape[0])
@@ -236,14 +227,14 @@ def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     """
     acts, masks = _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))
     n = len(weights)
-    flat, views = flat_views([p.shape for p in (*weights, *biases)]
-                             + [p.shape for slot in heads for h in _groups(slot)
-                                for p in (h.weight, h.bias)])
+    slots = [[slot] if isinstance(slot, Head) else list(slot) for slot in heads]
+    flat, views = flat_views([p.shape for p in (*weights, *biases)] + [
+        p.shape for slot in slots for h in slot for p in (h.weight, h.bias)])
     out = Gradients(losses=[], weights=views[:n], biases=views[n:2 * n],
                     heads=list(zip(views[2 * n::2], views[2 * n + 1::2])), flat=flat)
     head_grads = iter(out.heads)
     g = None
-    for slot in heads:
+    for slot in slots:
         loss, slot_grad = _slot_pass(slot, acts[-1], head_grads)
         out.losses.append(loss)
         g = slot_grad if g is None else g + slot_grad

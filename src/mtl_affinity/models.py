@@ -18,17 +18,19 @@ with an exponentially decaying learning rate. A model's key
 weights and batch order and names it in a divergence error.
 
 Each trainer (:func:`train_stl`, :func:`train_mtl`, :func:`train_injected`)
-takes a sequence of models of its family and trains them as *stacks*: the
-models that share a backbone shape keep their parameters on a leading
-``(M, ...)`` axis, and each batch is one ``ad.backward`` and one
-``ad.sgd_step`` for the whole stack. A head *slot* (the first or second
-head of every model) holds one head group per output width and kind, over
-the stack slices whose task has it. Every model is built exactly as it
-would be alone and then pointed at views into the stack, and each slice
-reads its own batches in its own order, so every model comes out bit for
-bit as if trained on its own.
+takes a sequence of models of its family and trains them as one *stack*:
+every backbone parameter of the models sits on a leading ``(M, ...)`` axis,
+and each batch is one ``ad.backward`` and one ``ad.sgd_step`` for the whole
+stack. Injected models differ in input width; the stack pads the narrower
+inputs and first-layer weights with zeros to the widest. A head *slot* (the
+first or second head of every model) holds one head group per output width
+and kind, over the stack slices whose task has it. All of the stack's
+parameters are views of one flat array, and the step updates that array
+once. Every model is built exactly as it would be alone and then pointed
+at views into the stack, and each slice reads its own batches in its own
+order, so every model comes out bit for bit as if trained on its own.
 
-After every epoch each stack takes its validation losses from one forward
+After every epoch the stack takes its validation losses from one forward
 pass and, for MTL runs that ask for them, its GS/GT probes on the fixed
 ``eval_rows``: one backward pass per head slot gives the GS cosine between
 the tasks' backbone gradients, and one forward pass per direction the GT
@@ -36,7 +38,7 @@ look-ahead loss after a backbone step on the partner's loss alone.
 
 The returned model carries the parameters of the epoch with the lowest
 validation loss (combined loss for MTL; ties go to the earliest epoch),
-which its stack keeps in one stack-shaped copy.
+which the stack keeps in one flat copy.
 """
 
 from __future__ import annotations
@@ -293,7 +295,7 @@ class _Job(NamedTuple):
     key: str
     specs: tuple[TaskSpec, ...]
     backbone: BackboneConfig
-    source: int                            # the input block this model reads, a row of ``inputs``
+    source: int                            # its row of the trainer's (rows, examples, width) inputs
 
 
 class _HeadGroup(NamedTuple):
@@ -348,11 +350,9 @@ class _Stack:
                for shape in ((len(slices), latent, out), (len(slices), out))], np.zeros)
         self.weights, self.biases = views[:n], views[n:2 * n]
         for k, model in enumerate(models):
-            for stacked, w in zip(self.weights, model.weights):
-                stacked[k, :len(w)] = w
-            for stacked, b in zip(self.biases, model.biases):
-                stacked[k] = b
-            model.weights = [stacked[k, :len(w)] for stacked, w in zip(self.weights, model.weights)]
+            for stacked, param in zip(views, (*model.weights, *model.biases)):
+                stacked[k, :len(param)] = param
+            model.weights = [w[k, :len(mine)] for w, mine in zip(self.weights, model.weights)]
             model.biases = [b[k] for b in self.biases]
 
         head_views = iter(views[2 * n:])

@@ -136,7 +136,7 @@ def test_softmax_cross_entropy_rejects_bad_labels():
         ad.softmax_cross_entropy(np.zeros((0, 3)), np.zeros((0, 3)))
 
 
-@pytest.mark.parametrize("shape", [(4, 2), (6, 4), (3, 5, 4)])
+@pytest.mark.parametrize("shape", [(4, 2), (6, 4), (3, 5, 4), (6, 3), (6, 10), (3, 5, 10)])
 def test_softmax_cross_entropy_matches_class_id_reference_to_the_bit(shape):
     """The one-hot kernel gives the bits of picking each row's true class by id."""
     rng = np.random.default_rng(11)
@@ -149,6 +149,50 @@ def test_softmax_cross_entropy_matches_class_id_reference_to_the_bit(shape):
     assert np.asarray(got_loss).tobytes() == np.asarray(want_loss).tobytes()
     assert type(got_loss) is type(want_loss)
     assert got_grad.tobytes() == want_grad.tobytes()
+
+
+def wrapper_mse(pred, target):
+    """The squared error as ``np.mean`` computes it."""
+    diff = pred - target
+    if pred.ndim == 3:
+        return np.mean(diff * diff, axis=(-2, -1)), (2.0 / pred[0].size) * diff
+    return float(np.mean(diff * diff)), (2.0 / pred.size) * diff
+
+
+def wrapper_cross_entropy(logits, target):
+    """The cross-entropy as ``.max``, ``.sum`` and ``.mean`` compute it."""
+    shifted = logits - logits.max(axis=-1, keepdims=True)
+    log_probs = shifted - np.log(np.exp(shifted).sum(axis=-1, keepdims=True))
+    loss = -(target * log_probs).sum(axis=-1).mean(axis=-1)
+    return (loss if logits.ndim == 3 else float(loss),
+            (np.exp(log_probs) - target) / logits.shape[-2])
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.parametrize("shape", [(13, 3), (13, 10), (4, 13, 3), (4, 13, 10)])
+@pytest.mark.parametrize("kernel, wrapper", [(ad.mse_loss, wrapper_mse),
+                                             (ad.softmax_cross_entropy, wrapper_cross_entropy)])
+def test_loss_kernels_match_the_numpy_wrapper_expressions_to_the_bit(shape, kernel, wrapper):
+    """The ufunc reductions give the bits of np.mean, .max and .sum, edge values included.
+
+    First every batch gets a row of edge values (signed zeros, signed NaN,
+    infinities, denormals) and a row of edge values drawn at random, so
+    every loss is NaN; then a draw without edge values gives finite losses.
+    """
+    rng = np.random.default_rng(5)
+    classes = shape[-1]
+    for edges in (True, False):
+        pred = rng.normal(0.0, 3.0, shape)
+        if edges:
+            pred[..., 0, :] = np.resize(EDGE_VALUES, classes)
+            pred[..., 1, :] = rng.choice(EDGE_VALUES, classes)
+        target = (np.eye(classes)[rng.integers(0, classes, shape[:-1])]
+                  if kernel is ad.softmax_cross_entropy else rng.normal(size=shape))
+        got_loss, got_grad = kernel(pred, target, grad=True)
+        want_loss, want_grad = wrapper(pred, target)
+        assert type(got_loss) is type(want_loss)
+        assert np.asarray(got_loss).tobytes() == np.asarray(want_loss).tobytes()
+        assert got_grad.tobytes() == want_grad.tobytes()
 
 
 def test_add_bias_broadcast_grad_sums_over_batch():
@@ -302,3 +346,37 @@ def test_summed_slot_backprop_matches_per_slot_backprop():
         for k, have in enumerate([*got.backbone(), got.inputs]):
             want = reduce(np.add, [grads[k] for grads in per_slot])
             assert np.abs(have - want).max() <= 1e-12 * np.abs(want).max()
+
+
+def test_gradients_flat_holds_every_gradient_in_params_order():
+    """``Gradients.flat`` is one array, and each ``params()`` entry a view of it, in order."""
+    rng = np.random.default_rng(9)
+    single = ([rng.normal(size=(4, 3)), rng.normal(size=(3, 2))],
+              [rng.normal(size=3), rng.normal(size=2)],
+              [mse_head(2, rng.normal(size=(5, 2))), mse_head(2, rng.normal(size=(5, 2)))],
+              rng.normal(size=(5, 4)))
+    for weights, biases, heads, x in [single, *(
+            [_random_stack(rng, *case)[i] for i in (0, 1, 4, 2)] for case in STACK_CASES)]:
+        grads = ad.backward(weights, biases, heads, x)
+        start = grads.flat.__array_interface__["data"][0]
+        offset = 0
+        for g in grads.params():
+            assert g.base is grads.flat and g.flags.c_contiguous
+            assert g.__array_interface__["data"][0] == start + offset * grads.flat.itemsize
+            offset += g.size
+        assert offset == grads.flat.size
+
+
+def test_flat_sgd_step_matches_the_per_array_update_to_the_bit():
+    """One update of a flat array equals the per-array update the reference trainer takes."""
+    rng = np.random.default_rng(13)
+    for case in STACK_CASES:
+        weights, biases, x, _, heads = _random_stack(rng, *case)
+        grads = ad.backward(weights, biases, heads, x)
+        flat, params = ad.flat_views([g.shape for g in grads.params()])
+        flat[...] = rng.normal(size=flat.size)
+        per_array = [p.copy() for p in params]
+        lr = 0.05 * 0.95 ** 3
+        ad.sgd_step(per_array, grads.params(), lr)
+        ad.sgd_step([flat], [grads.flat], lr)
+        assert flat.tobytes() == np.concatenate([p.ravel() for p in per_array]).tobytes()

@@ -1,8 +1,8 @@
 """The stacked trainer against the one-model-at-a-time reference, bit for bit.
 
 ``train_stl``, ``train_mtl`` and ``train_injected`` stack the parameters of
-every model of one backbone shape and take one backward pass and one SGD
-step per batch for the whole stack. Each model must still come out exactly
+all their models, injected models of every label width included, and take
+one backward pass and one SGD step per batch for the whole stack. Each model must still come out exactly
 as ``oracles.reference_train`` trains it alone: every parameter and every
 ``TrainTrace`` field equal to the bit, whatever its stack mates are.
 """
@@ -69,7 +69,7 @@ def test_mtl_stack_matches_reference(suite, probes):
 
 def test_injected_stacks_match_reference(suite):
     half = m.half_capacity(BACKBONE)
-    # Partners of width 1 and 3 make two stacks; a task may inject its own label.
+    # Partners of width 1 and 3 share one stack; a task may inject its own label.
     pairs = [*permutations(suite.specs, 2), (suite.specs[1], suite.specs[1])]
     got = m.train_injected(pairs, suite.dataset, half, CFG)
     for (target, partner), result in zip(pairs, got):
@@ -120,11 +120,28 @@ def test_one_backward_and_one_step_per_batch_for_the_whole_stack(suite, monkeypa
     m.train_mtl(pairs, suite.dataset, BACKBONE, CFG, probes=True)
     assert calls == {"backward": steps + 2 * CFG.epochs, "sgd_step": steps}
 
+    # Injected models with partners of width 1 and 3 make one stack too.
+    calls.update(backward=0, sgd_step=0)
+    m.train_injected(list(permutations(suite.specs, 2)), suite.dataset,
+                     m.half_capacity(BACKBONE), CFG)
+    assert calls == {"backward": steps, "sgd_step": steps}
+
 
 def test_trained_models_are_views_into_one_stack(suite):
     first, second = m.train_stl(suite.specs[:2], suite.dataset, BACKBONE, CFG)
     for a, b in zip(first[0].params()[:-2], second[0].params()[:-2]):
         assert a.base is not None and a.base is b.base
+
+    # Injected models of both label widths: one array holds every parameter,
+    # and each first weight is the view of its model's own input rows.
+    reg, cls = suite.specs[:2]
+    injected = [model for model, _ in m.train_injected([(reg, cls), (cls, reg)], suite.dataset,
+                                                       m.half_capacity(BACKBONE), CFG)]
+    bases = [p.base for model in injected for p in model.params()]
+    assert bases[0] is not None and all(base is bases[0] for base in bases)
+    for model in injected:
+        assert model.weights[0].shape == (model.config.input_dim,
+                                          model.config.hidden_widths[0])
 
 
 # --- misuse and divergence ---
@@ -147,11 +164,11 @@ def test_divergence_names_the_diverging_slice(suite):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_divergence_tie_goes_to_plan_order_across_stacks(suite):
+def test_divergence_tie_goes_to_plan_order(suite):
     dataset, [huge] = with_huge_task(suite.dataset, "huge")
     reg, cls = suite.specs[0], suite.specs[1]
-    # Stack order follows the first job of each width: (reg, cls) opens the
-    # wider stack, so the wider stack's diverging slice is checked first.
+    # Both huge models diverge in the same step; the first of them in plan
+    # order is named, though (reg, cls) puts a width-3 partner first.
     pairs = [(reg, cls), (huge, reg), (huge, cls)]
     with pytest.raises(m.TrainingDivergedError) as info:
         m.train_injected(pairs, dataset, m.half_capacity(BACKBONE), CFG)
@@ -183,7 +200,7 @@ def test_validation_divergence_names_the_diverging_slice(suite):
         m.train_stl([a, b, huge, c, d], dataset, BACKBONE, CFG)
     assert (info.value.key, info.value.epoch) == ("stl/huge", 0)
 
-    # A tie goes to plan order across stacks, as for a step divergence.
+    # A tie goes to plan order, as for a step divergence.
     pairs = [(a, b), (huge, a), (huge, b)]
     with pytest.raises(m.TrainingDivergedError) as info:
         m.train_injected(pairs, dataset, m.half_capacity(BACKBONE), CFG)
