@@ -78,17 +78,17 @@ class Gradients:
         weights, biases: backbone gradients, layer by layer.
         heads: (weight, bias) gradient of each head, in head order; in a
             stack, of each group of each slot.
-        inputs: gradient with respect to the input batch, when requested.
         flat: every parameter gradient in one array, in :meth:`params`
             order; each of those gradients is a view of it.
+        inputs: gradient with respect to the input batch, when requested.
     """
 
     losses: list
     weights: list[np.ndarray]
     biases: list[np.ndarray]
     heads: list[tuple[np.ndarray, np.ndarray]]
+    flat: np.ndarray
     inputs: np.ndarray | None = None
-    flat: np.ndarray | None = None
 
     def backbone(self) -> list[np.ndarray]:
         """Backbone gradients: every weight, then every bias."""

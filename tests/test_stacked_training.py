@@ -2,9 +2,10 @@
 
 ``train_stl``, ``train_mtl`` and ``train_injected`` stack the parameters of
 all their models, injected models of every label width included, and take
-one backward pass and one SGD step per batch for the whole stack. Each model must still come out exactly
-as ``oracles.reference_train`` trains it alone: every parameter and every
-``TrainTrace`` field equal to the bit, whatever its stack mates are.
+one backward pass and one SGD step per batch for the whole stack. Each
+model must still come out exactly as ``oracles.reference_train`` trains it
+alone: every parameter and every ``TrainTrace`` field equal to the bit,
+whatever its stack mates are.
 """
 
 from itertools import permutations
@@ -167,8 +168,8 @@ def test_divergence_names_the_diverging_slice(suite):
 def test_divergence_tie_goes_to_plan_order(suite):
     dataset, [huge] = with_huge_task(suite.dataset, "huge")
     reg, cls = suite.specs[0], suite.specs[1]
-    # Both huge models diverge in the same step; the first of them in plan
-    # order is named, though (reg, cls) puts a width-3 partner first.
+    # Both huge models diverge in the same step, and partners of width 3 and
+    # 1 share the stack; the huge model first in plan order is named.
     pairs = [(reg, cls), (huge, reg), (huge, cls)]
     with pytest.raises(m.TrainingDivergedError) as info:
         m.train_injected(pairs, dataset, m.half_capacity(BACKBONE), CFG)
