@@ -8,7 +8,8 @@ cross-entropy. :func:`backward` runs the backbone forward once, then each
 head and its loss, adds the heads' latent gradients in head order and
 backpropagates that sum through the backbone once. It returns the losses,
 every parameter gradient and, on request, the gradient with respect to the
-input, all gradients in one flat array. :func:`sgd_step` applies one plain
+input, all gradients in one flat array, which a training loop may pass
+back to be overwritten on its next step. :func:`sgd_step` applies one plain
 SGD update in place. Parameters are plain float64 ndarrays owned by the
 caller; :func:`flat_views` lays several out in one flat array, so that one
 update covers them all.
@@ -100,6 +101,14 @@ class Gradients:
         for gw, gb in self.heads:
             out.extend((gw, gb))
         return out
+
+    @classmethod
+    def empty(cls, shapes: Sequence[tuple[int, ...]], layers: int) -> "Gradients":
+        """Unfilled gradients for parameters of ``shapes``, in :meth:`params` order,
+        for a backbone of ``layers`` layers; the buffer :func:`backward` fills."""
+        flat, views = flat_views(shapes)
+        return cls(losses=[], weights=views[:layers], biases=views[layers:2 * layers],
+                   heads=list(zip(views[2 * layers::2], views[2 * layers + 1::2])), flat=flat)
 
 
 def _swap(a: np.ndarray) -> np.ndarray:
@@ -216,7 +225,7 @@ def _slot_pass(slot: Head | Sequence[Head], latent: np.ndarray, grads=None,
 
 def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
              heads: Sequence[Head | Sequence[Head]], x: np.ndarray,
-             input_grad: bool = False) -> Gradients:
+             input_grad: bool = False, out: Gradients | None = None) -> Gradients:
     """Losses and gradients of the summed head losses on one batch.
 
     ``heads`` lists the head slots in order: a :class:`Head`, or in a stack
@@ -224,14 +233,18 @@ def backward(weights: Sequence[np.ndarray], biases: Sequence[np.ndarray],
     gradients are added in slot order and the sum is backpropagated through
     the backbone once. That differs in the last bits from backpropagating
     each slot alone and adding the results; one slot takes no addition.
+
+    ``out``, a :meth:`Gradients.empty` laid out for these parameters (or
+    an earlier result for them), is overwritten in full and returned, so a
+    training loop need not allocate its gradients on every step.
     """
     acts, masks = _forward(weights, biases, np.ascontiguousarray(x, dtype=np.float64))
     n = len(weights)
     slots = [[slot] if isinstance(slot, Head) else list(slot) for slot in heads]
-    flat, views = flat_views([p.shape for p in (*weights, *biases)] + [
-        p.shape for slot in slots for h in slot for p in (h.weight, h.bias)])
-    out = Gradients(losses=[], weights=views[:n], biases=views[n:2 * n],
-                    heads=list(zip(views[2 * n::2], views[2 * n + 1::2])), flat=flat)
+    if out is None:
+        out = Gradients.empty([p.shape for p in (*weights, *biases)] + [
+            p.shape for slot in slots for h in slot for p in (h.weight, h.bias)], n)
+    out.losses, out.inputs = [], None
     head_grads = iter(out.heads)
     g = None
     for slot in slots:

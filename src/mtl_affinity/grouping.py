@@ -14,15 +14,16 @@ search finds the best total, pruning a branch whose total plus each
 unserved task's best positive partner gain cannot beat the best grouping
 found, and pruning ties. A second pass then builds the lexicographically
 smallest grouping that reaches that total, one candidate at a time in
-encoding order, asking the same bounded search whether the tasks left can
-still reach the total within the budget left.
+encoding order. It rejects a candidate when the root bound of the tasks
+left (their cheapest cost, their summed upside) misses the budget or the
+total, else asks the same bounded search whether they can still reach it.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
@@ -227,80 +228,89 @@ class _Completions:
         self.gains = gains  # gains[p][t]: gain of task t trained with partner p
         self.limit = limit  # the budget plus BUDGET_SLACK
         self.stl_cost, self.mtl_cost = stl_cost, mtl_cost
-        # Cheapest cost of serving r tasks, q of them by two-task models.
-        # Summed model by model: an infinite cost times 0 models is NaN.
-        self.floor = [min(sum([mtl_cost] * ((q + 1) // 2) + [stl_cost] * (r - q))
-                          for q in range(r + 1)) for r in range(n + 1)]
-        self.both = [[gains[q][p] + gains[p][q] for q in range(n)] for p in range(n)]
-        self.by_pair_gain = [sorted((q for q in range(n) if q != p),
-                                    key=lambda q, p=p: -self.both[p][q]) for p in range(n)]
-        self.by_solo_gain = [sorted((q for q in range(n) if q != t),
-                                    key=lambda q, t=t: -gains[q][t]) for t in range(n)]
+        self.floor = _floor(n, stl_cost, mtl_cost)
+        columns = list(zip(*gains))  # both[p][q] = gains[q][p] + gains[p][q]
+        self.both = [[a + b for a, b in zip(c, r)] for c, r in zip(columns, gains)]
+        def ranked(values: Sequence[float], skip: int) -> list[int]:  # ties in index order
+            return sorted([q for q in range(n) if q != skip], key=[-v for v in values].__getitem__)
+        self.by_pair_gain = [ranked(row, p) for p, row in enumerate(self.both)]
+        self.by_solo_gain = [ranked(column, t) for t, column in enumerate(columns)]
         # No total can exceed this in magnitude; totals summed in different
-        # orders differ by a few ulps of it.
-        self.slack = _TIE_RTOL * sum(max(abs(gains[p][t]) for p in range(n) if p != t)
-                                     for t in range(n))
+        # orders differ by a few ulps of it. The diagonal's 0.0 never wins.
+        self.slack = _TIE_RTOL * sum([max(map(abs, column)) for column in columns])
 
-    def solo_gains(self, mask: int, used: list[int]) -> list[float | None]:
-        """Best solo gain of each task in ``mask``, skipping the partner bits in ``used[t]``."""
-        best: list[float | None] = [None] * len(used)
-        for t, partners in enumerate(self.by_solo_gain):
-            if mask >> t & 1:
-                for q in partners:
-                    if not used[t] >> q & 1:
-                        best[t] = self.gains[q][t]
-                        break
-        return best
+    def carry(self, used: list[int], solo: list[float | None], upside: list[float],
+              training: tuple[int, ...], serving: tuple[int, ...], left: int) -> tuple:
+        """New lists once a candidate is chosen, leaving the tasks ``left``: ``used[t]``,
+        the partners of ``t``'s pairs; ``solo[t]``, an unserved ``t``'s best solo gain
+        with another partner (None if none); ``upside[t]``, the larger of it and 0, or 0."""
+        used, solo, upside = used.copy(), solo.copy(), upside.copy()
+        for t in serving:
+            upside[t] = 0.0
+        if len(training) == 2:
+            a, b = training
+            used[a], used[b] = used[a] | 1 << b, used[b] | 1 << a
+            for t in training:
+                if left >> t & 1:  # its partners by falling gain, minus the used ones
+                    solo[t] = next((self.gains[q][t] for q in self.by_solo_gain[t]
+                                    if not used[t] >> q & 1), None)
+                    upside[t] = max(0.0, solo[t]) if solo[t] is not None else 0.0
+        return used, solo, upside
 
-    def best(self, mask: int, spent: float, solo: list[float | None],
+    def best(self, mask: int, spent: float, solo: list[float | None], upside: list[float],
              need: float, first: bool) -> float | None:
         """The largest completion value of ``mask`` that is at least ``need``.
 
-        ``spent`` is the cost of the models chosen so far. The search
-        prunes a branch when its bound (the value so far plus every
-        unserved task's best positive solo gain) is below ``need``; after
-        each completion found, ``need`` rises to that value plus the tie
-        slack, so ties are not explored. With ``first`` it returns the
-        first completion that reaches ``need``. None when no completion
-        reaches it.
+        ``spent`` is the cost of the models chosen so far; ``upside`` is 0 outside
+        ``mask``, so its sum is the root bound. A branch is pruned when its bound
+        (the value so far plus every unserved task's upside) is below ``need``;
+        after each completion found, ``need`` rises to that value plus the tie
+        slack, so ties are not explored. With ``first`` it returns the first
+        completion that reaches ``need``. None when no completion reaches it.
         """
         stl_cost, mtl_cost, floor, limit = self.stl_cost, self.mtl_cost, self.floor, self.limit
         both, by_pair_gain, slack = self.both, self.by_pair_gain, self.slack
-        upside = [max(0.0, v) if v is not None else 0.0 for v in solo]
         found: float | None = None
 
         def search(mask: int, left: int, spent: float, value: float, rest: float) -> bool:
-            # rest: the summed upside of the tasks in mask
+            # rest: the summed upside of the tasks in mask; the caller checked the floor
             nonlocal need, found
             if not mask:
                 if value < need:
                     return False
                 found, need = value, value + slack
                 return first
-            if value + rest < need or spent + floor[left] > limit:
+            if value + rest < need:
                 return False
             p = (mask & -mask).bit_length() - 1
             mask ^= 1 << p
             rest -= upside[p]
-            if left >= 2 and spent + mtl_cost + floor[left - 2] <= limit:
+            paired = spent + mtl_cost
+            if left >= 2 and paired + floor[left - 2] <= limit:
                 for q in by_pair_gain[p]:
                     if mask >> q & 1:
                         value_q = value + both[p][q]
                         if value_q + rest < need:
                             break  # the partners after q gain less
-                        if search(mask ^ 1 << q, left - 2, spent + mtl_cost, value_q,
-                                  rest - upside[q]):
+                        if search(mask ^ 1 << q, left - 2, paired, value_q, rest - upside[q]):
                             return True
-            if solo[p] is not None and spent + mtl_cost + floor[left - 1] <= limit:
-                if search(mask, left - 1, spent + mtl_cost, value + solo[p], rest):
+            if solo[p] is not None and paired + floor[left - 1] <= limit:
+                if search(mask, left - 1, paired, value + solo[p], rest):
                     return True
             if spent + stl_cost + floor[left - 1] <= limit:
                 return search(mask, left - 1, spent + stl_cost, value, rest)
             return False
 
-        search(mask, mask.bit_count(), spent, 0.0,
-               sum(v for t, v in enumerate(upside) if mask >> t & 1))
+        if spent + floor[mask.bit_count()] <= limit:
+            search(mask, mask.bit_count(), spent, 0.0, sum(upside))
         return found
+
+
+@lru_cache(maxsize=256, typed=True)
+def _floor(n: int, stl_cost: float, mtl_cost: float) -> tuple[float, ...]:
+    """Cheapest cost of r = 0..n tasks, summed model by model (inf times 0 is NaN)."""
+    return tuple(min(sum([mtl_cost] * ((q + 1) // 2) + [stl_cost] * (r - q))
+                     for q in range(r + 1)) for r in range(n + 1))
 
 
 def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
@@ -322,7 +332,10 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     lexicographically smallest sorted encoding. It tries candidates in
     encoding order and keeps one when the bounded search shows that the
     remaining tasks can still reach the best total within the remaining
-    budget. The returned total is the grouping's ``aggregate_performance``.
+    budget. A candidate that fails the root bound (the tasks it leaves cost
+    too much, or their summed upside falls short) is rejected before any
+    search set-up. Solo gains carry over between kept candidates and the cost
+    table is cached. The returned total is the grouping's ``aggregate_performance``.
 
     Raises:
         InfeasibleGroupingError: nothing fits within the budget.
@@ -350,52 +363,54 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
         raise ValueError(f"costs must be positive, got stl={stl_cost}, mtl={mtl_cost}")
 
     order, n = sorted(names), len(names)  # index order is encoding order
-    gains = [[gain.get(p, t) if p != t else 0.0 for t in order] for p in order]
+    index = {name: i for i, name in enumerate(order)}
+    gains = [[0.0] * n for _ in range(n)]
+    for (p, t), value in gain.cells().items():
+        gains[index[p]][index[t]] = value
     completions = _Completions(gains, budget + BUDGET_SLACK, stl_cost, mtl_cost)
     if not math.isfinite(completions.slack):
         raise ValueError("gains too large: the sum of each task's largest |gain| overflows")
     everyone = (1 << n) - 1
-    best = completions.best(everyone, 0.0, completions.solo_gains(everyone, [0] * n),
-                            -math.inf, first=False)
+    solo = [gains[partners[0]][t] for t, partners in enumerate(completions.by_solo_gain)]
+    upside = [max(0.0, v) for v in solo]
+    best = completions.best(everyone, 0.0, solo, upside, -math.inf, first=False)
     if best is None:
         raise InfeasibleGroupingError(
             f"no valid grouping of {len(names)} tasks fits budget {budget} "
             f"(stl_cost={stl_cost}, mtl_cost={mtl_cost})")
 
-    goal = best - completions.slack
-    chosen, served, used, spent, total = [], 0, [0] * n, 0.0, 0.0  # used: as in solo_gains
-    for training, serving, serves in _encoding_order(n):
-        if served & serves or used[training[0]] >> training[-1] & 1:  # a used pair
+    goal, floor, limit = best - completions.slack, completions.floor, completions.limit
+    chosen, served, used, spent, total = [], 0, [0] * n, 0.0, 0.0
+    for training, serving, serves, directed in _encoding_order(n):
+        left, cost = everyone ^ (served | serves), (stl_cost, mtl_cost)[len(training) - 1]
+        if (served & serves or used[training[0]] >> training[-1] & 1  # a used pair
+                or spent + cost + floor[left.bit_count()] > limit):
             continue
-        cost, after, pairs = stl_cost, total, used  # after: summed task by task, in order
-        if len(training) == 2:
-            a, b = training
-            cost, pairs = mtl_cost, used.copy()
-            pairs[a], pairs[b] = used[a] | 1 << b, used[b] | 1 << a
-            for t in serving:
-                after += gains[a + b - t][t]
-        rest = everyone ^ (served | serves)
-        if (spent + cost + completions.floor[rest.bit_count()] > completions.limit
-                or completions.best(rest, spent + cost, completions.solo_gains(rest, pairs),
-                                    goal - after, first=True) is None):
+        after = total  # summed task by task, in order
+        for p, t in directed:
+            after += gains[p][t]
+        state = completions.carry(used, solo, upside, training, serving, left)
+        # Every upside summed, the served tasks' zeros included, is bit for bit
+        # the index-order sum over the tasks left: the search's root bound.
+        if sum(state[2]) < goal - after or completions.best(
+                left, spent + cost, *state[1:], goal - after, first=True) is None:
             continue
-        chosen.append((training, serving))
-        served, used, spent, total = served | serves, pairs, spent + cost, after
+        chosen.append((training, serving, cost))
+        served, spent, total, (used, solo, upside) = served | serves, spent + cost, after, state
         if served == everyone:
             break
 
     grouping = Grouping(tuple(
-        ModelCandidate(tuple(order[t] for t in training),
-                       tuple(order[t] for t in serving),
-                       stl_cost if len(training) == 1 else mtl_cost)
-        for training, serving in chosen), budget)
+        ModelCandidate(tuple(order[t] for t in training), tuple(order[t] for t in serving), cost)
+        for training, serving, cost in chosen), budget)
     return grouping, total
 
 
 @cache
-def _encoding_order(n: int) -> tuple[tuple[tuple[int, ...], tuple[int, ...], int], ...]:
-    """Every candidate as (training, serving, serving mask), in encoding order."""
+def _encoding_order(n: int) -> tuple[tuple, ...]:
+    """Every candidate, in encoding order: training, serving, serving mask, gain cells."""
     candidates = [((t,), (t,)) for t in range(n)]
     for a, b in combinations(range(n), 2):
         candidates += [((a, b), (a,)), ((a, b), (a, b)), ((a, b), (b,))]
-    return tuple((tr, sv, sum(1 << t for t in sv)) for tr, sv in sorted(candidates))
+    return tuple((tr, sv, sum(1 << t for t in sv), tuple((sum(tr) - t, t) for t in sv)
+                  if len(tr) == 2 else ()) for tr, sv in sorted(candidates))

@@ -325,7 +325,8 @@ class _Stack:
     the rows below stay zero, and so do the columns past its width in the
     block it reads, slice ``i`` reading ``inputs[source[i]]``. ``best``
     holds each slice's parameters of its best epoch so far, and ``owner``
-    names the slice of each element of ``flat``.
+    names the slice of each element of ``flat``. ``grads``, laid out like
+    ``flat``, is the one gradient buffer that every training step overwrites.
     """
 
     def __init__(self, models: Sequence[Model], jobs: Sequence[_Job], inputs: np.ndarray,
@@ -342,12 +343,13 @@ class _Stack:
         n, m = len(models[0].weights), len(models)
         width = max(job.backbone.input_dim for job in jobs)
         latent = models[0].config.latent_dim
-        self.flat, views = ad.flat_views(
-            [(m, width if i == 0 else w.shape[0], w.shape[1])
-             for i, w in enumerate(models[0].weights)]
-            + [(m, *b.shape) for b in models[0].biases]
-            + [shape for groups in slots for (out, _), slices in groups.items()
-               for shape in ((len(slices), latent, out), (len(slices), out))], np.zeros)
+        shapes = ([(m, width if i == 0 else w.shape[0], w.shape[1])
+                   for i, w in enumerate(models[0].weights)]
+                  + [(m, *b.shape) for b in models[0].biases]
+                  + [shape for groups in slots for (out, _), slices in groups.items()
+                     for shape in ((len(slices), latent, out), (len(slices), out))])
+        self.flat, views = ad.flat_views(shapes, np.zeros)
+        self.grads = ad.Gradients.empty(shapes, n)
         self.weights, self.biases = views[:n], views[n:2 * n]
         for k, model in enumerate(models):
             for stacked, param in zip(views, (*model.weights, *model.biases)):
@@ -449,7 +451,8 @@ def _train_jobs(jobs: Sequence[_Job], inputs: np.ndarray, dataset: MultiTaskData
         order = train_idx[np.stack([rng.permutation(len(train_idx)) for rng in batch_rngs])]
         for start in range(0, len(train_idx), cfg.batch_size):
             grads = ad.backward(stack.weights, stack.biases,
-                                *stack.batch(order[:, start:start + cfg.batch_size]))
+                                *stack.batch(order[:, start:start + cfg.batch_size]),
+                                out=stack.grads)
             check(np.isfinite(sum(grads.losses)), epoch)
             ad.sgd_step([stack.flat], [grads.flat], lr)
 
@@ -475,12 +478,22 @@ def _check_labels(dataset: MultiTaskDataset, specs: Sequence[TaskSpec]) -> None:
         raise KeyError(f"dataset lacks labels for {missing}; has {sorted(dataset.labels)}")
 
 
+def _check_input_dim(trainer: str, field: str, backbone: BackboneConfig,
+                     dataset: MultiTaskDataset, jobs: Sequence[_Job]) -> None:
+    """Fail before any model is built when ``backbone`` does not read the dataset's inputs."""
+    width = dataset.inputs.shape[1]
+    if jobs and backbone.input_dim != width:
+        raise ValueError(f"{trainer}: {field}.input_dim is {backbone.input_dim}, but the "
+                         f"dataset's inputs have width {width} (first model {jobs[0].key})")
+
+
 def train_stl(tasks: Sequence[TaskSpec], dataset: MultiTaskDataset,
               backbone: BackboneConfig, cfg: TrainConfig) -> list[tuple[Model, TrainTrace]]:
     """Train one single-task model per task, each returned at its best validation epoch."""
     _check_labels(dataset, tasks)
-    return _train_jobs([_Job(model_key("stl", [t.name]), (t,), backbone, 0) for t in tasks],
-                       dataset.inputs[None], dataset, cfg)
+    jobs = [_Job(model_key("stl", [t.name]), (t,), backbone, 0) for t in tasks]
+    _check_input_dim("train_stl", "backbone", backbone, dataset, jobs)
+    return _train_jobs(jobs, dataset.inputs[None], dataset, cfg)
 
 
 def train_mtl(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskDataset,
@@ -495,8 +508,9 @@ def train_mtl(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskData
     same either way.
     """
     _check_labels(dataset, [s for pair in pairs for s in pair])
-    return _train_jobs([_Job(model_key("mtl", [a.name, b.name]), (a, b), backbone, 0)
-                        for a, b in pairs], dataset.inputs[None], dataset, cfg, probes)
+    jobs = [_Job(model_key("mtl", [a.name, b.name]), (a, b), backbone, 0) for a, b in pairs]
+    _check_input_dim("train_mtl", "backbone", backbone, dataset, jobs)
+    return _train_jobs(jobs, dataset.inputs[None], dataset, cfg, probes)
 
 
 def train_injected(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTaskDataset,
@@ -524,4 +538,5 @@ def train_injected(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTas
     jobs = [_Job(model_key("inj", [target.name, partner.name]), (target,),
                  replace(half_backbone, input_dim=half_backbone.input_dim + partner.output_dim),
                  source[partner.name]) for target, partner in pairs]
+    _check_input_dim("train_injected", "half_backbone", half_backbone, dataset, jobs)
     return _train_jobs(jobs, inputs, dataset, cfg)

@@ -380,3 +380,26 @@ def test_flat_sgd_step_matches_the_per_array_update_to_the_bit():
         ad.sgd_step(per_array, grads.params(), lr)
         ad.sgd_step([flat], [grads.flat], lr)
         assert flat.tobytes() == np.concatenate([p.ravel() for p in per_array]).tobytes()
+
+
+def test_backward_into_a_reused_buffer_matches_a_fresh_call_to_the_bit():
+    """``out`` is overwritten in full: a NaN-filled buffer, fresh from
+    ``Gradients.empty`` or holding an earlier result, ends with a fresh call's bytes."""
+    rng = np.random.default_rng(17)
+    for case in STACK_CASES:
+        weights, biases, x, _, heads = _random_stack(rng, *case)
+        buffer = ad.Gradients.empty([p.shape for p in (*weights, *biases)] + [
+            p.shape for slot in heads for h in slot for p in (h.weight, h.bias)], len(weights))
+        for input_grad in (True, False, True):
+            fresh = ad.backward(weights, biases, heads, x, input_grad=input_grad)
+            buffer.flat[...] = np.nan
+            got = ad.backward(weights, biases, heads, x, input_grad=input_grad, out=buffer)
+            assert got is buffer
+            assert got.flat.tobytes() == fresh.flat.tobytes()
+            assert [g.tobytes() for g in got.params()] == [g.tobytes() for g in fresh.params()]
+            assert [np.asarray(v).tobytes() for v in got.losses] == \
+                [np.asarray(v).tobytes() for v in fresh.losses]
+            assert (got.inputs is None) == (not input_grad)
+            if input_grad:
+                assert got.inputs.tobytes() == fresh.inputs.tobytes()
+            x = x + 0.5  # the next call overwrites an earlier result

@@ -212,6 +212,17 @@ def test_group_bundled_default_budget_5(capsys):
     assert payload["total_gain"] >= 0.0
 
 
+BUNDLED_GROUPINGS = Path(__file__).resolve().parent / "data" / "group_bundled.json"
+
+
+@pytest.mark.parametrize("budget", ["5", "7.5", "10"])
+def test_group_bundled_output_is_byte_identical_to_the_stored_one(budget, capsys):
+    """``tests/data/group_bundled.json`` holds each budget's output, as JSON."""
+    assert main(["group", "--budget", budget]) == 0
+    want = json.loads(BUNDLED_GROUPINGS.read_text(encoding="utf-8"))[budget]
+    assert capsys.readouterr().out == json.dumps(want, indent=2, sort_keys=True) + "\n"
+
+
 def test_group_infeasible_budget(capsys):
     assert main(["group", "--budget", "4"]) == 1
     assert "budget" in capsys.readouterr().err

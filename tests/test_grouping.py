@@ -11,12 +11,15 @@ from hypothesis import strategies as st
 
 from grouping_pins import PINS_PATH, pin_instances, solve_pin
 from mtl_affinity.grouping import (
+    BUDGET_SLACK,
     Grouping,
     InfeasibleGroupingError,
     InvalidGroupingError,
     ModelCandidate,
     aggregate_performance,
     is_valid_grouping,
+    _Completions,
+    _encoding_order,
     optimize_grouping,
 )
 from mtl_affinity.matrices import TaskMatrix
@@ -378,3 +381,79 @@ def test_optimizer_allows_infinite_budget_and_costs():
     # An unaffordable two-task model leaves the single-task models.
     grouping, total = optimize_grouping(ABC, gains, budget=3.0, mtl_cost=float("inf"))
     assert (grouping.encoding(), total) == (tuple(((t,), (t,)) for t in ABC), 0.0)
+
+
+# --- the tie-break pass: carried solo gains and the root-bound precheck ---
+
+
+def scratch_solo_gain(gains, t, used):
+    """Task t's best gain with a partner it has no chosen pair with; None if none is left."""
+    allowed = [gains[q][t] for q in range(len(gains)) if q != t and not used >> q & 1]
+    return max(allowed) if allowed else None
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=8), st.integers(min_value=0, max_value=2**32 - 1),
+       st.booleans(), st.sampled_from([1.0, 1.5, 2.0, 3.0]), st.data())
+def test_carried_solo_gains_and_root_bound_precheck_match_a_fresh_search(
+        n, seed, stepped, mtl_cost, data):
+    """Along a random walk of candidates, the carried solo gains equal ones recomputed
+    from scratch, and the precheck rejects exactly where a search with the fresh upside
+    sum prunes its root: ``0.0 + rest < need``, rest summed in index order."""
+    rng = np.random.default_rng(seed)
+    gains = [[0.0 if p == t else float(rng.uniform(-0.3, 0.4)) for t in range(n)]
+             for p in range(n)]
+    if stepped:
+        gains = [[round(v * 10) / 10 for v in row] for row in gains]
+    budget = data.draw(st.floats(min_value=0.9 * n, max_value=3.0 * n))
+    completions = _Completions(gains, budget + BUDGET_SLACK, 1.0, mtl_cost)
+    everyone = (1 << n) - 1
+    served, used, spent, pairs = 0, [0] * n, 0.0, [0] * n  # pairs: used, as the test keeps it
+    solo = [scratch_solo_gain(gains, t, 0) for t in range(n)]
+    upside = [max(0.0, v) for v in solo]
+    while served != everyone:
+        training, serving, serves = data.draw(st.sampled_from([
+            (training, serving, serves) for training, serving, serves, _ in _encoding_order(n)
+            if not served & serves and not pairs[training[0]] >> training[-1] & 1]))
+        served |= serves
+        left = everyone ^ served
+        used, solo, upside = completions.carry(used, solo, upside, training, serving, left)
+        if len(training) == 2:
+            a, b = training
+            pairs[a], pairs[b] = pairs[a] | 1 << b, pairs[b] | 1 << a
+        spent += 1.0 if len(training) == 1 else mtl_cost
+        unserved = [t for t in range(n) if left >> t & 1]
+        assert used == pairs
+        assert [solo[t] for t in unserved] == [scratch_solo_gain(gains, t, pairs[t])
+                                               for t in unserved]
+        assert [upside[t] for t in range(n) if not left >> t & 1] == [0.0] * (n - len(unserved))
+        # The search's root bound as it was computed per call: every task's
+        # upside from its fresh solo gain, summed over the tasks left.
+        fresh = [max(0.0, v) if v is not None else 0.0
+                 for v in (scratch_solo_gain(gains, t, pairs[t]) for t in range(n))]
+        rest = sum(v for t, v in enumerate(fresh) if left >> t & 1)
+        assert repr(sum(upside)) == repr(float(rest))
+        for need in (rest, math.nextafter(rest, math.inf), math.nextafter(rest, -math.inf),
+                     data.draw(st.floats(min_value=-2.0, max_value=3.0))):
+            rejected = sum(upside) < need
+            assert rejected == (0.0 + rest < need)
+            if rejected or spent + completions.floor[len(unserved)] > completions.limit:
+                for first in (True, False):
+                    assert completions.best(left, spent, solo, upside, need, first) is None
+
+
+@pytest.mark.parametrize("stepped", [False, True])
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_optimizer_matches_subset_oracle_at_a_budget_of_one_and_a_quarter_per_task(
+        n, seed, stepped):
+    """The benchmark's n8 budget factor, 1.25 per task, which the pins do not cover."""
+    tasks = tuple(f"t{i}" for i in range(n))
+    gains = seeded_gains([seed, n], tasks)
+    if stepped:  # 0.1 steps: many ties
+        gains = TaskMatrix(tasks, {key: round(v * 10) / 10 for key, v in gains.cells().items()})
+    grouping, total = optimize_grouping(tasks, gains, 1.25 * n)
+    assert is_valid_grouping(tasks, grouping) == []
+    assert aggregate_performance(grouping, gains) == total
+    best = best_total_by_subsets(tasks, oracle_gains_dict(gains), 1.0, 1.25 * n, 2.0)
+    assert total == pytest.approx(best, abs=1e-12)

@@ -8,6 +8,7 @@ alone: every parameter and every ``TrainTrace`` field equal to the bit,
 whatever its stack mates are.
 """
 
+from dataclasses import replace
 from itertools import permutations
 
 import pytest
@@ -128,6 +129,24 @@ def test_one_backward_and_one_step_per_batch_for_the_whole_stack(suite, monkeypa
     assert calls == {"backward": steps, "sgd_step": steps}
 
 
+def test_training_steps_overwrite_one_gradient_buffer_laid_out_like_the_stack(suite, monkeypatch):
+    """Every step of a stack passes the same ``out``; the GS/GT probes allocate their own."""
+    buffers = []
+
+    def recorded(*args, _original=ad.backward, **kwargs):
+        buffers.append(kwargs.get("out"))
+        return _original(*args, **kwargs)
+    monkeypatch.setattr(ad, "backward", recorded)
+    pairs = [(a, b) for i, a in enumerate(suite.specs) for b in suite.specs[i + 1:]]
+    steps = CFG.epochs * -(-len(suite.dataset.splits["train"]) // CFG.batch_size)
+    [(model, _), *_] = m.train_mtl(pairs, suite.dataset, BACKBONE, CFG, probes=True)
+    reused = [out for out in buffers if out is not None]
+    assert len(reused) == steps and all(out is reused[0] for out in reused)
+    assert buffers.count(None) == 2 * CFG.epochs
+    stack_flat = model.weights[0].base
+    assert reused[0].flat.size == stack_flat.size and reused[0].flat is not stack_flat
+
+
 def test_trained_models_are_views_into_one_stack(suite):
     first, second = m.train_stl(suite.specs[:2], suite.dataset, BACKBONE, CFG)
     for a, b in zip(first[0].params()[:-2], second[0].params()[:-2]):
@@ -238,3 +257,27 @@ def test_duplicate_keys_fail_before_training(suite, no_training):
         m.train_stl([a, b, a], suite.dataset, BACKBONE, CFG)
     with pytest.raises(ValueError, match="inj/task0/task1"):
         m.train_injected([(a, b), (a, b)], suite.dataset, BACKBONE, CFG)
+
+
+@pytest.mark.parametrize("width", [5, 7])
+def test_wrong_input_width_fails_before_any_model_is_built(suite, monkeypatch, width):
+    """Each trainer checks its backbone's input_dim against the suite's d_in = 6."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a model was built")
+    monkeypatch.setattr(m.Model, "__init__", refuse)
+    wrong = replace(BACKBONE, input_dim=width)
+    a, b = suite.specs[:2]
+    calls = [("train_stl", "backbone", "stl/task0",
+              lambda: m.train_stl([a, b], suite.dataset, wrong, CFG)),
+             ("train_mtl", "backbone", "mtl/task0/task1",
+              lambda: m.train_mtl([(a, b)], suite.dataset, wrong, CFG)),
+             ("train_injected", "half_backbone", "inj/task0/task1",
+              lambda: m.train_injected([(a, b), (b, a)], suite.dataset,
+                                       m.half_capacity(wrong), CFG))]
+    for trainer, field, key, call in calls:
+        with pytest.raises(ValueError) as info:
+            call()
+        message = str(info.value)
+        for part in (f"{trainer}:", f"{field}.input_dim is {width}", "width 6",
+                     f"first model {key}"):
+            assert part in message
