@@ -4,8 +4,9 @@ One run covers a list of seeds. Per seed the harness builds (or loads) the
 task suite and trains the roster ``plan_roster`` lists: STL and pair models
 always, injected models and pair probes only for the scores that need them
 (the roster table in :mod:`evaluation`), each model under its job key, with
-one stacked trainer call per model family. It then assembles the requested
-affinity matrices next to the measured gain matrix, runs the three
+one stacked trainer call per model family. It then scores each requested
+kind in one loop over the cells its symmetry picks (``_CELLS`` computes one),
+assembles the matrices next to the measured gain matrix, runs the three
 evaluation levels, and writes one directory of CSV/JSON report files.
 
 Everything is deterministic in the config: rerunning a seed produces
@@ -20,6 +21,7 @@ import json
 import math
 import platform
 from dataclasses import dataclass
+from itertools import permutations
 from pathlib import Path
 from typing import Callable, Mapping, NamedTuple, Sequence
 
@@ -181,6 +183,9 @@ class ExperimentConfig:
         # The configs built from these fields check them; 1 stands in for d_in.
         self.train_config(seed=0)
         BackboneConfig(1, self.hidden, self.latent_dim)
+        for field, least in (("eval_batch_size", 3), ("latent_dim", 2)):
+            if "RSA" in self.scores and getattr(self, field) < least:
+                raise ValueError(f"score RSA needs {field} >= {least}, got {getattr(self, field)}")
         if self.dataset_path is None:
             check_suite_args(self.n_tasks, self.d_latent, self.d_in, self.n_examples,
                              self.overlap, self.noise_std)
@@ -277,6 +282,21 @@ def _note_skips(notes: dict[str, str], label: str, value) -> None:
         notes[label] = f"skipped {skipped} of {skipped + value.used}"
 
 
+# How a seed computes one cell of each score kind: (run, target, partner) -> the
+# value for ``target`` trained with ``partner``, cell (partner, target). Each entry
+# looks its score up in this module when called, so a tracer's wrapper sees it.
+_CELLS: dict[str, Callable[["_SeedRun", str, str], float]] = {
+    "TD": lambda run, t, p: run.taxonomy.get(p, t),
+    "IAS": lambda run, t, p: input_attribution_similarity(
+        run.model("stl", t), run.model("stl", p), run.eval_x, run.eval_y[t], run.eval_y[p]),
+    "RSA": lambda run, t, p: rsa(run.model("stl", t), run.model("stl", p), run.eval_x),
+    "LI": lambda run, t, p: label_injection(run.stl_loss[t], run.model("inj", t, p).task_losses(
+        extend_inputs(run.test_x, run.specs[p], run.test_y[p]), {t: run.test_y[t]})[t]),
+    "GS": lambda run, t, p: gradient_similarity(run.pair_trace(t, p)),
+    "GT": lambda run, t, p: gradient_transference(run.pair_trace(t, p), t),
+}
+
+
 class _SeedRun:
     """Working state for one seed: the trained roster and its test losses."""
 
@@ -351,48 +371,24 @@ class _SeedRun:
                 gain.set(partner, target, mtl_gain(self.stl_loss[target], mtl_loss[target]))
         return gain
 
+    def pair_trace(self, a: str, b: str) -> TrainTrace:
+        """The training trace of the pair model of ``a`` and ``b``, in either order."""
+        return self.trained[model_key("mtl", tuple(sorted((a, b))))][1]
+
     def affinity(self, kind: str) -> TaskMatrix:
+        """One ``_CELLS`` call per cell: per sorted pair (the first task is the
+        target) for a symmetric kind, per (target, partner) for a directed one."""
+        symmetric = lookup_kind(kind).symmetric
         values: dict[tuple[str, str], float] = {}
-        # The cell being scored, named in a degenerate-score error.
-        where = ""
-        try:
-            if kind == "TD":
-                for a, b in self.pairs:
-                    values[(a, b)] = self.taxonomy.get(a, b)
-            elif kind == "IAS":
-                for a, b in self.pairs:
-                    where = f"pair ({a!r}, {b!r})"
-                    v = input_attribution_similarity(
-                        self.model("stl", a), self.model("stl", b), self.eval_x,
-                        self.eval_y[a], self.eval_y[b])
-                    _note_skips(self.notes, f"IAS {a}/{b}", v)
-                    values[(a, b)] = float(v)
-            elif kind == "RSA":
-                for a, b in self.pairs:
-                    where = f"pair ({a!r}, {b!r})"
-                    values[(a, b)] = rsa(self.model("stl", a), self.model("stl", b), self.eval_x)
-            elif kind == "LI":
-                extended = {t: extend_inputs(self.test_x, self.specs[t], self.test_y[t])
-                            for t in self.names}
-                for target, partner in MODEL_FAMILIES["inj"].members(self.names):
-                    where = f"partner {partner!r} -> target {target!r}"
-                    loss = self.model("inj", target, partner).task_losses(
-                        extended[partner], {target: self.test_y[target]})[target]
-                    values[(partner, target)] = label_injection(self.stl_loss[target], loss)
-            elif kind == "GS":
-                for pair in self.pairs:
-                    values[pair] = gradient_similarity(self.trained[model_key("mtl", pair)][1])
-            elif kind == "GT":
-                for a, b in self.pairs:
-                    trace = self.trained[model_key("mtl", (a, b))][1]
-                    for target, partner in ((a, b), (b, a)):
-                        where = f"partner {partner!r} -> target {target!r}"
-                        v = gradient_transference(trace, target)
-                        _note_skips(self.notes, f"GT {target}|{partner}", v)
-                        values[(partner, target)] = float(v)
-        except DegenerateScoreError as exc:
-            # IAS, RSA, LI and GT, the kinds that can be degenerate, set ``where``.
-            raise ExperimentError(f"seed {self.seed}, score {kind}, {where}: {exc}") from exc
+        for target, partner in self.pairs if symmetric else permutations(self.names, 2):
+            try:
+                value = _CELLS[kind](self, target, partner)
+            except DegenerateScoreError as exc:
+                cell = (f"pair {(target, partner)!r}" if symmetric
+                        else f"partner {partner!r} -> target {target!r}")
+                raise ExperimentError(f"seed {self.seed}, score {kind}, {cell}: {exc}") from exc
+            _note_skips(self.notes, f"{kind} {target}{'/' if symmetric else '|'}{partner}", value)
+            values[(partner, target)] = float(value)
         return assemble_matrix(kind, self.names, values)
 
     def measured_c_s(self) -> float:

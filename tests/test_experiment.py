@@ -1,6 +1,5 @@
 """Harness tests: config plumbing, file inventory, round trips, determinism."""
 
-import functools
 import json
 import math
 import os
@@ -39,8 +38,9 @@ from mtl_affinity.matrices import TaskMatrix
 from mtl_affinity.scores import (
     SCORE_KINDS,
     DegenerateScoreError,
+    ScoreValue,
     gradient_transference,
-    label_injection,
+    rsa,
 )
 from mtl_affinity.tasks import TaskSuite, generate_latent_factor_suite, save_dataset
 
@@ -96,6 +96,17 @@ def test_config_rejects_bad_fields(tmp_path):
                          latent_dim=16)
     with pytest.raises(ExperimentError, match="hidden"):
         _SeedRun(loaded, 0)
+
+
+@pytest.mark.parametrize("field, least", [("eval_batch_size", 3), ("latent_dim", 2)])
+def test_rsa_needs_three_examples_and_two_latent_dims(tmp_path, field, least):
+    # RSA ranks the pairwise correlation distances of a batch's latent vectors.
+    with pytest.raises(ValueError, match=rf"^score RSA needs {field} >= {least}, "
+                                         rf"got {least - 1}$"):
+        tiny_config(tmp_path, **{field: least - 1})
+    assert getattr(tiny_config(tmp_path, **{field: least}), field) == least
+    without_rsa = tiny_config(tmp_path, scores=("IAS", "LI", "GS", "GT"), **{field: least - 1})
+    assert getattr(without_rsa, field) == least - 1
 
 
 @pytest.mark.parametrize("field", ["seeds", "hidden", "n_tasks", "d_latent", "d_in",
@@ -333,35 +344,89 @@ def test_degenerate_score_names_seed_kind_and_pair(tmp_path, monkeypatch):
     assert not (tmp_path / "out").exists()
 
 
-def zero_loss_on_second_call(stl_loss, injected_loss, *, calls):
-    """The real LI score, given a zero injected loss on its second call."""
-    calls.append(None)
-    return label_injection(stl_loss, 0.0 if len(calls) == 2 else injected_loss)
+def zero_injected_loss_at(cell):
+    """The LI cell, whose real score gets a zero injected loss at (target, partner) ``cell``.
+
+    ``label_injection`` sees only two losses, so this replaces the kind's
+    ``_CELLS`` entry, which knows its cell.
+    """
+    real = experiment._CELLS["LI"]
+
+    def scored(run, target, partner):
+        if (target, partner) == cell:
+            return experiment.label_injection(run.stl_loss[target], 0.0)
+        return real(run, target, partner)
+    return scored
 
 
-def degenerate_on_second_call(trace, target, *, calls):
-    calls.append(None)
-    if len(calls) == 2:
-        raise DegenerateScoreError("every epoch had a zero pre-update loss")
-    return gradient_transference(trace, target)
+def degenerate_gt_at(cell):
+    """The real GT score, degenerate at (target, partner) ``cell`` only."""
+    def scored(trace, target):
+        (partner,) = set(trace.lookahead) - {target}
+        if (target, partner) == cell:
+            raise DegenerateScoreError("every epoch had a zero pre-update loss")
+        return gradient_transference(trace, target)
+    return scored
 
 
-# The second LI model is (target task0, partner task2); the second GT call
-# scores the pair (task0, task1) in its other direction.
-@pytest.mark.parametrize("kind, name, replacement, message", [
-    ("LI", "label_injection", zero_loss_on_second_call,
+def degenerate_rsa_at(pair):
+    """The real RSA score, degenerate for the STL models of ``pair`` only."""
+    def scored(model_a, model_b, inputs):
+        if (*model_a.specs, *model_b.specs) == pair:
+            raise DegenerateScoreError("latent vector of example 0 is constant")
+        return rsa(model_a, model_b, inputs)
+    return scored
+
+
+# Each replacement fails at one named cell, whatever order the cells are
+# scored in; the message names the seed, the kind and that cell.
+@pytest.mark.parametrize("kind, table, name, replacement, message", [
+    ("LI", experiment._CELLS, "LI", zero_injected_loss_at(("task0", "task2")),
      "seed 4, score LI, partner 'task2' -> target 'task0': label injection needs positive"),
-    ("GT", "gradient_transference", degenerate_on_second_call,
+    ("GT", vars(experiment), "gradient_transference", degenerate_gt_at(("task1", "task0")),
      "seed 4, score GT, partner 'task0' -> target 'task1': every epoch had a zero"),
-])
-def test_degenerate_directed_score_names_seed_kind_and_cell(tmp_path, monkeypatch, kind, name,
-                                                            replacement, message):
-    monkeypatch.setattr(experiment, name, functools.partial(replacement, calls=[]))
+    ("RSA", vars(experiment), "rsa", degenerate_rsa_at(("task1", "task2")),
+     "seed 4, score RSA, pair ('task1', 'task2'): latent vector of example 0 is constant"),
+], ids=["LI", "GT", "RSA"])
+def test_degenerate_score_names_seed_kind_and_cell(tmp_path, monkeypatch, kind, table, name,
+                                                   replacement, message):
+    monkeypatch.setitem(table, name, replacement)
     cfg = tiny_config(tmp_path, scores=(kind,), seeds=(4,))
     with pytest.raises(ExperimentError, match=re.escape(message)) as info:
         run_experiment(cfg)
     assert isinstance(info.value.__cause__, DegenerateScoreError)
     assert not (tmp_path / "out").exists()
+
+
+def test_each_kind_is_scored_once_per_cell(tmp_path, monkeypatch):
+    # Every kind has one cell function, and a seed of n = 4 tasks calls each
+    # trained kind's score once per sorted pair (symmetric) or ordered pair.
+    assert set(experiment._CELLS) == set(SCORE_KINDS)
+    calls = Counter()
+    for name in ("input_attribution_similarity", "rsa", "label_injection",
+                 "gradient_similarity", "gradient_transference"):
+        def counted(*args, _name=name, _score=getattr(experiment, name)):
+            calls[_name] += 1
+            return _score(*args)
+        monkeypatch.setattr(experiment, name, counted)
+    run_experiment(tiny_config(tmp_path, n_tasks=4))
+    assert calls == {"input_attribution_similarity": 6, "rsa": 6, "gradient_similarity": 6,
+                     "label_injection": 12, "gradient_transference": 12}
+
+
+def test_skip_notes_name_the_cell(tmp_path, monkeypatch):
+    # A symmetric kind's note names the sorted pair, a directed kind's note
+    # names target|partner.
+    for name in ("input_attribution_similarity", "gradient_transference"):
+        def skipping(*args, _score=getattr(experiment, name)):
+            return ScoreValue(_score(*args), skipped=1, used=2)
+        monkeypatch.setattr(experiment, name, skipping)
+    [result] = run_experiment(tiny_config(tmp_path, scores=("IAS", "GT")))
+    manifest = json.loads((result.directory / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["notes"] == {label: "skipped 1 of 3" for label in (
+        "GT task0|task1", "GT task0|task2", "GT task1|task0", "GT task1|task2",
+        "GT task2|task0", "GT task2|task1",
+        "IAS task0/task1", "IAS task0/task2", "IAS task1/task2")}
 
 
 # --- the roster plan ---
