@@ -1,71 +1,58 @@
-"""Task-affinity scores for multi-task learning, plus the lab to test them."""
+"""Task-affinity scores for multi-task learning, plus the lab to test them.
+
+Package-level names import their submodule on first use, so importing the
+package, or one submodule such as ``paper_data``, loads no training code.
+"""
 
 __version__ = "0.1.0"
 
-from .evaluation import (
-    CostModel,
-    EvaluationReport,
-    evaluate,
-    mtl_gain,
-    score_cost,
-    score_cost_expression,
-)
-from .experiment import ExperimentConfig, ExperimentError, SeedResult, run_experiment
-from .grouping import (
-    Grouping,
-    InfeasibleGroupingError,
-    aggregate_performance,
-    is_valid_grouping,
-    optimize_grouping,
-)
-from .scores import (
-    SCORE_KINDS,
-    DegenerateScoreError,
-    assemble_matrix,
-    gradient_similarity,
-    gradient_transference,
-    input_attribution_similarity,
-    label_injection,
-    rsa,
-)
-from .tasks import (
-    TaskSpec,
-    TaskSuite,
-    generate_latent_factor_suite,
-    load_dataset,
-    load_taxonomy_distances,
-    save_dataset,
-)
+# Exported name -> the submodule that defines it.
+_EXPORTS = {
+    "CostModel": "evaluation",
+    "EvaluationReport": "evaluation",
+    "evaluate": "evaluation",
+    "mtl_gain": "evaluation",
+    "score_cost": "evaluation",
+    "score_cost_expression": "evaluation",
+    "ExperimentConfig": "experiment",
+    "ExperimentError": "experiment",
+    "SeedResult": "experiment",
+    "run_experiment": "experiment",
+    "Grouping": "grouping",
+    "InfeasibleGroupingError": "grouping",
+    "aggregate_performance": "grouping",
+    "is_valid_grouping": "grouping",
+    "optimize_grouping": "grouping",
+    "SCORE_KINDS": "scores",
+    "DegenerateScoreError": "scores",
+    "assemble_matrix": "scores",
+    "gradient_similarity": "scores",
+    "gradient_transference": "scores",
+    "input_attribution_similarity": "scores",
+    "label_injection": "scores",
+    "rsa": "scores",
+    "TaskSpec": "tasks",
+    "TaskSuite": "tasks",
+    "generate_latent_factor_suite": "tasks",
+    "load_dataset": "tasks",
+    "load_taxonomy_distances": "tasks",
+    "save_dataset": "tasks",
+}
 
-__all__ = [
-    "__version__",
-    "CostModel",
-    "DegenerateScoreError",
-    "EvaluationReport",
-    "ExperimentConfig",
-    "ExperimentError",
-    "Grouping",
-    "InfeasibleGroupingError",
-    "SCORE_KINDS",
-    "SeedResult",
-    "TaskSpec",
-    "TaskSuite",
-    "aggregate_performance",
-    "assemble_matrix",
-    "evaluate",
-    "generate_latent_factor_suite",
-    "gradient_similarity",
-    "gradient_transference",
-    "input_attribution_similarity",
-    "is_valid_grouping",
-    "label_injection",
-    "load_dataset",
-    "load_taxonomy_distances",
-    "mtl_gain",
-    "optimize_grouping",
-    "rsa",
-    "run_experiment",
-    "save_dataset",
-    "score_cost",
-    "score_cost_expression",
-]
+__all__ = ["__version__", *sorted(_EXPORTS)]
+
+
+def __getattr__(name: str):
+    """Import an exported name's submodule on first use (PEP 562)."""
+    try:
+        module_name = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}") from None
+    from importlib import import_module
+    value = getattr(import_module(f".{module_name}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_EXPORTS})

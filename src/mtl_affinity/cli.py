@@ -8,6 +8,9 @@ Subcommands:
 
 Exit codes: 0 success, 1 check/solver failure, 2 bad input or config.
 Set MTL_AFFINITY_VERBOSE=1 for progress lines on stderr.
+
+Each subcommand imports only the modules it runs, so ``reproduce-tables``
+and ``group`` start without loading the training stack.
 """
 
 from __future__ import annotations
@@ -18,12 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .experiment import ExperimentConfig, ExperimentError, run_experiment
-from .grouping import InfeasibleGroupingError, optimize_grouping
-from .matrices import MatrixFormatError, TaskMatrix
-from .paper_data import BundledDataError, check_tables, load_gain
 from .scores import SCORE_KINDS
-from .tasks import generate_latent_factor_suite, save_dataset
 
 ENV_VERBOSE = "MTL_AFFINITY_VERBOSE"
 
@@ -40,7 +38,8 @@ def _fail(message: str, code: int = 2) -> int:
     return code
 
 
-def _load_config(args) -> ExperimentConfig:
+def _load_config(args):
+    from .experiment import ExperimentConfig
     config = (ExperimentConfig.from_file(args.config) if args.config
               else ExperimentConfig())
     overrides = {}
@@ -56,6 +55,7 @@ def _load_config(args) -> ExperimentConfig:
 
 
 def cmd_generate(args) -> int:
+    from .tasks import generate_latent_factor_suite, save_dataset
     try:
         config = _load_config(args)
     except (ValueError, OSError) as exc:
@@ -78,6 +78,8 @@ def cmd_generate(args) -> int:
 
 
 def cmd_run(args) -> int:
+    from .experiment import ExperimentError, run_experiment
+    from .matrices import MatrixFormatError
     try:
         config = _load_config(args)
     except (ValueError, OSError) as exc:
@@ -92,6 +94,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_reproduce_tables(_args) -> int:
+    from .paper_data import BundledDataError, check_tables
     try:
         rows = check_tables()
     except BundledDataError as exc:
@@ -108,10 +111,13 @@ def cmd_reproduce_tables(_args) -> int:
 
 
 def cmd_group(args) -> int:
+    from .grouping import InfeasibleGroupingError, optimize_grouping
+    from .matrices import TaskMatrix
     try:
         if args.gain is not None:
             gain = TaskMatrix.from_csv_text(Path(args.gain).read_text(encoding="utf-8"))
         else:
+            from .paper_data import load_gain
             gain = load_gain()
     except OSError as exc:
         return _fail(str(exc))

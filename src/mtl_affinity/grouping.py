@@ -273,15 +273,14 @@ class _Completions:
         found: float | None = None
 
         def search(mask: int, left: int, spent: float, value: float, rest: float) -> bool:
-            # rest: the summed upside of the tasks in mask; the caller checked the floor
+            # rest: the summed upside of the tasks in mask. The caller checked the floor
+            # and, unless mask is empty, the bound: a pruned child costs no call.
             nonlocal need, found
             if not mask:
                 if value < need:
                     return False
                 found, need = value, value + slack
                 return first
-            if value + rest < need:
-                return False
             p = (mask & -mask).bit_length() - 1
             mask ^= 1 << p
             rest -= upside[p]
@@ -292,17 +291,22 @@ class _Completions:
                         value_q = value + both[p][q]
                         if value_q + rest < need:
                             break  # the partners after q gain less
-                        if search(mask ^ 1 << q, left - 2, paired, value_q, rest - upside[q]):
+                        rest_q = rest - upside[q]
+                        if not (mask ^ 1 << q and value_q + rest_q < need) and search(
+                                mask ^ 1 << q, left - 2, paired, value_q, rest_q):
                             return True
             if solo[p] is not None and paired + floor[left - 1] <= limit:
-                if search(mask, left - 1, paired, value + solo[p], rest):
+                value_p = value + solo[p]
+                if not (mask and value_p + rest < need) and search(
+                        mask, left - 1, paired, value_p, rest):
                     return True
-            if spent + stl_cost + floor[left - 1] <= limit:
+            if spent + stl_cost + floor[left - 1] <= limit and not (mask and value + rest < need):
                 return search(mask, left - 1, spent + stl_cost, value, rest)
             return False
 
-        if spent + floor[mask.bit_count()] <= limit:
-            search(mask, mask.bit_count(), spent, 0.0, sum(upside))
+        rest = sum(upside)
+        if spent + floor[mask.bit_count()] <= limit and not (mask and 0.0 + rest < need):
+            search(mask, mask.bit_count(), spent, 0.0, rest)
         return found
 
 

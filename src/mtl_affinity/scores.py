@@ -27,13 +27,15 @@ as 1 - score.
 
 from __future__ import annotations
 
-from typing import Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
 from .matrices import TaskMatrix
-from .models import Model, TrainTrace
 from .stats import spearman
+
+if TYPE_CHECKING:  # annotations only: the table readers need no training stack
+    from .models import Model, TrainTrace
 
 __all__ = [
     "SCORE_KINDS",

@@ -1,7 +1,16 @@
-"""Every exported name of the package and its modules resolves."""
+"""Every exported name of the package and its modules resolves, lazily.
+
+The package root loads a name's submodule on first use, and each entry
+point imports only the modules it runs; the import checks below run in a
+fresh interpreter, so modules other tests loaded do not hide a regression.
+"""
 
 import importlib
+import json
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -9,6 +18,8 @@ import mtl_affinity
 
 MODULES = ["mtl_affinity"] + [f"mtl_affinity.{info.name}"
                               for info in pkgutil.iter_modules(mtl_affinity.__path__)]
+SRC = Path(mtl_affinity.__file__).resolve().parent.parent
+TRAINING_STACK = ["experiment", "models", "autodiff"]
 
 
 @pytest.mark.parametrize("module_name", MODULES)
@@ -17,3 +28,72 @@ def test_all_names_resolve(module_name):
     assert hasattr(module, "__all__"), f"{module_name} has no __all__"
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert not missing, f"{module_name}.__all__ names missing attributes: {missing}"
+
+
+def test_package_names_are_their_submodules_objects():
+    submodules = [importlib.import_module(name) for name in MODULES[1:]]
+    for name in mtl_affinity.__all__:
+        if name == "__version__":
+            continue
+        owners = [m for m in submodules if name in m.__all__]
+        assert len(owners) == 1, f"{name} is exported by {[m.__name__ for m in owners]}"
+        assert getattr(mtl_affinity, name) is getattr(owners[0], name), name
+
+
+def test_dir_lists_every_exported_name():
+    assert set(mtl_affinity.__all__) <= set(dir(mtl_affinity))
+
+
+def test_star_import_binds_every_name():
+    namespace: dict = {}
+    exec("from mtl_affinity import *", namespace)
+    for name in mtl_affinity.__all__:
+        assert namespace[name] is getattr(mtl_affinity, name), name
+
+
+def test_unknown_name_raises():
+    with pytest.raises(AttributeError, match="'mtl_affinity' has no attribute 'nope'"):
+        mtl_affinity.nope
+    with pytest.raises(ImportError, match="nope"):
+        exec("from mtl_affinity import nope", {})
+
+
+def test_from_package_import_submodule_returns_the_module():
+    namespace: dict = {}
+    exec("from mtl_affinity import experiment", namespace)
+    assert namespace["experiment"] is importlib.import_module("mtl_affinity.experiment")
+
+
+def loaded_submodules(code: str) -> set[str]:
+    """The package submodules that ``code`` leaves loaded in a fresh interpreter."""
+    child = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
+             "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
+             "                        if m.startswith('mtl_affinity.'))))")
+    out = subprocess.run([sys.executable, "-c", child], check=True,
+                         capture_output=True, text=True).stdout
+    return set(json.loads(out.splitlines()[-1]))
+
+
+def test_package_import_loads_no_submodule():
+    assert loaded_submodules("import mtl_affinity") == set()
+
+
+def test_bundled_tables_load_without_training_or_grouping():
+    loaded = loaded_submodules(
+        "from mtl_affinity import paper_data\n"
+        "paper_data.load_gain()\npaper_data.load_all_affinities()\n"
+        "paper_data.load_expected_level1()\npaper_data.load_expected_level2()\n"
+        "paper_data.load_expected_level3()")
+    assert "paper_data" in loaded
+    assert not loaded & {*TRAINING_STACK, "grouping"}
+
+
+def test_experiment_import_loads_no_grouping_tables_or_cli():
+    loaded = loaded_submodules("import mtl_affinity.experiment")
+    assert "models" in loaded
+    assert not loaded & {"grouping", "paper_data", "cli"}
+
+
+def test_cli_import_loads_only_what_the_parser_needs():
+    loaded = loaded_submodules("import mtl_affinity.cli")
+    assert not loaded & {*TRAINING_STACK, "grouping", "paper_data"}
