@@ -12,7 +12,6 @@ and loading a suite as files.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,7 +20,6 @@ from typing import Mapping, NamedTuple, Sequence
 import numpy as np
 
 from .matrices import TaskMatrix, read_table, write_table
-from .seeding import DATASET, substream
 
 __all__ = [
     "TaskSpec",
@@ -213,6 +211,7 @@ def generate_latent_factor_suite(
 
     Deterministic: the same arguments always produce bit-identical output.
     """
+    from .seeding import DATASET, substream
     check_suite_args(n_tasks, d_latent, d_in, n_examples, overlap, noise_std, n_classes)
     if kinds is None:
         kinds = [KINDS[i % 2] for i in range(n_tasks)]
@@ -295,6 +294,7 @@ def load_taxonomy_distances(source: str | Path) -> TaskMatrix:
 
 def save_dataset(suite: TaskSuite, directory: str | Path) -> None:
     """Write a suite as CSVs plus a JSON manifest into ``directory``."""
+    import json
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     ds = suite.dataset
@@ -354,6 +354,7 @@ def load_dataset(directory: str | Path) -> TaskSuite:
     A manifest that is not JSON or lacks a key, a cell that does not parse,
     or misfit labels or splits raise ValueError, led by the file's path.
     """
+    import json
     d = Path(directory)
     path = d / "manifest.json"
     try:

@@ -78,14 +78,14 @@ def test_package_import_loads_no_submodule():
     assert loaded_submodules("import mtl_affinity") == set()
 
 
-def test_bundled_tables_load_without_training_or_grouping():
+def test_bundled_tables_load_only_what_they_read():
     loaded = loaded_submodules(
         "from mtl_affinity import paper_data\n"
         "paper_data.load_gain()\npaper_data.load_all_affinities()\n"
         "paper_data.load_expected_level1()\npaper_data.load_expected_level2()\n"
         "paper_data.load_expected_level3()")
     assert "paper_data" in loaded
-    assert not loaded & {*TRAINING_STACK, "grouping"}
+    assert not loaded & {*TRAINING_STACK, "grouping", "seeding"}
 
 
 def test_experiment_import_loads_no_grouping_tables_or_cli():
