@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import csv
 import io
-from typing import Callable, Iterable, Mapping, Sequence
+import math
+from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["TaskMatrix", "MatrixFormatError", "MissingCellError", "optional_float",
            "read_table", "write_table"]
@@ -68,7 +70,7 @@ class TaskMatrix:
     def set(self, with_task: str, target: str, value: float) -> None:
         key = self._check_pair(with_task, target)
         v = float(value)
-        if not np.isfinite(v):
+        if not math.isfinite(v):
             raise ValueError(f"cell {key} must be finite, got {value}")
         self._cells[key] = v
 
@@ -104,6 +106,7 @@ class TaskMatrix:
 
     def as_array(self) -> np.ndarray:
         """Dense array in task order; the diagonal is NaN."""
+        import numpy as np
         n = len(self.tasks)
         out = np.full((n, n), np.nan)
         for (w, t), v in self._cells.items():

@@ -20,13 +20,13 @@ fails loudly rather than skewing comparisons.
 
 from __future__ import annotations
 
+import pkgutil
 from dataclasses import dataclass
-from importlib import resources
 
 from .evaluation import evaluate
 from .matrices import MatrixFormatError, TaskMatrix, optional_float, read_table
 from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix, lookup_kind
-from .tasks import load_taxonomy_distances
+from .tasks import parse_taxonomy
 
 __all__ = [
     "TASKS",
@@ -59,10 +59,12 @@ class BundledDataError(ValueError):
 
 def _read_text(name: str) -> str:
     try:
-        return resources.files("mtl_affinity").joinpath("data", name).read_text(
-            encoding="utf-8")
-    except (FileNotFoundError, ModuleNotFoundError) as exc:
+        data = pkgutil.get_data(__package__, f"data/{name}")
+    except OSError as exc:
         raise BundledDataError(f"bundled file {name!r} is missing: {exc}") from exc
+    if data is None:  # a loader that cannot read package data
+        raise BundledDataError(f"bundled file {name!r} is missing: no loader reads it")
+    return data.decode("utf-8")
 
 
 def _check_tasks(name: str, tasks) -> None:
@@ -90,13 +92,13 @@ def load_gain() -> TaskMatrix:
 
 def load_taxonomy() -> TaskMatrix:
     """The negated taxonomy tree distances between the five tasks."""
-    source = resources.files("mtl_affinity").joinpath("data", "taxonomy_distances.csv")
+    name = "taxonomy_distances.csv"
+    text = _read_text(name)
     try:
-        with resources.as_file(source) as path:
-            tax = load_taxonomy_distances(path)
-    except (FileNotFoundError, ValueError) as exc:
-        raise BundledDataError(f"taxonomy_distances.csv: {exc}") from exc
-    _check_tasks("taxonomy_distances.csv", tax.tasks)
+        tax = parse_taxonomy(text, name)
+    except ValueError as exc:  # its message leads with the file name
+        raise BundledDataError(str(exc)) from exc
+    _check_tasks(name, tax.tasks)
     return tax
 
 

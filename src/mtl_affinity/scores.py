@@ -23,18 +23,21 @@ GS values are kept in their natural [-1, 1] units here; any x100
 presentation is a formatting concern. GT uses the "1 - ratio" form so
 positive means the partner helps; the bare look-ahead ratio is recoverable
 as 1 - score.
+
+numpy is imported in the functions that build arrays, so importing this
+module (for the kind table or :func:`assemble_matrix`) does not load it.
 """
 
 from __future__ import annotations
 
 from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
-import numpy as np
-
 from .matrices import TaskMatrix
 from .stats import spearman
 
-if TYPE_CHECKING:  # annotations only: the table readers need no training stack
+if TYPE_CHECKING:  # annotations only: the table readers need no numpy or training stack
+    import numpy as np
+
     from .models import Model, TrainTrace
 
 __all__ = [
@@ -109,6 +112,7 @@ def input_x_gradient(model: Model, inputs: np.ndarray, labels: np.ndarray) -> np
     scales every row by the same positive constant relative to per-example
     losses; direction-based uses (cosines, zero checks) are unaffected.
     """
+    import numpy as np
     [task] = model.specs
     x = np.asarray(inputs, dtype=np.float64)
     return x * model.gradients(x, {task: labels}, input_grad=True).inputs
@@ -129,6 +133,7 @@ def input_attribution_similarity(
     Raises:
         DegenerateScoreError: every example was skipped.
     """
+    import numpy as np
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError(f"need a non-empty 2-D batch, got shape {inputs.shape}")
@@ -158,6 +163,7 @@ def representation_dissimilarity(latents: np.ndarray) -> np.ndarray:
         DegenerateScoreError: some example's latent vector is constant, so
             its correlations are undefined; the message names the example.
     """
+    import numpy as np
     z = np.asarray(latents, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"need (m, latent_dim >= 2) latents, got shape {z.shape}")
@@ -178,6 +184,7 @@ def rsa(model_a: Model, model_b: Model, inputs: np.ndarray) -> float:
     Symmetric, in [-1, 1]. Needs at least 3 examples so the triangles have
     3 or more entries.
     """
+    import numpy as np
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 3:
         raise ValueError(f"rsa needs a batch of at least 3 examples, got shape {inputs.shape}")
@@ -206,6 +213,7 @@ def label_injection(loss_stl: float, loss_injected: float) -> float:
 
 def gradient_similarity(trace: TrainTrace) -> float:
     """Mean of the per-epoch backbone-gradient cosines over all epochs."""
+    import numpy as np
     if trace.gs_cosine is None or not trace.gs_cosine:
         raise ValueError("trace has no recorded gradient cosines; was this an MTL run?")
     return float(np.mean(trace.gs_cosine))
@@ -220,6 +228,7 @@ def gradient_transference(trace: TrainTrace, target: str) -> ScoreValue:
     Raises:
         DegenerateScoreError: every epoch was skipped.
     """
+    import numpy as np
     if trace.lookahead is None or target not in trace.lookahead:
         have = sorted(trace.lookahead) if trace.lookahead else []
         raise ValueError(f"trace has no look-ahead record for {target!r}; has {have}")

@@ -3,15 +3,17 @@
 Self-contained implementations (no scipy at runtime) so the evaluation
 pipeline has a single, fixed definition of each statistic. Inputs are
 1-D sequences of finite numbers; every function validates before
-computing.
+computing. numpy is imported in the functions that build arrays, so
+importing this module does not load it.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["DegenerateInputError", "pearson", "spearman", "kendall_tau", "rankdata"]
 
@@ -21,6 +23,7 @@ class DegenerateInputError(ValueError):
 
 
 def _as_clean_pair(x: Sequence[float], y: Sequence[float], min_len: int) -> tuple[np.ndarray, np.ndarray]:
+    import numpy as np
     xa = np.asarray(x, dtype=np.float64)
     ya = np.asarray(y, dtype=np.float64)
     if xa.ndim != 1 or ya.ndim != 1:
@@ -53,6 +56,7 @@ def pearson(x: Sequence[float], y: Sequence[float]) -> float:
 
 def rankdata(values: Sequence[float]) -> np.ndarray:
     """1-based ranks; tied values share the average of their positions."""
+    import numpy as np
     va = np.asarray(values, dtype=np.float64)
     if va.ndim != 1:
         raise ValueError(f"values must be 1-D, got shape {va.shape}")
@@ -88,6 +92,7 @@ def kendall_tau(x: Sequence[float], y: Sequence[float], variant: str = "b") -> f
         DegenerateInputError: fewer than 2 observations, or (tau-b) an
             input whose pairs are all tied.
     """
+    import numpy as np
     if variant not in ("a", "b"):
         raise ValueError(f"variant must be 'a' or 'b', got {variant!r}")
     xa, ya = _as_clean_pair(x, y, min_len=2)

@@ -7,7 +7,8 @@ the ``overlap`` parameter slides those subsets from pairwise disjoint
 assert "more shared structure means higher affinity".
 
 Also here: loading user-supplied taxonomy distance matrices, and saving
-and loading a suite as files.
+and loading a suite as files. numpy is imported in the functions that
+build arrays, so reading a taxonomy does not load it.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Mapping, NamedTuple, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
 
 from .matrices import TaskMatrix, read_table, write_table
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "TaskSpec",
@@ -30,6 +32,7 @@ __all__ = [
     "check_suite_args",
     "generate_latent_factor_suite",
     "load_taxonomy_distances",
+    "parse_taxonomy",
     "save_dataset",
     "load_dataset",
 ]
@@ -107,6 +110,7 @@ class MultiTaskDataset:
     seed: int
 
     def __post_init__(self):
+        import numpy as np
         n = self.inputs.shape[0]
         for name, lab in self.labels.items():
             if lab.shape[0] != n:
@@ -136,6 +140,7 @@ class TaskSuite(NamedTuple):
 
 
 def _split_indices(n: int) -> dict[str, np.ndarray]:
+    import numpy as np
     # Contiguous ranges: rows are i.i.d. by construction, so shuffling first
     # would change nothing statistically.
     n_train = int(SPLIT_FRACTIONS[0] * n)
@@ -211,6 +216,7 @@ def generate_latent_factor_suite(
 
     Deterministic: the same arguments always produce bit-identical output.
     """
+    import numpy as np
     from .seeding import DATASET, substream
     check_suite_args(n_tasks, d_latent, d_in, n_examples, overlap, noise_std, n_classes)
     if kinds is None:
@@ -269,32 +275,37 @@ def load_taxonomy_distances(source: str | Path) -> TaskMatrix:
             naming the file.
     """
     path = Path(source)
-    header, rows = read_table(path.read_text(encoding="utf-8"), f"{path}: taxonomy",
-                              {"task": str, "*": float})
+    return parse_taxonomy(path.read_text(encoding="utf-8"), str(path))
+
+
+def parse_taxonomy(text: str, source: str) -> TaskMatrix:
+    """:func:`load_taxonomy_distances` on the text of a file; errors lead with ``source``."""
+    header, rows = read_table(text, f"{source}: taxonomy", {"task": str, "*": float})
     tasks = tuple(header[1:])
     labels = tuple(row[0] for row in rows)
-    values = np.array([row[1:] for row in rows])
+    values = [row[1:] for row in rows]  # square once the labels match the header
     if len(tasks) < 2 or len(set(tasks)) != len(tasks):
         problem = f"taxonomy needs two or more distinct task names, got {list(tasks)}"
     elif labels != tasks:
         problem = f"rows are labeled {list(labels)}, expected {list(tasks)}"
-    elif not np.all(np.isfinite(values)):
+    elif not all(math.isfinite(v) for row in values for v in row):
         problem = "taxonomy distances must be finite"
-    elif not np.array_equal(values, values.T):
+    elif any(v != values[j][i] for i, row in enumerate(values) for j, v in enumerate(row)):
         problem = "taxonomy distances must be symmetric"
-    elif np.any(np.diag(values) != 0.0):
+    elif any(row[i] != 0.0 for i, row in enumerate(values)):
         problem = "taxonomy diagonal must be 0"
-    elif np.any(values > 0.0):
+    elif any(v > 0.0 for row in values for v in row):
         problem = "off-diagonal taxonomy values must be <= 0 (negated distances)"
     else:
         return TaskMatrix(tasks, {(w, t): v for w, *row in rows
                                   for t, v in zip(tasks, row) if w != t})
-    raise ValueError(f"{path}: {problem}")
+    raise ValueError(f"{source}: {problem}")
 
 
 def save_dataset(suite: TaskSuite, directory: str | Path) -> None:
     """Write a suite as CSVs plus a JSON manifest into ``directory``."""
     import json
+    import numpy as np
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     ds = suite.dataset
@@ -317,6 +328,7 @@ def checked_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
     integer values shaped ``(n,)`` or ``(n, 1)``. Regression: float64
     ``(n, output_dim)``, also from ``(n,)`` when ``output_dim`` is 1.
     """
+    import numpy as np
     raw = np.asarray(labels).reshape(len(labels), -1)
     columns = 1 if spec.kind == "classification" else spec.output_dim
     if raw.shape[1] != columns:
@@ -334,6 +346,7 @@ def checked_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
 
 def _load_array(path: Path, spec: TaskSpec | None = None) -> np.ndarray:
     """A numeric CSV file of a suite, checked as ``spec``'s labels if given; errors name it."""
+    import numpy as np
     try:
         array = np.loadtxt(path, delimiter=",", ndmin=2)
         return array if spec is None else checked_labels(spec, array)
@@ -355,6 +368,7 @@ def load_dataset(directory: str | Path) -> TaskSuite:
     or misfit labels or splits raise ValueError, led by the file's path.
     """
     import json
+    import numpy as np
     d = Path(directory)
     path = d / "manifest.json"
     try:

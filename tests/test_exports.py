@@ -1,8 +1,9 @@
 """Every exported name of the package and its modules resolves, lazily.
 
 The package root loads a name's submodule on first use, and each entry
-point imports only the modules it runs; the import checks below run in a
-fresh interpreter, so modules other tests loaded do not hide a regression.
+point imports only the modules it runs: the bundled-table loaders and
+``group`` never load numpy. The import checks below run in a fresh
+interpreter, so modules other tests loaded do not hide a regression.
 """
 
 import importlib
@@ -64,14 +65,31 @@ def test_from_package_import_submodule_returns_the_module():
     assert namespace["experiment"] is importlib.import_module("mtl_affinity.experiment")
 
 
+def loaded_modules(code: str, block_numpy: bool = False) -> set[str]:
+    """The modules that ``code`` leaves loaded in a fresh interpreter.
+
+    With ``block_numpy``, any import of numpy in the child raises, so code
+    that needs it fails instead of loading it.
+    """
+    block = "sys.modules['numpy'] = None\n" if block_numpy else ""
+    child = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{block}{code}\n"
+             "print(json.dumps(sorted(name for name, module in sys.modules.items()\n"
+             "                        if module is not None)))")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    return set(json.loads(run.stdout.splitlines()[-1]))
+
+
 def loaded_submodules(code: str) -> set[str]:
     """The package submodules that ``code`` leaves loaded in a fresh interpreter."""
-    child = (f"import json, sys\nsys.path.insert(0, {str(SRC)!r})\n{code}\n"
-             "print(json.dumps(sorted(m.split('.', 1)[1] for m in sys.modules\n"
-             "                        if m.startswith('mtl_affinity.'))))")
-    out = subprocess.run([sys.executable, "-c", child], check=True,
-                         capture_output=True, text=True).stdout
-    return set(json.loads(out.splitlines()[-1]))
+    return {name.split(".", 1)[1] for name in loaded_modules(code)
+            if name.startswith("mtl_affinity.")}
+
+
+BUNDLED_LOADS = ("from mtl_affinity import paper_data\n"
+                 "paper_data.load_gain()\npaper_data.load_all_affinities()\n"
+                 "paper_data.load_expected_level1()\npaper_data.load_expected_level2()\n"
+                 "paper_data.load_expected_level3()")
 
 
 def test_package_import_loads_no_submodule():
@@ -79,11 +97,7 @@ def test_package_import_loads_no_submodule():
 
 
 def test_bundled_tables_load_only_what_they_read():
-    loaded = loaded_submodules(
-        "from mtl_affinity import paper_data\n"
-        "paper_data.load_gain()\npaper_data.load_all_affinities()\n"
-        "paper_data.load_expected_level1()\npaper_data.load_expected_level2()\n"
-        "paper_data.load_expected_level3()")
+    loaded = loaded_submodules(BUNDLED_LOADS)
     assert "paper_data" in loaded
     assert not loaded & {*TRAINING_STACK, "grouping", "seeding"}
 
@@ -97,3 +111,19 @@ def test_experiment_import_loads_no_grouping_tables_or_cli():
 def test_cli_import_loads_only_what_the_parser_needs():
     loaded = loaded_submodules("import mtl_affinity.cli")
     assert not loaded & {*TRAINING_STACK, "grouping", "paper_data"}
+
+
+GROUP = "from mtl_affinity.cli import main\nassert main({argv!r}) == 0"
+
+
+@pytest.mark.parametrize("block_numpy", [False, True], ids=["numpy_free", "numpy_blocked"])
+@pytest.mark.parametrize("case", ["bundled_loads", "cli_import", "group_gain", "group_bundled"])
+def test_tables_and_group_never_import_numpy(case, block_numpy, tmp_path):
+    gain = tmp_path / "gain.csv"
+    gain.write_text("with,a,b,c\na,,1.5,-2.0\nb,3.0,,0.5\nc,-1.0,2.5,\n")
+    code = {"bundled_loads": BUNDLED_LOADS,
+            "cli_import": "import mtl_affinity.cli",
+            "group_gain": GROUP.format(argv=["group", "--gain", str(gain), "--budget", "6"]),
+            "group_bundled": GROUP.format(argv=["group", "--budget", "7.5"])}[case]
+    # Blocked, a hidden import of numpy fails the child instead of loading it.
+    assert "numpy" not in loaded_modules(code, block_numpy=block_numpy)

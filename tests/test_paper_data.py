@@ -122,6 +122,27 @@ def test_symmetric_csv_with_disagreeing_mirror_rejected(monkeypatch, kind):
         pd.load_affinity(kind)
 
 
+def test_bundled_taxonomy_is_read_and_checked_like_the_other_tables(monkeypatch):
+    _with_cell(monkeypatch, "taxonomy_distances.csv", "Keypts", "SemSeg", "-7")
+    for load in (pd.load_taxonomy, lambda: pd.load_affinity("TD")):
+        with pytest.raises(pd.BundledDataError,
+                           match="^taxonomy_distances.csv: taxonomy distances must be symmetric$"):
+            load()
+
+
+@pytest.mark.parametrize("outcome", [None, FileNotFoundError(2, "No such file")],
+                         ids=["no_loader", "no_file"])
+def test_unreadable_bundled_file_is_named(monkeypatch, outcome):
+    def get_data(package, resource):
+        if isinstance(outcome, OSError):
+            raise outcome
+        return outcome
+
+    monkeypatch.setattr(pd.pkgutil, "get_data", get_data)
+    with pytest.raises(pd.BundledDataError, match="bundled file 'gain.csv' is missing"):
+        pd.load_gain()
+
+
 @pytest.mark.parametrize("kind", ["IAS", "GS", "LI"])
 def test_csv_with_blank_cell_rejected(monkeypatch, kind):
     name = f"{kind.lower()}.csv"

@@ -134,6 +134,12 @@ def test_taxonomy_load_and_lookup(tmp_path):
     ("task,A,B\nB,0,-2\nA,-2,0\n", "labeled"),
     ("task,A,B\nA,0,-inf\nB,-inf,0\n", "finite"),
     ("task,A,B\nA,0,nan\nB,nan,0\n", "finite"),
+    ("task,A,B\nA,0,-2\nB,-1.9999999999999998,0\n", "symmetric"),  # one ulp apart
+    # A table that breaks several rules reports the first, in this order.
+    ("task,A,B\nB,0,inf\nA,inf,0\n", "labeled"),
+    ("task,A,B\nA,1,nan\nB,3,0\n", "finite"),
+    ("task,A,B\nA,1,2\nB,3,0\n", "symmetric"),
+    ("task,A,B\nA,1,2\nB,2,0\n", "diagonal"),
 ])
 def test_taxonomy_rejects_malformed(tmp_path, text, msg):
     p = tmp_path / "bad.csv"
@@ -141,6 +147,12 @@ def test_taxonomy_rejects_malformed(tmp_path, text, msg):
     with pytest.raises(ValueError, match=msg) as info:
         load_taxonomy_distances(p)
     assert str(info.value).startswith(f"{p}: ")
+
+
+def test_taxonomy_accepts_negative_zero_diagonal(tmp_path):
+    p = tmp_path / "tax.csv"
+    p.write_text("task,A,B\nA,-0.0,-2\nB,-2,-0.0\n")
+    assert load_taxonomy_distances(p).cells() == {("A", "B"): -2.0, ("B", "A"): -2.0}
 
 
 def test_dataset_save_load_roundtrip(tmp_path):
