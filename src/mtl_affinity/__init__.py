@@ -8,8 +8,10 @@ __version__ = "0.1.0"
 
 # Exported name -> the submodule that defines it.
 _EXPORTS = {
+    "SCORE_KINDS": "evaluation",
     "CostModel": "evaluation",
     "EvaluationReport": "evaluation",
+    "assemble_matrix": "evaluation",
     "evaluate": "evaluation",
     "mtl_gain": "evaluation",
     "score_cost": "evaluation",
@@ -23,9 +25,7 @@ _EXPORTS = {
     "aggregate_performance": "grouping",
     "is_valid_grouping": "grouping",
     "optimize_grouping": "grouping",
-    "SCORE_KINDS": "scores",
     "DegenerateScoreError": "scores",
-    "assemble_matrix": "scores",
     "gradient_similarity": "scores",
     "gradient_transference": "scores",
     "input_attribution_similarity": "scores",

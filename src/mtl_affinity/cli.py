@@ -21,7 +21,7 @@ import os
 import sys
 from pathlib import Path
 
-from .scores import SCORE_KINDS
+from .evaluation import SCORE_KINDS
 
 ENV_VERBOSE = "MTL_AFFINITY_VERBOSE"
 
@@ -58,20 +58,22 @@ def cmd_generate(args) -> int:
     from .tasks import generate_latent_factor_suite, save_dataset
     try:
         config = _load_config(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     out = Path(config.out_dir)
-    if out.exists() and any(out.iterdir()):
-        return _fail(f"output directory {out} exists and is not empty")
     seed = config.seeds[0]
     try:
+        if out.exists() and any(out.iterdir()):
+            return _fail(f"output directory {out} exists and is not empty")
         suite = generate_latent_factor_suite(
             seed=seed, n_tasks=config.n_tasks, d_latent=config.d_latent,
             d_in=config.d_in, n_examples=config.n_examples,
             overlap=config.overlap, noise_std=config.noise_std)
+        save_dataset(suite, out)
+    except OSError as exc:
+        return _fail(f"cannot write {out}: {exc.strerror or exc}")
     except ValueError as exc:
         return _fail(str(exc))
-    save_dataset(suite, out)
     _say(f"seed {seed}: {config.n_tasks} tasks, {config.n_examples} examples")
     print(f"wrote dataset to {out}")
     return 0
@@ -82,7 +84,7 @@ def cmd_run(args) -> int:
     from .matrices import MatrixFormatError
     try:
         config = _load_config(args)
-    except (ValueError, OSError) as exc:
+    except ValueError as exc:
         return _fail(str(exc))
     try:
         results = run_experiment(config, progress=_say)

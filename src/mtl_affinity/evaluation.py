@@ -13,7 +13,9 @@ of increasing coarseness, always per target column:
 Correlations are invariant to the gain unit; level-3 deltas are expressed
 in whatever unit the gain matrix uses. An undefined correlation (a constant
 column) raises DegenerateInputError naming the level and the target. The
-module also hosts the training-cost model for the scores themselves.
+module also hosts the score-kind table with :func:`assemble_matrix`, and the
+model-family table from which the cost model prices each score; importing
+it loads neither numpy nor training code.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from itertools import combinations, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
 from .matrices import TaskMatrix, read_table, write_table
-from .scores import lookup_kind
 from .stats import DegenerateInputError, kendall_tau, pearson
 
 __all__ = [
@@ -35,6 +36,11 @@ __all__ = [
     "level2_ranking",
     "level3_best_partner",
     "evaluate",
+    "SCORE_KINDS",
+    "ScoreKind",
+    "lookup_kind",
+    "MatrixAssemblyError",
+    "assemble_matrix",
     "CostModel",
     "MODEL_FAMILIES",
     "score_cost",
@@ -185,7 +191,73 @@ def evaluate(gain: TaskMatrix, score: TaskMatrix) -> EvaluationReport:
     )
 
 
-# --- cost model ---
+# --- score kinds and the cost model ---
+
+
+class ScoreKind(NamedTuple):
+    """How a score kind fills its matrix and which models it trains."""
+    symmetric: bool
+    families: tuple[str, ...]              # keys of MODEL_FAMILIES
+
+
+# The one table of score kinds. A score's training cost is the sum of its
+# families' terms (score_cost); TD reads a file and trains nothing.
+SCORE_KINDS: dict[str, ScoreKind] = {
+    "TD": ScoreKind(True, ()),
+    "IAS": ScoreKind(True, ("stl",)),
+    "RSA": ScoreKind(True, ("stl",)),
+    "LI": ScoreKind(False, ("stl", "inj")),
+    "GS": ScoreKind(True, ("mtl",)),
+    "GT": ScoreKind(False, ("mtl",)),
+}
+
+
+def lookup_kind(kind: str) -> ScoreKind:
+    """The ``SCORE_KINDS`` row of ``kind``; ValueError if no such kind (the one check)."""
+    try:
+        return SCORE_KINDS[kind]
+    except KeyError:
+        raise ValueError(f"unknown score kind {kind!r}; "
+                         f"expected one of {sorted(SCORE_KINDS)}") from None
+
+
+class MatrixAssemblyError(ValueError):
+    """Supplied per-pair values cannot fill a complete, consistent matrix."""
+
+
+def assemble_matrix(score_kind: str, tasks: Sequence[str],
+                    values: Mapping[tuple[str, str], float]) -> TaskMatrix:
+    """Fill a complete score matrix from per-pair scores.
+
+    The one place that applies a kind's symmetry (``SCORE_KINDS``). Keys
+    are (with_task, target). Symmetric kinds may supply either or both
+    directions of a pair (they must agree) and get both cells; asymmetric
+    kinds must supply every ordered pair.
+
+    Raises:
+        ValueError: ``score_kind`` is not a known score kind.
+        MatrixAssemblyError: a pair is missing, a symmetric pair disagrees,
+            or a key names an unknown task or a diagonal cell.
+    """
+    symmetric = lookup_kind(score_kind).symmetric
+    try:
+        matrix = TaskMatrix(tasks, values)
+    except KeyError as exc:                # an unknown task
+        raise MatrixAssemblyError(exc.args[0]) from None
+    except ValueError as exc:              # a bad task list, diagonal or non-finite cell
+        raise MatrixAssemblyError(str(exc)) from None
+    if symmetric:
+        for (w, t), v in matrix.cells().items():
+            if not matrix.has(t, w):
+                matrix.set(t, w, v)
+            elif matrix.get(t, w) != v:
+                raise MatrixAssemblyError(
+                    f"symmetric kind {score_kind} got conflicting values for "
+                    f"({w!r}, {t!r}): {v} vs {matrix.get(t, w)}")
+    missing = matrix.missing_cells()
+    if missing:
+        raise MatrixAssemblyError(f"missing value for ordered pair {missing[0]}")
+    return matrix
 
 
 @dataclass(frozen=True)
@@ -211,7 +283,7 @@ class ModelFamily(NamedTuple):
 
 
 # The roster table: the families of trained models, keyed as in
-# models.model_key; scores.SCORE_KINDS lists the families each score needs.
+# models.model_key; SCORE_KINDS lists the families each score needs.
 # Training a score for all pairs of n tasks costs the sum of its families'
 # terms; C(n,2) is the unordered pair count.
 MODEL_FAMILIES = {

@@ -32,10 +32,12 @@ from .evaluation import (
     MODEL_FAMILIES,
     CostModel,
     EvaluationReport,
+    assemble_matrix,
     evaluate,
     level1_csv,
     level2_csv,
     level3_csv,
+    lookup_kind,
     mtl_gain,
     score_cost,
     score_cost_expression,
@@ -58,12 +60,10 @@ from .models import (
 )
 from .scores import (
     DegenerateScoreError,
-    assemble_matrix,
     gradient_similarity,
     gradient_transference,
     input_attribution_similarity,
     label_injection,
-    lookup_kind,
     rsa,
 )
 from .stats import DegenerateInputError
@@ -196,6 +196,8 @@ class ExperimentConfig:
 
     @classmethod
     def from_json_dict(cls, d: Mapping) -> "ExperimentConfig":
+        if not isinstance(d, Mapping):
+            raise ValueError(f"a config must be a JSON object, got {type(d).__name__}")
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(d) - known)
         if unknown:
@@ -204,7 +206,13 @@ class ExperimentConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "ExperimentConfig":
-        return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        """The config in a JSON file; any error is a ValueError led by ``path``."""
+        try:
+            return cls.from_json_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        except OSError as exc:
+            raise ValueError(f"{path}: {exc.strerror or exc}") from None
+        except ValueError as exc:  # undecodable text or JSON, or a field out of range
+            raise ValueError(f"{path}: {exc}") from None
 
     def with_overrides(self, **overrides) -> "ExperimentConfig":
         """A copy with the given fields replaced (None values are ignored)."""

@@ -12,6 +12,8 @@ write/read round trip is exact.
 
 Every CSV text table of the package, matrix or report, goes through the
 table codec here: :func:`write_table` and the checked :func:`read_table`.
+So is the taxonomy table (:func:`parse_taxonomy`). Only
+:meth:`TaskMatrix.as_array` loads numpy, so reading a table needs none.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ if TYPE_CHECKING:
     import numpy as np
 
 __all__ = ["TaskMatrix", "MatrixFormatError", "MissingCellError", "optional_float",
-           "read_table", "write_table"]
+           "parse_taxonomy", "read_table", "write_table"]
 
 
 class MatrixFormatError(ValueError):
@@ -194,3 +196,32 @@ def read_table(text: str, kind: str, columns: Mapping[str, Callable[[str], objec
                                         f"cannot read {cell!r}") from None
         out.append(cells)
     return header, out
+
+
+def parse_taxonomy(text: str, source: str) -> TaskMatrix:
+    """The off-diagonal cells of a taxonomy CSV text: ``task,<task1>,...``, a row per task.
+
+    Mislabeled rows, non-finite or asymmetric values, a nonzero diagonal or
+    a positive off-diagonal entry raise ValueError, and a malformed row
+    MatrixFormatError, each led by ``source``.
+    """
+    header, rows = read_table(text, f"{source}: taxonomy", {"task": str, "*": float})
+    tasks = tuple(header[1:])
+    labels = tuple(row[0] for row in rows)
+    values = [row[1:] for row in rows]  # square once the labels match the header
+    if len(tasks) < 2 or len(set(tasks)) != len(tasks):
+        problem = f"taxonomy needs two or more distinct task names, got {list(tasks)}"
+    elif labels != tasks:
+        problem = f"rows are labeled {list(labels)}, expected {list(tasks)}"
+    elif not all(math.isfinite(v) for row in values for v in row):
+        problem = "taxonomy distances must be finite"
+    elif any(v != values[j][i] for i, row in enumerate(values) for j, v in enumerate(row)):
+        problem = "taxonomy distances must be symmetric"
+    elif any(row[i] != 0.0 for i, row in enumerate(values)):
+        problem = "taxonomy diagonal must be 0"
+    elif any(v > 0.0 for row in values for v in row):
+        problem = "off-diagonal taxonomy values must be <= 0 (negated distances)"
+    else:
+        return TaskMatrix(tasks, {(w, t): v for w, *row in rows
+                                  for t, v in zip(tasks, row) if w != t})
+    raise ValueError(f"{source}: {problem}")

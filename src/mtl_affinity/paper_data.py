@@ -23,10 +23,8 @@ from __future__ import annotations
 import pkgutil
 from dataclasses import dataclass
 
-from .evaluation import evaluate
-from .matrices import MatrixFormatError, TaskMatrix, optional_float, read_table
-from .scores import SCORE_KINDS, MatrixAssemblyError, assemble_matrix, lookup_kind
-from .tasks import parse_taxonomy
+from .evaluation import SCORE_KINDS, MatrixAssemblyError, assemble_matrix, evaluate, lookup_kind
+from .matrices import MatrixFormatError, TaskMatrix, optional_float, parse_taxonomy, read_table
 
 __all__ = [
     "TASKS",

@@ -22,30 +22,23 @@ Score summary:
 GS values are kept in their natural [-1, 1] units here; any x100
 presentation is a formatting concern. GT uses the "1 - ratio" form so
 positive means the partner helps; the bare look-ahead ratio is recoverable
-as 1 - score.
-
-numpy is imported in the functions that build arrays, so importing this
-module (for the kind table or :func:`assemble_matrix`) does not load it.
+as 1 - score. The kind table (``SCORE_KINDS``) lives in :mod:`evaluation`.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import TYPE_CHECKING
 
-from .matrices import TaskMatrix
+import numpy as np
+
 from .stats import spearman
 
-if TYPE_CHECKING:  # annotations only: the table readers need no numpy or training stack
-    import numpy as np
-
+if TYPE_CHECKING:
     from .models import Model, TrainTrace
 
 __all__ = [
-    "SCORE_KINDS",
-    "ScoreKind",
     "ScoreValue",
     "DegenerateScoreError",
-    "MatrixAssemblyError",
     "input_x_gradient",
     "input_attribution_similarity",
     "representation_dissimilarity",
@@ -53,43 +46,10 @@ __all__ = [
     "label_injection",
     "gradient_similarity",
     "gradient_transference",
-    "assemble_matrix",
-    "lookup_kind",
 ]
-
-class ScoreKind(NamedTuple):
-    """How a score kind fills its matrix and which models it trains."""
-    symmetric: bool
-    families: tuple[str, ...]              # keys of evaluation.MODEL_FAMILIES
-
-
-# The one table of score kinds. A score's training cost is the sum of its
-# families' terms (evaluation.score_cost); TD reads a file and trains nothing.
-SCORE_KINDS: dict[str, ScoreKind] = {
-    "TD": ScoreKind(True, ()),
-    "IAS": ScoreKind(True, ("stl",)),
-    "RSA": ScoreKind(True, ("stl",)),
-    "LI": ScoreKind(False, ("stl", "inj")),
-    "GS": ScoreKind(True, ("mtl",)),
-    "GT": ScoreKind(False, ("mtl",)),
-}
-
-
-def lookup_kind(kind: str) -> ScoreKind:
-    """The ``SCORE_KINDS`` row of ``kind``; ValueError if no such kind (the one check)."""
-    try:
-        return SCORE_KINDS[kind]
-    except KeyError:
-        raise ValueError(f"unknown score kind {kind!r}; "
-                         f"expected one of {sorted(SCORE_KINDS)}") from None
-
 
 class DegenerateScoreError(ValueError):
     """The inputs admit no meaningful score (all examples skipped, ...)."""
-
-
-class MatrixAssemblyError(ValueError):
-    """Supplied per-pair values cannot fill a complete, consistent matrix."""
 
 
 class ScoreValue(float):
@@ -112,7 +72,6 @@ def input_x_gradient(model: Model, inputs: np.ndarray, labels: np.ndarray) -> np
     scales every row by the same positive constant relative to per-example
     losses; direction-based uses (cosines, zero checks) are unaffected.
     """
-    import numpy as np
     [task] = model.specs
     x = np.asarray(inputs, dtype=np.float64)
     return x * model.gradients(x, {task: labels}, input_grad=True).inputs
@@ -133,7 +92,6 @@ def input_attribution_similarity(
     Raises:
         DegenerateScoreError: every example was skipped.
     """
-    import numpy as np
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
         raise ValueError(f"need a non-empty 2-D batch, got shape {inputs.shape}")
@@ -163,7 +121,6 @@ def representation_dissimilarity(latents: np.ndarray) -> np.ndarray:
         DegenerateScoreError: some example's latent vector is constant, so
             its correlations are undefined; the message names the example.
     """
-    import numpy as np
     z = np.asarray(latents, dtype=np.float64)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ValueError(f"need (m, latent_dim >= 2) latents, got shape {z.shape}")
@@ -184,7 +141,6 @@ def rsa(model_a: Model, model_b: Model, inputs: np.ndarray) -> float:
     Symmetric, in [-1, 1]. Needs at least 3 examples so the triangles have
     3 or more entries.
     """
-    import numpy as np
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 3:
         raise ValueError(f"rsa needs a batch of at least 3 examples, got shape {inputs.shape}")
@@ -213,7 +169,6 @@ def label_injection(loss_stl: float, loss_injected: float) -> float:
 
 def gradient_similarity(trace: TrainTrace) -> float:
     """Mean of the per-epoch backbone-gradient cosines over all epochs."""
-    import numpy as np
     if trace.gs_cosine is None or not trace.gs_cosine:
         raise ValueError("trace has no recorded gradient cosines; was this an MTL run?")
     return float(np.mean(trace.gs_cosine))
@@ -228,7 +183,6 @@ def gradient_transference(trace: TrainTrace, target: str) -> ScoreValue:
     Raises:
         DegenerateScoreError: every epoch was skipped.
     """
-    import numpy as np
     if trace.lookahead is None or target not in trace.lookahead:
         have = sorted(trace.lookahead) if trace.lookahead else []
         raise ValueError(f"trace has no look-ahead record for {target!r}; has {have}")
@@ -242,37 +196,3 @@ def gradient_transference(trace: TrainTrace, target: str) -> ScoreValue:
             f"all {len(pairs)} epochs had zero pre-update loss for {target!r}")
     return ScoreValue(float(np.mean(values)), skipped=skipped, used=len(values))
 
-
-def assemble_matrix(score_kind: str, tasks: Sequence[str],
-                    values: Mapping[tuple[str, str], float]) -> TaskMatrix:
-    """Fill a complete score matrix from per-pair scores.
-
-    The one place that applies a kind's symmetry (``SCORE_KINDS``). Keys
-    are (with_task, target). Symmetric kinds may supply either or both
-    directions of a pair (they must agree) and get both cells; asymmetric
-    kinds must supply every ordered pair.
-
-    Raises:
-        ValueError: ``score_kind`` is not a known score kind.
-        MatrixAssemblyError: a pair is missing, a symmetric pair disagrees,
-            or a key names an unknown task or a diagonal cell.
-    """
-    symmetric = lookup_kind(score_kind).symmetric
-    try:
-        matrix = TaskMatrix(tasks, values)
-    except KeyError as exc:                # an unknown task
-        raise MatrixAssemblyError(exc.args[0]) from None
-    except ValueError as exc:              # a bad task list, diagonal or non-finite cell
-        raise MatrixAssemblyError(str(exc)) from None
-    if symmetric:
-        for (w, t), v in matrix.cells().items():
-            if not matrix.has(t, w):
-                matrix.set(t, w, v)
-            elif matrix.get(t, w) != v:
-                raise MatrixAssemblyError(
-                    f"symmetric kind {score_kind} got conflicting values for "
-                    f"({w!r}, {t!r}): {v} vs {matrix.get(t, w)}")
-    missing = matrix.missing_cells()
-    if missing:
-        raise MatrixAssemblyError(f"missing value for ordered pair {missing[0]}")
-    return matrix

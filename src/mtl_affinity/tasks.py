@@ -6,22 +6,22 @@ the ``overlap`` parameter slides those subsets from pairwise disjoint
 (overlap 0) to identical (overlap 1), which is what lets property tests
 assert "more shared structure means higher affinity".
 
-Also here: loading user-supplied taxonomy distance matrices, and saving
-and loading a suite as files. numpy is imported in the functions that
-build arrays, so reading a taxonomy does not load it.
+Also here: loading user-supplied taxonomy distance matrices (parsed by
+:func:`matrices.parse_taxonomy`), and saving and loading a suite as files.
 """
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
-from .matrices import TaskMatrix, read_table, write_table
+import numpy as np
 
-if TYPE_CHECKING:
-    import numpy as np
+from .matrices import TaskMatrix, parse_taxonomy, read_table, write_table
+from .seeding import DATASET, substream
 
 __all__ = [
     "TaskSpec",
@@ -32,7 +32,6 @@ __all__ = [
     "check_suite_args",
     "generate_latent_factor_suite",
     "load_taxonomy_distances",
-    "parse_taxonomy",
     "save_dataset",
     "load_dataset",
 ]
@@ -60,6 +59,8 @@ class TaskSpec:
     origin: LatentOrigin | None = None
 
     def __post_init__(self):
+        if not isinstance(self.name, str) or not self.name:
+            raise ValueError(f"task names must be non-empty strings, got {self.name!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         expected_loss = "mse" if self.kind == "regression" else "cross_entropy"
@@ -110,7 +111,6 @@ class MultiTaskDataset:
     seed: int
 
     def __post_init__(self):
-        import numpy as np
         n = self.inputs.shape[0]
         for name, lab in self.labels.items():
             if lab.shape[0] != n:
@@ -140,7 +140,6 @@ class TaskSuite(NamedTuple):
 
 
 def _split_indices(n: int) -> dict[str, np.ndarray]:
-    import numpy as np
     # Contiguous ranges: rows are i.i.d. by construction, so shuffling first
     # would change nothing statistically.
     n_train = int(SPLIT_FRACTIONS[0] * n)
@@ -216,8 +215,6 @@ def generate_latent_factor_suite(
 
     Deterministic: the same arguments always produce bit-identical output.
     """
-    import numpy as np
-    from .seeding import DATASET, substream
     check_suite_args(n_tasks, d_latent, d_in, n_examples, overlap, noise_std, n_classes)
     if kinds is None:
         kinds = [KINDS[i % 2] for i in range(n_tasks)]
@@ -264,48 +261,17 @@ def generate_latent_factor_suite(
 
 
 def load_taxonomy_distances(source: str | Path) -> TaskMatrix:
-    """The off-diagonal cells of a taxonomy CSV, tasks in header order.
-
-    The file has a header ``task,<task1>,...`` and one labeled row per task.
+    """The off-diagonal cells of a taxonomy CSV file, tasks in header order.
 
     Raises:
-        ValueError: naming the file: mislabeled rows, non-finite or
-            asymmetric values, nonzero diagonal, or positive off-diagonal
-            entries. A malformed row raises MatrixFormatError, also
-            naming the file.
+        ValueError: naming the file, as :func:`matrices.parse_taxonomy` does.
     """
     path = Path(source)
     return parse_taxonomy(path.read_text(encoding="utf-8"), str(path))
 
 
-def parse_taxonomy(text: str, source: str) -> TaskMatrix:
-    """:func:`load_taxonomy_distances` on the text of a file; errors lead with ``source``."""
-    header, rows = read_table(text, f"{source}: taxonomy", {"task": str, "*": float})
-    tasks = tuple(header[1:])
-    labels = tuple(row[0] for row in rows)
-    values = [row[1:] for row in rows]  # square once the labels match the header
-    if len(tasks) < 2 or len(set(tasks)) != len(tasks):
-        problem = f"taxonomy needs two or more distinct task names, got {list(tasks)}"
-    elif labels != tasks:
-        problem = f"rows are labeled {list(labels)}, expected {list(tasks)}"
-    elif not all(math.isfinite(v) for row in values for v in row):
-        problem = "taxonomy distances must be finite"
-    elif any(v != values[j][i] for i, row in enumerate(values) for j, v in enumerate(row)):
-        problem = "taxonomy distances must be symmetric"
-    elif any(row[i] != 0.0 for i, row in enumerate(values)):
-        problem = "taxonomy diagonal must be 0"
-    elif any(v > 0.0 for row in values for v in row):
-        problem = "off-diagonal taxonomy values must be <= 0 (negated distances)"
-    else:
-        return TaskMatrix(tasks, {(w, t): v for w, *row in rows
-                                  for t, v in zip(tasks, row) if w != t})
-    raise ValueError(f"{source}: {problem}")
-
-
 def save_dataset(suite: TaskSuite, directory: str | Path) -> None:
     """Write a suite as CSVs plus a JSON manifest into ``directory``."""
-    import json
-    import numpy as np
     d = Path(directory)
     d.mkdir(parents=True, exist_ok=True)
     ds = suite.dataset
@@ -328,7 +294,6 @@ def checked_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
     integer values shaped ``(n,)`` or ``(n, 1)``. Regression: float64
     ``(n, output_dim)``, also from ``(n,)`` when ``output_dim`` is 1.
     """
-    import numpy as np
     raw = np.asarray(labels).reshape(len(labels), -1)
     columns = 1 if spec.kind == "classification" else spec.output_dim
     if raw.shape[1] != columns:
@@ -346,7 +311,6 @@ def checked_labels(spec: TaskSpec, labels: np.ndarray) -> np.ndarray:
 
 def _load_array(path: Path, spec: TaskSpec | None = None) -> np.ndarray:
     """A numeric CSV file of a suite, checked as ``spec``'s labels if given; errors name it."""
-    import numpy as np
     try:
         array = np.loadtxt(path, delimiter=",", ndmin=2)
         return array if spec is None else checked_labels(spec, array)
@@ -367,8 +331,6 @@ def load_dataset(directory: str | Path) -> TaskSuite:
     A manifest that is not JSON or lacks a key, a cell that does not parse,
     or misfit labels or splits raise ValueError, led by the file's path.
     """
-    import json
-    import numpy as np
     d = Path(directory)
     path = d / "manifest.json"
     try:

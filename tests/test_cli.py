@@ -58,6 +58,15 @@ def test_generate_refuses_nonempty_dir(tmp_path, capsys):
     assert "not empty" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("out_name", ["taken", "taken/suite"])
+def test_generate_out_under_a_file_exits_2_naming_it(tmp_path, capsys, out_name):
+    (tmp_path / "taken").write_text("x")
+    out = tmp_path / out_name
+    assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(out)]) == 2
+    assert f"error: cannot write {out}: Not a directory" in capsys.readouterr().err
+    assert (tmp_path / "taken").read_text() == "x"
+
+
 def test_generate_invalid_overlap_names_field(tmp_path, capsys):
     cfg = write_config(tmp_path, overlap=1.5)
     assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
@@ -109,6 +118,26 @@ def test_run_rejects_non_finite_float_field(tmp_path, capsys):
     assert main(["run", "--config", str(cfg)]) == 2
     assert "noise_std must be a finite number, got nan" in capsys.readouterr().err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content, message", [
+    (b"[]", "a config must be a JSON object, got list"),
+    (b'"x"', "a config must be a JSON object, got str"),
+    (b"3", "a config must be a JSON object, got int"),
+    (b"null", "a config must be a JSON object, got NoneType"),
+    (b"{", "Expecting property name"),
+    (b"\xff", "'utf-8' codec can't decode"),
+    (None, "No such file or directory"),
+])
+@pytest.mark.parametrize("command", ["run", "generate"])
+def test_unusable_config_file_exits_2_naming_it(tmp_path, capsys, command, content, message):
+    cfg = tmp_path / "config.json"
+    if content is not None:  # None: no file at all
+        cfg.write_bytes(content)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfg), "--out", str(out)]) == 2
+    assert f"error: {cfg}: {message}" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def write_taxonomy(path: Path, tasks) -> str:
@@ -169,6 +198,27 @@ def test_run_on_suite_without_manifest_seed_exits_2(tmp_path, capsys):
     cfg = write_config(tmp_path, dataset_path=str(suite))
     assert main(["run", "--config", str(cfg)]) == 2
     assert f"error: {manifest}: missing key 'seed'" in capsys.readouterr().err
+    assert not list((tmp_path / "out").glob("seed*"))
+
+
+@pytest.mark.parametrize("name", [7, ""])
+def test_run_on_suite_with_a_bad_task_name_exits_2_before_training(tmp_path, capsys,
+                                                                    monkeypatch, name):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the roster trained")
+
+    for trainer in ("train_stl", "train_mtl", "train_injected"):
+        monkeypatch.setattr(experiment, trainer, no_training)
+    suite = tmp_path / "suite"
+    assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(suite)]) == 0
+    manifest = suite / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["specs"][0]["name"] = name
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_config(tmp_path, dataset_path=str(suite), scores=["LI", "GS"])
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (f"error: {manifest}: task names must be non-empty strings, got {name!r}"
+            in capsys.readouterr().err)
     assert not list((tmp_path / "out").glob("seed*"))
 
 

@@ -7,8 +7,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from mtl_affinity import evaluation as ev
+from mtl_affinity.evaluation import SCORE_KINDS, assemble_matrix
 from mtl_affinity.matrices import TaskMatrix
-from mtl_affinity.scores import SCORE_KINDS, assemble_matrix
 from mtl_affinity.stats import DegenerateInputError
 from oracles import kendall_tau_naive, pearson_naive
 

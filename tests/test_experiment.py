@@ -33,10 +33,14 @@ from mtl_affinity.experiment import (
     run_experiment,
     scatter_csv,
 )
-from mtl_affinity.evaluation import read_level1_csv, read_level2_csv, read_level3_csv
+from mtl_affinity.evaluation import (
+    SCORE_KINDS,
+    read_level1_csv,
+    read_level2_csv,
+    read_level3_csv,
+)
 from mtl_affinity.matrices import TaskMatrix
 from mtl_affinity.scores import (
-    SCORE_KINDS,
     DegenerateScoreError,
     ScoreValue,
     gradient_transference,

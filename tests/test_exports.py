@@ -2,8 +2,9 @@
 
 The package root loads a name's submodule on first use, and each entry
 point imports only the modules it runs: the bundled-table loaders and
-``group`` never load numpy. The import checks below run in a fresh
-interpreter, so modules other tests loaded do not hide a regression.
+``group`` never load numpy, nor ``scores`` or ``tasks``, which import it.
+The import checks below run in a fresh interpreter, so modules other tests
+loaded do not hide a regression.
 """
 
 import importlib
@@ -116,14 +117,26 @@ def test_cli_import_loads_only_what_the_parser_needs():
 GROUP = "from mtl_affinity.cli import main\nassert main({argv!r}) == 0"
 
 
-@pytest.mark.parametrize("block_numpy", [False, True], ids=["numpy_free", "numpy_blocked"])
-@pytest.mark.parametrize("case", ["bundled_loads", "cli_import", "group_gain", "group_bundled"])
-def test_tables_and_group_never_import_numpy(case, block_numpy, tmp_path):
+def entry_point_code(case: str, tmp_path) -> str:
+    """The child code of one numpy-free entry point; ``group_gain`` reads a CSV in ``tmp_path``."""
     gain = tmp_path / "gain.csv"
     gain.write_text("with,a,b,c\na,,1.5,-2.0\nb,3.0,,0.5\nc,-1.0,2.5,\n")
-    code = {"bundled_loads": BUNDLED_LOADS,
+    return {"bundled_loads": BUNDLED_LOADS,
             "cli_import": "import mtl_affinity.cli",
             "group_gain": GROUP.format(argv=["group", "--gain", str(gain), "--budget", "6"]),
             "group_bundled": GROUP.format(argv=["group", "--budget", "7.5"])}[case]
+
+
+@pytest.mark.parametrize("block_numpy", [False, True], ids=["numpy_free", "numpy_blocked"])
+@pytest.mark.parametrize("case", ["bundled_loads", "cli_import", "group_gain", "group_bundled"])
+def test_tables_and_group_never_import_numpy(case, block_numpy, tmp_path):
     # Blocked, a hidden import of numpy fails the child instead of loading it.
-    assert "numpy" not in loaded_modules(code, block_numpy=block_numpy)
+    assert "numpy" not in loaded_modules(entry_point_code(case, tmp_path),
+                                         block_numpy=block_numpy)
+
+
+@pytest.mark.parametrize("case", ["bundled_loads", "group_gain"])
+def test_tables_and_group_load_neither_scores_nor_tasks(case, tmp_path):
+    # The kind table and assemble_matrix live in evaluation, the taxonomy
+    # parser in matrices, so the table path stays off the numpy modules.
+    assert not loaded_submodules(entry_point_code(case, tmp_path)) & {"scores", "tasks"}

@@ -3,7 +3,7 @@
 import pytest
 
 from mtl_affinity import paper_data as pd
-from mtl_affinity.scores import SCORE_KINDS
+from mtl_affinity.evaluation import SCORE_KINDS
 
 
 def test_task_roster():

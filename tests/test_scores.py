@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mtl_affinity import scores
+from mtl_affinity.evaluation import MatrixAssemblyError, assemble_matrix
 from mtl_affinity.stats import DegenerateInputError
 from mtl_affinity.models import (
     BackboneConfig,
@@ -303,40 +304,40 @@ def test_gs_gt_single_epoch_match_hand_simulation():
 
 
 def test_assemble_symmetric_mirrors_single_direction():
-    m = scores.assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6})
+    m = assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6})
     assert m.get("a", "b") == 0.6
     assert m.get("b", "a") == 0.6
     assert m.is_complete()
 
 
 def test_assemble_symmetric_conflict():
-    with pytest.raises(scores.MatrixAssemblyError, match="conflicting"):
-        scores.assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6, ("b", "a"): 0.7})
-    agreeing = scores.assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6, ("b", "a"): 0.6})
+    with pytest.raises(MatrixAssemblyError, match="conflicting"):
+        assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6, ("b", "a"): 0.7})
+    agreeing = assemble_matrix("IAS", ["a", "b"], {("a", "b"): 0.6, ("b", "a"): 0.6})
     assert agreeing.get("b", "a") == 0.6
 
 
 def test_assemble_asymmetric_requires_all_ordered_pairs():
     values = {("a", "b"): 0.1, ("b", "a"): 0.2}
-    m = scores.assemble_matrix("LI", ["a", "b"], values)
+    m = assemble_matrix("LI", ["a", "b"], values)
     assert m.get("a", "b") == 0.1
     assert m.get("b", "a") == 0.2
-    with pytest.raises(scores.MatrixAssemblyError, match="ordered pair"):
-        scores.assemble_matrix("LI", ["a", "b", "c"],
-                               {("a", "b"): 0.1, ("b", "a"): 0.2, ("a", "c"): 0.3,
-                                ("c", "a"): 0.4, ("b", "c"): 0.5})
+    with pytest.raises(MatrixAssemblyError, match="ordered pair"):
+        assemble_matrix("LI", ["a", "b", "c"],
+                        {("a", "b"): 0.1, ("b", "a"): 0.2, ("a", "c"): 0.3,
+                         ("c", "a"): 0.4, ("b", "c"): 0.5})
 
 
 def test_assemble_rejects_unknown_or_diagonal_keys():
-    with pytest.raises(scores.MatrixAssemblyError, match="unknown"):
-        scores.assemble_matrix("TD", ["a", "b"], {("a", "z"): 0.0})
-    with pytest.raises(scores.MatrixAssemblyError, match="diagonal"):
-        scores.assemble_matrix("TD", ["a", "b"], {("a", "a"): 0.0})
+    with pytest.raises(MatrixAssemblyError, match="unknown"):
+        assemble_matrix("TD", ["a", "b"], {("a", "z"): 0.0})
+    with pytest.raises(MatrixAssemblyError, match="diagonal"):
+        assemble_matrix("TD", ["a", "b"], {("a", "a"): 0.0})
 
 
 def test_unknown_score_kind_rejected():
     with pytest.raises(ValueError, match="unknown score kind 'XX'"):
-        scores.assemble_matrix("XX", ["a", "b"], {("a", "b"): 0.5})
+        assemble_matrix("XX", ["a", "b"], {("a", "b"): 0.5})
 
 
 # --- range properties ---

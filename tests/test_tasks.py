@@ -103,6 +103,9 @@ def test_taskspec_validation():
         TaskSpec("t", "classification", 3, loss_kind="mse")
     assert TaskSpec("t", "regression", 1).loss_kind == "mse"
     assert TaskSpec("t", "classification", 2).loss_kind == "cross_entropy"
+    for name in (7, "", None):
+        with pytest.raises(ValueError, match=f"^task names must be non-empty strings, got {name!r}$"):
+            TaskSpec(name, "regression", 1)
 
 
 TAXONOMY_OK = """task,A,B,C
