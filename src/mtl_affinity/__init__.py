@@ -25,12 +25,12 @@ _EXPORTS = {
     "aggregate_performance": "grouping",
     "is_valid_grouping": "grouping",
     "optimize_grouping": "grouping",
-    "DegenerateScoreError": "scores",
     "gradient_similarity": "scores",
     "gradient_transference": "scores",
     "input_attribution_similarity": "scores",
     "label_injection": "scores",
     "rsa": "scores",
+    "DegenerateInputError": "stats",
     "TaskSpec": "tasks",
     "TaskSuite": "tasks",
     "generate_latent_factor_suite": "tasks",

@@ -16,6 +16,7 @@ and ``group`` start without loading the training stack.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import sys
@@ -49,9 +50,7 @@ def _load_config(args):
         overrides["out_dir"] = args.out
     if getattr(args, "scores", None) is not None:
         overrides["scores"] = tuple(s.strip() for s in args.scores.split(",") if s.strip())
-    if getattr(args, "display_gs_x100", False):
-        overrides["display_gs_x100"] = True
-    return config.with_overrides(**overrides)
+    return dataclasses.replace(config, **overrides)
 
 
 def cmd_generate(args) -> int:
@@ -168,8 +167,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            help="train, score, evaluate, and emit reports")
     p_run.add_argument("--scores",
                        help=f"comma-separated subset of {','.join(SCORE_KINDS)}")
-    p_run.add_argument("--display-gs-x100", action="store_true",
-                       help="write gs.csv scaled by 100 (display convention)")
     p_run.set_defaults(fn=cmd_run)
 
     p_rep = sub.add_parser("reproduce-tables",

@@ -59,7 +59,6 @@ from .models import (
     train_stl,
 )
 from .scores import (
-    DegenerateScoreError,
     gradient_similarity,
     gradient_transference,
     input_attribution_similarity,
@@ -213,14 +212,6 @@ class ExperimentConfig:
             raise ValueError(f"{path}: {exc.strerror or exc}") from None
         except ValueError as exc:  # undecodable text or JSON, or a field out of range
             raise ValueError(f"{path}: {exc}") from None
-
-    def with_overrides(self, **overrides) -> "ExperimentConfig":
-        """A copy with the given fields replaced (None values are ignored)."""
-        changes = {k: v for k, v in overrides.items() if v is not None}
-        unknown = sorted(set(changes) - {f.name for f in dataclasses.fields(self)})
-        if unknown:
-            raise ValueError(f"unknown config keys {unknown}")
-        return dataclasses.replace(self, **changes)
 
     def sha256(self) -> str:
         canon = json.dumps(self.to_json_dict(), sort_keys=True, separators=(",", ":"))
@@ -391,7 +382,7 @@ class _SeedRun:
         for target, partner in self.pairs if symmetric else permutations(self.names, 2):
             try:
                 value = _CELLS[kind](self, target, partner)
-            except DegenerateScoreError as exc:
+            except DegenerateInputError as exc:
                 cell = (f"pair {(target, partner)!r}" if symmetric
                         else f"partner {partner!r} -> target {target!r}")
                 raise ExperimentError(f"seed {self.seed}, score {kind}, {cell}: {exc}") from exc

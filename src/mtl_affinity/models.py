@@ -44,6 +44,7 @@ which the stack keeps in one flat copy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, NamedTuple, Sequence
@@ -86,6 +87,13 @@ def model_key(family: str, tasks: Sequence[str]) -> str:
     return "/".join((family, *tasks))
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy's too); a bool or a non-integer raises naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class BackboneConfig:
     """Widths of the shared trunk: input -> hidden ... -> latent output.
@@ -97,11 +105,12 @@ class BackboneConfig:
     latent_dim: int
 
     def __post_init__(self):
-        object.__setattr__(self, "hidden_widths", tuple(int(w) for w in self.hidden_widths))
+        object.__setattr__(self, "hidden_widths", tuple(
+            _integer(f"hidden_widths[{i}]", w) for i, w in enumerate(self.hidden_widths)))
         if any(w < 1 for w in self.hidden_widths):
             raise ValueError(f"hidden widths must be positive, got {self.hidden_widths}")
         for name in ("input_dim", "latent_dim"):
-            if getattr(self, name) < 1:
+            if _integer(name, getattr(self, name)) < 1:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
 
     def layer_widths(self) -> list[tuple[int, int]]:
@@ -119,6 +128,8 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
+        for name in ("seed", "epochs", "batch_size", "eval_batch_size"):
+            _integer(name, getattr(self, name))
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:
@@ -530,10 +541,9 @@ def train_injected(pairs: Sequence[tuple[TaskSpec, TaskSpec]], dataset: MultiTas
     n, d_in = dataset.inputs.shape
     inputs = np.zeros((len(partners), n,
                        d_in + max((p.output_dim for p in partners.values()), default=0)))
-    inputs[:, :, :d_in] = dataset.inputs
     for block, partner in zip(inputs, partners.values()):
-        block[:, d_in:d_in + partner.output_dim] = encode_labels(
-            partner, dataset.labels[partner.name])
+        block[:, :d_in + partner.output_dim] = extend_inputs(
+            dataset.inputs, partner, dataset.labels[partner.name])
     source = {name: i for i, name in enumerate(partners)}
     jobs = [_Job(model_key("inj", [target.name, partner.name]), (target,),
                  replace(half_backbone, input_dim=half_backbone.input_dim + partner.output_dim),

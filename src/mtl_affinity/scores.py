@@ -23,6 +23,7 @@ GS values are kept in their natural [-1, 1] units here; any x100
 presentation is a formatting concern. GT uses the "1 - ratio" form so
 positive means the partner helps; the bare look-ahead ratio is recoverable
 as 1 - score. The kind table (``SCORE_KINDS``) lives in :mod:`evaluation`.
+Degenerate inputs raise :class:`stats.DegenerateInputError`, as the statistics do.
 """
 
 from __future__ import annotations
@@ -31,14 +32,13 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .stats import spearman
+from .stats import DegenerateInputError, spearman
 
 if TYPE_CHECKING:
     from .models import Model, TrainTrace
 
 __all__ = [
     "ScoreValue",
-    "DegenerateScoreError",
     "input_x_gradient",
     "input_attribution_similarity",
     "representation_dissimilarity",
@@ -47,10 +47,6 @@ __all__ = [
     "gradient_similarity",
     "gradient_transference",
 ]
-
-class DegenerateScoreError(ValueError):
-    """The inputs admit no meaningful score (all examples skipped, ...)."""
-
 
 class ScoreValue(float):
     """A score that also remembers how many examples/epochs went into it."""
@@ -90,7 +86,7 @@ def input_attribution_similarity(
     skipped; the returned value records how many.
 
     Raises:
-        DegenerateScoreError: every example was skipped.
+        DegenerateInputError: every example was skipped.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] == 0:
@@ -106,7 +102,7 @@ def input_attribution_similarity(
     usable = (norm_a > 0.0) & (norm_b > 0.0)
     skipped = int(np.sum(~usable))
     if not np.any(usable):
-        raise DegenerateScoreError(
+        raise DegenerateInputError(
             f"all {inputs.shape[0]} examples had a zero-norm attribution map")
     cosines = (np.sum(attr_a[usable] * attr_b[usable], axis=1)
                / (norm_a[usable] * norm_b[usable]))
@@ -118,7 +114,7 @@ def representation_dissimilarity(latents: np.ndarray) -> np.ndarray:
     """RDM of a latent batch: entry (i, j) is 1 - Pearson(z_i, z_j).
 
     Raises:
-        DegenerateScoreError: some example's latent vector is constant, so
+        DegenerateInputError: some example's latent vector is constant, so
             its correlations are undefined; the message names the example.
     """
     z = np.asarray(latents, dtype=np.float64)
@@ -128,7 +124,7 @@ def representation_dissimilarity(latents: np.ndarray) -> np.ndarray:
     norms = np.linalg.norm(centered, axis=1)
     flat = np.flatnonzero(norms == 0.0)
     if flat.size:
-        raise DegenerateScoreError(
+        raise DegenerateInputError(
             f"latent vector of example {int(flat[0])} is constant; "
             f"its correlation distance is undefined")
     corr = (centered @ centered.T) / np.outer(norms, norms)
@@ -140,6 +136,9 @@ def rsa(model_a: Model, model_b: Model, inputs: np.ndarray) -> float:
 
     Symmetric, in [-1, 1]. Needs at least 3 examples so the triangles have
     3 or more entries.
+
+    Raises:
+        DegenerateInputError: a latent vector, or either RDM triangle, is constant.
     """
     inputs = np.asarray(inputs, dtype=np.float64)
     if inputs.ndim != 2 or inputs.shape[0] < 3:
@@ -157,13 +156,13 @@ def label_injection(loss_stl: float, loss_injected: float) -> float:
     direction. Positive means the injected label helped.
 
     Raises:
-        DegenerateScoreError: either loss is <= 0; losses here are
+        DegenerateInputError: either loss is <= 0; losses here are
             non-negative by construction and a zero denominator marks a
             degenerate task.
     """
     if loss_stl <= 0.0 or loss_injected <= 0.0:
-        raise DegenerateScoreError(f"label injection needs positive losses, got "
-                         f"stl={loss_stl}, injected={loss_injected}")
+        raise DegenerateInputError(f"label injection needs positive losses, got "
+                                   f"stl={loss_stl}, injected={loss_injected}")
     return (loss_stl - loss_injected) / loss_injected
 
 
@@ -181,7 +180,7 @@ def gradient_transference(trace: TrainTrace, target: str) -> ScoreValue:
     Epochs with a zero pre-update loss are skipped and counted.
 
     Raises:
-        DegenerateScoreError: every epoch was skipped.
+        DegenerateInputError: every epoch was skipped.
     """
     if trace.lookahead is None or target not in trace.lookahead:
         have = sorted(trace.lookahead) if trace.lookahead else []
@@ -192,7 +191,7 @@ def gradient_transference(trace: TrainTrace, target: str) -> ScoreValue:
     values = [1.0 - post / pre for pre, post in pairs if pre != 0.0]
     skipped = len(pairs) - len(values)
     if not values:
-        raise DegenerateScoreError(
+        raise DegenerateInputError(
             f"all {len(pairs)} epochs had zero pre-update loss for {target!r}")
     return ScoreValue(float(np.mean(values)), skipped=skipped, used=len(values))
 

@@ -8,6 +8,8 @@ assert "more shared structure means higher affinity".
 
 Also here: loading user-supplied taxonomy distance matrices (parsed by
 :func:`matrices.parse_taxonomy`), and saving and loading a suite as files.
+A task's kind fixes its loss, so a suite's manifest records none and ignores
+the loss key that older manifests hold.
 """
 
 from __future__ import annotations
@@ -52,10 +54,10 @@ class LatentOrigin:
 
 @dataclass(frozen=True)
 class TaskSpec:
+    """One task: its ``kind`` fixes its loss (MSE, or cross-entropy over ``output_dim`` classes)."""
     name: str
     kind: str
     output_dim: int
-    loss_kind: str = ""
     origin: LatentOrigin | None = None
 
     def __post_init__(self):
@@ -63,18 +65,12 @@ class TaskSpec:
             raise ValueError(f"task names must be non-empty strings, got {self.name!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        expected_loss = "mse" if self.kind == "regression" else "cross_entropy"
-        if self.loss_kind == "":
-            object.__setattr__(self, "loss_kind", expected_loss)
-        elif self.loss_kind != expected_loss:
-            raise ValueError(f"{self.kind} tasks use {expected_loss}, got {self.loss_kind!r}")
         minimum = 2 if self.kind == "classification" else 1
         if self.output_dim < minimum:
             raise ValueError(f"{self.kind} output_dim must be >= {minimum}, got {self.output_dim}")
 
     def to_json_dict(self) -> dict:
-        d: dict = {"name": self.name, "kind": self.kind,
-                   "output_dim": self.output_dim, "loss_kind": self.loss_kind}
+        d: dict = {"name": self.name, "kind": self.kind, "output_dim": self.output_dim}
         if isinstance(self.origin, LatentOrigin):
             d["origin"] = {"type": "latent", "latent_dims": list(self.origin.latent_dims),
                            "weights": [list(r) for r in self.origin.weights],
@@ -95,7 +91,7 @@ class TaskSpec:
                                       bool(o["nonlinear"]), float(o["noise_std"]))
             else:
                 raise ValueError(f"unknown origin type {o['type']!r}")
-        return cls(d["name"], d["kind"], int(d["output_dim"]), d["loss_kind"], origin)
+        return cls(d["name"], d["kind"], int(d["output_dim"]), origin)
 
 
 @dataclass(frozen=True, eq=False)
@@ -328,7 +324,7 @@ def _index(cell: str) -> int:
 def load_dataset(directory: str | Path) -> TaskSuite:
     """Read a suite written by :func:`save_dataset`.
 
-    A manifest that is not JSON or lacks a key, a cell that does not parse,
+    A manifest that is not JSON, lacks a key or repeats a task name, a bad cell,
     or misfit labels or splits raise ValueError, led by the file's path.
     """
     d = Path(directory)
@@ -336,6 +332,9 @@ def load_dataset(directory: str | Path) -> TaskSuite:
     try:
         manifest = json.loads(path.read_text(encoding="utf-8"))
         specs = tuple(TaskSpec.from_json_dict(s) for s in manifest["specs"])
+        names = [spec.name for spec in specs]
+        if len(set(names)) != len(names):
+            raise ValueError(f"task names must be unique, got {names}")
         seed = int(manifest["seed"])
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None

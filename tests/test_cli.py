@@ -222,6 +222,28 @@ def test_run_on_suite_with_a_bad_task_name_exits_2_before_training(tmp_path, cap
     assert not list((tmp_path / "out").glob("seed*"))
 
 
+def test_run_on_suite_naming_a_task_twice_exits_2_before_reading_labels(tmp_path, capsys,
+                                                                        monkeypatch):
+    def no_training(*args, **kwargs):
+        raise AssertionError("the roster trained")
+
+    for trainer in ("train_stl", "train_mtl", "train_injected"):
+        monkeypatch.setattr(experiment, trainer, no_training)
+    suite = tmp_path / "suite"
+    assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(suite)]) == 0
+    manifest = suite / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["specs"][2]["name"] = "task0"
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    for labels in suite.glob("labels_*.csv"):
+        labels.unlink()
+    cfg = write_config(tmp_path, dataset_path=str(suite))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (f"error: {manifest}: task names must be unique, got ['task0', 'task1', 'task0']"
+            in capsys.readouterr().err)
+    assert not list((tmp_path / "out").glob("seed*"))
+
+
 def test_run_td_with_superset_taxonomy_writes_the_suite_cells(tmp_path):
     taxonomy = write_taxonomy(tmp_path / "taxonomy.csv", ["task2", "extra", "task0", "task1"])
     cfg = write_config(tmp_path, scores=["TD"], taxonomy_path=taxonomy)

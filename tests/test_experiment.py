@@ -1,5 +1,6 @@
 """Harness tests: config plumbing, file inventory, round trips, determinism."""
 
+import dataclasses
 import json
 import math
 import os
@@ -40,12 +41,13 @@ from mtl_affinity.evaluation import (
     read_level3_csv,
 )
 from mtl_affinity.matrices import TaskMatrix
+from mtl_affinity import scores
 from mtl_affinity.scores import (
-    DegenerateScoreError,
     ScoreValue,
     gradient_transference,
     rsa,
 )
+from mtl_affinity.stats import DegenerateInputError
 from mtl_affinity.tasks import TaskSuite, generate_latent_factor_suite, save_dataset
 
 
@@ -184,13 +186,11 @@ def test_config_rejects_unknown_keys(tmp_path):
 
 def test_config_overrides_and_hash(tmp_path):
     cfg = tiny_config(tmp_path)
-    other = cfg.with_overrides(seeds=(5,), out_dir=None)
+    other = dataclasses.replace(cfg, seeds=(5,))
     assert other.seeds == (5,)
     assert other.out_dir == cfg.out_dir
     assert cfg.sha256() == tiny_config(tmp_path).sha256()
     assert cfg.sha256() != other.sha256()
-    with pytest.raises(ValueError, match="typo"):
-        cfg.with_overrides(typo=1)
 
 
 # --- cost and scatter CSV round trips ---
@@ -283,7 +283,7 @@ def test_manifest_contents(tiny_run):
 def test_rerun_is_byte_identical(tmp_path):
     cfg_a = tiny_config(tmp_path, out_dir=str(tmp_path / "a"),
                         scores=("IAS", "GS"), epochs=2)
-    cfg_b = cfg_a.with_overrides(out_dir=str(tmp_path / "b"))
+    cfg_b = dataclasses.replace(cfg_a, out_dir=str(tmp_path / "b"))
     (res_a,) = run_experiment(cfg_a)
     (res_b,) = run_experiment(cfg_b)
     for path_a in sorted(res_a.directory.iterdir()):
@@ -338,7 +338,7 @@ def test_pair_probes_run_only_for_gs_or_gt(tmp_path, scores, probed):
 
 def test_degenerate_score_names_seed_kind_and_pair(tmp_path, monkeypatch):
     def degenerate(*args):
-        raise DegenerateScoreError("all 64 examples had a zero-norm attribution map")
+        raise DegenerateInputError("all 64 examples had a zero-norm attribution map")
 
     monkeypatch.setattr(experiment, "input_attribution_similarity", degenerate)
     cfg = tiny_config(tmp_path, scores=("GS", "IAS"), seeds=(4,))
@@ -368,7 +368,7 @@ def degenerate_gt_at(cell):
     def scored(trace, target):
         (partner,) = set(trace.lookahead) - {target}
         if (target, partner) == cell:
-            raise DegenerateScoreError("every epoch had a zero pre-update loss")
+            raise DegenerateInputError("every epoch had a zero pre-update loss")
         return gradient_transference(trace, target)
     return scored
 
@@ -377,7 +377,7 @@ def degenerate_rsa_at(pair):
     """The real RSA score, degenerate for the STL models of ``pair`` only."""
     def scored(model_a, model_b, inputs):
         if (*model_a.specs, *model_b.specs) == pair:
-            raise DegenerateScoreError("latent vector of example 0 is constant")
+            raise DegenerateInputError("latent vector of example 0 is constant")
         return rsa(model_a, model_b, inputs)
     return scored
 
@@ -391,14 +391,17 @@ def degenerate_rsa_at(pair):
      "seed 4, score GT, partner 'task0' -> target 'task1': every epoch had a zero"),
     ("RSA", vars(experiment), "rsa", degenerate_rsa_at(("task1", "task2")),
      "seed 4, score RSA, pair ('task1', 'task2'): latent vector of example 0 is constant"),
-], ids=["LI", "GT", "RSA"])
+    # The real rsa, whose Spearman correlation of two constant RDMs is undefined.
+    ("RSA", vars(scores), "representation_dissimilarity", lambda z: np.zeros((len(z),) * 2),
+     "seed 4, score RSA, pair ('task0', 'task1'): correlation undefined for a constant input"),
+], ids=["LI", "GT", "RSA", "RSA-spearman"])
 def test_degenerate_score_names_seed_kind_and_cell(tmp_path, monkeypatch, kind, table, name,
                                                    replacement, message):
     monkeypatch.setitem(table, name, replacement)
     cfg = tiny_config(tmp_path, scores=(kind,), seeds=(4,))
     with pytest.raises(ExperimentError, match=re.escape(message)) as info:
         run_experiment(cfg)
-    assert isinstance(info.value.__cause__, DegenerateScoreError)
+    assert isinstance(info.value.__cause__, DegenerateInputError)
     assert not (tmp_path / "out").exists()
 
 
@@ -490,12 +493,34 @@ def test_dataset_path_matches_inline_generation(tmp_path):
     save_dataset(suite, data_dir)
     inline = tiny_config(tmp_path, seeds=(4,), out_dir=str(tmp_path / "inline"),
                          scores=("GS",))
-    loaded = inline.with_overrides(dataset_path=str(data_dir),
-                                   out_dir=str(tmp_path / "loaded"))
+    loaded = dataclasses.replace(inline, dataset_path=str(data_dir),
+                                 out_dir=str(tmp_path / "loaded"))
     (res_inline,) = run_experiment(inline)
     (res_loaded,) = run_experiment(loaded)
     assert res_inline.gain == res_loaded.gain
     assert res_inline.affinities["GS"] == res_loaded.affinities["GS"]
+
+
+def test_suite_with_loss_kind_gives_the_same_seed_files(tmp_path):
+    """A manifest that also lists each task's loss, as older suites do, changes no output."""
+    save_dataset(generate_latent_factor_suite(seed=3, n_tasks=3, d_latent=6, d_in=10,
+                                              n_examples=120, overlap=0.5, noise_std=0.1),
+                 tmp_path / "suite")
+    config = tiny_config(tmp_path, dataset_path=str(tmp_path / "suite"), seeds=(0, 1))
+
+    def seed_files():
+        run_experiment(config)
+        return {p.relative_to(tmp_path / "out"): p.read_bytes()
+                for p in sorted((tmp_path / "out").rglob("*")) if p.is_file()}
+
+    plain = seed_files()
+    manifest = tmp_path / "suite" / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    for spec in payload["specs"]:
+        spec["loss_kind"] = "mse" if spec["kind"] == "regression" else "cross_entropy"
+    manifest.write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    assert seed_files() == plain
+    assert {path.parts[0] for path in plain} == {"seed0", "seed1"}
 
 
 def test_results_do_not_depend_on_task_listing_order(tmp_path):

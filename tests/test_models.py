@@ -1,5 +1,6 @@
 """Model construction, capacity accounting, and the training loop."""
 
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -142,6 +143,32 @@ def test_backbone_config_rejects_nonpositive_widths():
         m.BackboneConfig(0, (4,), 2)
     with pytest.raises(ValueError):
         m.BackboneConfig(4, (0,), 2)
+
+
+@pytest.mark.parametrize("args, field, value", [
+    ((3, (8.9, 4.2), 4), "hidden_widths[0]", 8.9), ((3, (8, True), 4), "hidden_widths[1]", True),
+    ((3, (8, "4"), 4), "hidden_widths[1]", "4"), ((3.5, (8,), 4), "input_dim", 3.5),
+    ((True, (8,), 4), "input_dim", True), ((3, (8,), 4.0), "latent_dim", 4.0),
+    ((3, (8,), np.True_), "latent_dim", np.True_),
+])
+def test_backbone_config_rejects_non_integers(args, field, value):
+    with pytest.raises(ValueError, match=f"^{re.escape(field)} must be an integer, "
+                                         f"got {re.escape(repr(value))}$"):
+        m.BackboneConfig(*args)
+
+
+@pytest.mark.parametrize("field", ["seed", "epochs", "batch_size", "eval_batch_size"])
+@pytest.mark.parametrize("value", [2.5, 2.0, True, "2"])
+def test_train_config_rejects_non_integers(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+        m.TrainConfig(**{"seed": 0, field: value})
+
+
+def test_integer_fields_accept_numpy_integers():
+    config = m.BackboneConfig(np.int64(3), (np.int32(8), 4), np.int64(2))
+    assert config.hidden_widths == (8, 4)
+    assert all(type(w) is int for w in config.hidden_widths)
+    assert m.TrainConfig(seed=np.int64(1), epochs=np.int32(2)).epochs == 2
 
 
 # --- STL training ---

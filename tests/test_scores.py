@@ -111,7 +111,7 @@ def test_ias_all_skipped_raises():
     model_a = linear_stl("a", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
     model_b = linear_stl("b", np.eye(2), [0.0, 0.0], [[1.0], [0.0]], [0.0])
     # Both models predict every label exactly, so every map is zero.
-    with pytest.raises(scores.DegenerateScoreError, match="zero-norm"):
+    with pytest.raises(DegenerateInputError, match="zero-norm"):
         scores.input_attribution_similarity(model_a, model_b, np.ones((3, 2)),
                                             np.ones((3, 1)), np.ones((3, 1)))
 
@@ -139,8 +139,26 @@ def test_rdm_hand_values():
 
 def test_rdm_constant_latent_names_example():
     z = np.array([[1.0, 2.0, 3.0], [5.0, 5.0, 5.0], [1.0, 3.0, 2.0]])
-    with pytest.raises(scores.DegenerateScoreError, match="example 1"):
+    with pytest.raises(DegenerateInputError, match="example 1"):
         scores.representation_dissimilarity(z)
+
+
+def dead_backbone(name):
+    """An STL model whose ReLU layer is off for every input, so each latent is its bias."""
+    model = Model([TaskSpec(name, "regression", 1)], BackboneConfig(2, (3,), 3),
+                  np.random.default_rng(0))
+    model.weights[0][...] = 0.0
+    model.biases[0][...] = -1.0
+    model.biases[1][...] = [0.0, 1.0, 3.0]
+    return model
+
+
+def test_rsa_with_equally_dissimilar_latents_raises():
+    # Every latent is the same non-constant vector, so each RDM is all zeros
+    # and the Spearman correlation of the two triangles is undefined.
+    x = np.random.default_rng(1).normal(size=(5, 2))
+    with pytest.raises(DegenerateInputError, match="constant input"):
+        scores.rsa(dead_backbone("a"), dead_backbone("b"), x)
 
 
 def identity_backbone_model(name, d, head=None):
@@ -178,7 +196,7 @@ def test_rsa_needs_three_examples():
 def test_rsa_constant_latent_propagates():
     model = identity_backbone_model("a", 3)
     x = np.array([[1.0, 2.0, 3.0], [4.0, 4.0, 4.0], [0.0, 1.0, 5.0]])
-    with pytest.raises(scores.DegenerateScoreError, match="example 1"):
+    with pytest.raises(DegenerateInputError, match="example 1"):
         scores.rsa(model, model, x)
 
 
@@ -232,7 +250,7 @@ def test_gradient_transference_skips_zero_pre_loss():
     assert got == pytest.approx(0.5)
     assert got.skipped == 1
     assert got.used == 1
-    with pytest.raises(scores.DegenerateScoreError):
+    with pytest.raises(DegenerateInputError):
         scores.gradient_transference(trace_with(lookahead={"a": [(0.0, 1.0)]}), "a")
 
 
@@ -357,6 +375,6 @@ def test_ias_rsa_bounded_on_random_models(seed):
     assert -1.0 <= scores.input_attribution_similarity(model_a, model_b, x, ya, yb) <= 1.0
     try:
         value = scores.rsa(model_a, model_b, x)
-    except (scores.DegenerateScoreError, DegenerateInputError):
+    except DegenerateInputError:
         return  # degenerate geometry: the range property only applies when defined
     assert -1.0 <= value <= 1.0

@@ -99,10 +99,6 @@ def test_parameter_validation():
 def test_taskspec_validation():
     with pytest.raises(ValueError, match="output_dim"):
         TaskSpec("t", "classification", 1)
-    with pytest.raises(ValueError, match="cross_entropy"):
-        TaskSpec("t", "classification", 3, loss_kind="mse")
-    assert TaskSpec("t", "regression", 1).loss_kind == "mse"
-    assert TaskSpec("t", "classification", 2).loss_kind == "cross_entropy"
     for name in (7, "", None):
         with pytest.raises(ValueError, match=f"^task names must be non-empty strings, got {name!r}$"):
             TaskSpec(name, "regression", 1)
@@ -172,6 +168,17 @@ def test_dataset_save_load_roundtrip(tmp_path):
     assert loaded.dataset.seed == suite.dataset.seed
 
 
+def test_taskspec_json_ignores_loss_kind(tmp_path):
+    # Older manifests also held each task's loss, which its kind fixes.
+    save_dataset(small_suite(), tmp_path / "ds")
+    manifest = json.loads((tmp_path / "ds" / "manifest.json").read_text())
+    for d in manifest["specs"]:
+        assert "loss_kind" not in d
+        loss = "mse" if d["kind"] == "regression" else "cross_entropy"
+        assert TaskSpec.from_json_dict({**d, "loss_kind": loss}) == TaskSpec.from_json_dict(d)
+    assert {d["kind"] for d in manifest["specs"]} == {"regression", "classification"}
+
+
 def _corrupt(path, replace):
     lines = path.read_text().splitlines()
     path.write_text("\n".join(replace(lines)) + "\n")
@@ -219,8 +226,18 @@ def _drop_key(key):
     return replace
 
 
+def _rename_last_task(name):
+    def replace(lines):
+        manifest = json.loads("\n".join(lines))
+        manifest["specs"][-1]["name"] = name
+        return json.dumps(manifest).splitlines()
+    return replace
+
+
 @pytest.mark.parametrize("file, replace, msg", [
     ("manifest.json", _drop_key("seed"), r"manifest\.json: missing key 'seed'"),
+    ("manifest.json", _rename_last_task("task0"),
+     r"manifest\.json: task names must be unique, got \['task0', 'task1', 'task0'\]$"),
     ("manifest.json", _drop_key("specs"), r"manifest\.json: missing key 'specs'"),
     ("manifest.json", lambda lines: [line.replace('"kind": ', '"kind_": ') for line in lines],
      r"manifest\.json: missing key 'kind'"),
