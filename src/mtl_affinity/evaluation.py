@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .matrices import TaskMatrix, read_table, write_table
+from .matrices import TaskMatrix, write_table
 from .stats import DegenerateInputError, kendall_tau, pearson
 
 __all__ = [
@@ -48,9 +48,6 @@ __all__ = [
     "level1_csv",
     "level2_csv",
     "level3_csv",
-    "read_level1_csv",
-    "read_level2_csv",
-    "read_level3_csv",
 ]
 
 def mtl_gain(loss_stl_a: float, loss_mtl_a: float) -> float:
@@ -327,20 +324,9 @@ def _wide_csv(reports: Mapping[str, EvaluationReport], level: int) -> str:
     return write_table(rows)
 
 
-def _read_wide_csv(text: str, level: int) -> dict[str, Correlations]:
-    header, rows = read_table(text, f"level{level}",
-                              {"score": str, "*": float, _WIDE_TABLES[level]: float})
-    tasks = header[1:-1]
-    return {kind: Correlations(dict(zip(tasks, values)), value) for kind, *values, value in rows}
-
-
 def level1_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Per-target Pearson table: one row per score, one column per target."""
     return _wide_csv(reports, 1)
-
-
-def read_level1_csv(text: str) -> dict[str, Correlations]:
-    return _read_wide_csv(text, 1)
 
 
 def level2_csv(reports: Mapping[str, EvaluationReport]) -> str:
@@ -348,17 +334,9 @@ def level2_csv(reports: Mapping[str, EvaluationReport]) -> str:
     return _wide_csv(reports, 2)
 
 
-def read_level2_csv(text: str) -> dict[str, Correlations]:
-    return _read_wide_csv(text, 2)
-
-
-_LEVEL3_COLUMNS = {"score": str, "target": str, "selected": str, "tied": str,
-                   "true_best": str, "delta": float, "delta_tied_mean": float}
-
-
 def level3_csv(reports: Mapping[str, EvaluationReport]) -> str:
     """Best-partner table: one row per (score, target) cell."""
-    rows = [list(_LEVEL3_COLUMNS)]
+    rows = [["score", "target", "selected", "tied", "true_best", "delta", "delta_tied_mean"]]
     for kind, r in reports.items():
         for t in r.tasks:
             s = r.level3[t]
@@ -366,12 +344,3 @@ def level3_csv(reports: Mapping[str, EvaluationReport]) -> str:
                          s.true_best, s.delta, s.delta_tied_mean])
     return write_table(rows)
 
-
-def read_level3_csv(text: str) -> dict[str, dict[str, Level3Selection]]:
-    grouped: dict[str, dict[str, Level3Selection]] = {}
-    for kind, target, selected, tied, true_best, delta, tied_mean in read_table(
-            text, "level3", _LEVEL3_COLUMNS)[1]:
-        grouped.setdefault(kind, {})[target] = Level3Selection(
-            target=target, selected=selected, tied=tuple(tied.split("|")),
-            true_best=true_best, delta=delta, delta_tied_mean=tied_mean)
-    return grouped

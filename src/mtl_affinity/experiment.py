@@ -42,7 +42,7 @@ from .evaluation import (
     score_cost,
     score_cost_expression,
 )
-from .matrices import TaskMatrix, read_table, write_table
+from .matrices import TaskMatrix, write_table
 from .models import (
     BackboneConfig,
     Model,
@@ -75,17 +75,13 @@ from .tasks import (
 )
 
 __all__ = [
-    "CostRow",
     "ExperimentConfig",
     "ExperimentError",
     "Job",
-    "ScatterRow",
     "SeedResult",
     "costs_csv",
     "manifest_json",
     "plan_roster",
-    "read_costs_csv",
-    "read_scatter_csv",
     "run_experiment",
     "scatter_csv",
 ]
@@ -396,46 +392,14 @@ class _SeedRun:
         return float(np.mean([multiply_add_count(self.model("stl", t)) for t in self.names]))
 
 
-@dataclass(frozen=True)
-class CostRow:
-    """One line of the cost table: a score's price in multiply-adds."""
-    score: str
-    expression: str
-    n: int
-    c_s: float
-    multiply_adds: float
+def costs_csv(rows: Sequence[tuple]) -> str:
+    """The cost table: one (score, expression, n, c_s, multiply_adds) row per score."""
+    return write_table([["score", "expression", "n", "c_s", "multiply_adds"], *rows])
 
 
-_COSTS_COLUMNS = {"score": str, "expression": str, "n": int, "c_s": float, "multiply_adds": float}
-
-
-def costs_csv(rows: Sequence[CostRow]) -> str:
-    return write_table([list(_COSTS_COLUMNS), *map(dataclasses.astuple, rows)])
-
-
-def read_costs_csv(text: str) -> list[CostRow]:
-    return [CostRow(*cells) for cells in read_table(text, "costs", _COSTS_COLUMNS)[1]]
-
-
-@dataclass(frozen=True)
-class ScatterRow:
-    """One plot point: a target's gain with one partner against the score."""
-    score: str
-    target: str
-    with_task: str
-    score_value: float
-    gain: float                            # percent
-
-
-_SCATTER_COLUMNS = {"score": str, "target": str, "with": str, "score_value": float, "gain": float}
-
-
-def scatter_csv(rows: Sequence[ScatterRow]) -> str:
-    return write_table([list(_SCATTER_COLUMNS), *map(dataclasses.astuple, rows)])
-
-
-def read_scatter_csv(text: str) -> list[ScatterRow]:
-    return [ScatterRow(*cells) for cells in read_table(text, "scatter", _SCATTER_COLUMNS)[1]]
+def scatter_csv(rows: Sequence[tuple]) -> str:
+    """The plot points: one (score, target, with, score_value, gain in percent) row each."""
+    return write_table([["score", "target", "with", "score_value", "gain"], *rows])
 
 
 def manifest_json(config: ExperimentConfig, seed: int, c_s: float,
@@ -456,7 +420,7 @@ def manifest_json(config: ExperimentConfig, seed: int, c_s: float,
 
 
 def _scatter_rows(affinities: Mapping[str, TaskMatrix],
-                  gain_percent: TaskMatrix) -> list[ScatterRow]:
+                  gain_percent: TaskMatrix) -> list[tuple]:
     rows = []
     tasks = gain_percent.tasks
     for kind, matrix in affinities.items():
@@ -464,9 +428,8 @@ def _scatter_rows(affinities: Mapping[str, TaskMatrix],
             for partner in tasks:
                 if partner == target:
                     continue
-                rows.append(ScatterRow(kind, target, partner,
-                                       matrix.get(partner, target),
-                                       gain_percent.get(partner, target)))
+                rows.append((kind, target, partner, matrix.get(partner, target),
+                             gain_percent.get(partner, target)))
     return rows
 
 
@@ -489,8 +452,7 @@ def _emit_seed_files(directory: Path, config: ExperimentConfig,
         files["level3.csv"] = level3_csv(result.reports)
     cost = CostModel(n=len(result.gain.tasks), c_s=result.c_s)
     files["costs.csv"] = costs_csv([
-        CostRow(kind, score_cost_expression(kind), cost.n, cost.c_s,
-                score_cost(kind, cost))
+        (kind, score_cost_expression(kind), cost.n, cost.c_s, score_cost(kind, cost))
         for kind in config.scores])
     files["scatter.csv"] = scatter_csv(_scatter_rows(result.affinities, gain_percent))
     files["manifest.json"] = manifest_json(config, result.seed, result.c_s,

@@ -22,6 +22,7 @@ total, else asks the same bounded search whether they can still reach it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
@@ -342,7 +343,8 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     table is cached. The returned total is the grouping's ``aggregate_performance``.
 
     Raises:
-        InfeasibleGroupingError: nothing fits within the budget.
+        InfeasibleGroupingError: nothing fits within the budget; a grouping
+            whose total cost overflows to infinity never fits.
         ValueError: more than 10 tasks, task set not matching the gain
             matrix, an empty gain cell, non-positive costs, a NaN budget or
             cost, or gains so large that the tie slack overflows.
@@ -371,7 +373,10 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     gains = [[0.0] * n for _ in range(n)]
     for (p, t), value in gain.cells().items():
         gains[index[p]][index[t]] = value
-    completions = _Completions(gains, budget + BUDGET_SLACK, stl_cost, mtl_cost)
+    # Capped at the largest float, so a grouping whose total cost is infinite
+    # never fits, not even an infinite budget.
+    completions = _Completions(gains, min(budget + BUDGET_SLACK, sys.float_info.max),
+                               stl_cost, mtl_cost)
     if not math.isfinite(completions.slack):
         raise ValueError("gains too large: the sum of each task's largest |gain| overflows")
     everyone = (1 << n) - 1

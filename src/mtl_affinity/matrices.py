@@ -10,9 +10,11 @@ The CSV layout mirrors that: header ``with,<task1>,...``, one row per
 partner, diagonal cells left empty. Values are written with ``repr`` so a
 write/read round trip is exact.
 
-Every CSV text table of the package, matrix or report, goes through the
-table codec here: :func:`write_table` and the checked :func:`read_table`.
-So is the taxonomy table (:func:`parse_taxonomy`). Only
+Every CSV text table of the package goes through the table codec here.
+Matrices, reports and suite splits are written with :func:`write_table`;
+the tables the package reads (matrices, the bundled tables, suite splits
+and the taxonomy, :func:`parse_taxonomy`) go through the checked
+:func:`read_table`. Reports are written only, never read back. Only
 :meth:`TaskMatrix.as_array` loads numpy, so reading a table needs none.
 """
 
@@ -101,10 +103,6 @@ class TaskMatrix:
         if target not in self.tasks:
             raise KeyError(f"unknown task {target!r}; tasks are {list(self.tasks)}")
         return [(w, self.get(w, target)) for w in self.tasks if w != target]
-
-    def is_symmetric(self, tol: float = 0.0) -> bool:
-        return all(abs(self.get(a, b) - self.get(b, a)) <= tol
-                   for i, a in enumerate(self.tasks) for b in self.tasks[i + 1:])
 
     def as_array(self) -> np.ndarray:
         """Dense array in task order; the diagonal is NaN."""

@@ -44,7 +44,6 @@ which the stack keeps in one flat copy.
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass, replace
 from functools import partial
 from typing import Mapping, NamedTuple, Sequence
@@ -53,7 +52,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import BATCHING, INIT, model_stream
-from .tasks import MultiTaskDataset, TaskSpec, checked_labels
+from .tasks import MultiTaskDataset, TaskSpec, _integer, checked_labels
 
 __all__ = [
     "BackboneConfig",
@@ -85,13 +84,6 @@ class TrainingDivergedError(RuntimeError):
 def model_key(family: str, tasks: Sequence[str]) -> str:
     """``stl/a``, ``mtl/a/b`` or ``inj/target/partner``: roster family, then tasks."""
     return "/".join((family, *tasks))
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int (numpy's too); a bool or a non-integer raises naming ``name``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
 
 
 @dataclass(frozen=True)
@@ -130,6 +122,9 @@ class TrainConfig:
     def __post_init__(self):
         for name in ("seed", "epochs", "batch_size", "eval_batch_size"):
             _integer(name, getattr(self, name))
+        for name in ("initial_lr", "lr_decay"):
+            if isinstance(getattr(self, name), (bool, np.bool_)):
+                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
         if self.seed < 0:
             raise ValueError(f"seed must be non-negative, got {self.seed}")
         if self.epochs < 1:

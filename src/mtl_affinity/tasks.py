@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
@@ -43,6 +44,13 @@ SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int (numpy's too); a bool or a non-integer raises naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return operator.index(value)
+
+
 @dataclass(frozen=True)
 class LatentOrigin:
     """How a suite task was built: which latent dims, what readout."""
@@ -65,6 +73,7 @@ class TaskSpec:
             raise ValueError(f"task names must be non-empty strings, got {self.name!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
+        object.__setattr__(self, "output_dim", _integer("output_dim", self.output_dim))
         minimum = 2 if self.kind == "classification" else 1
         if self.output_dim < minimum:
             raise ValueError(f"{self.kind} output_dim must be >= {minimum}, got {self.output_dim}")
@@ -91,7 +100,7 @@ class TaskSpec:
                                       bool(o["nonlinear"]), float(o["noise_std"]))
             else:
                 raise ValueError(f"unknown origin type {o['type']!r}")
-        return cls(d["name"], d["kind"], int(d["output_dim"]), origin)
+        return cls(d["name"], d["kind"], d["output_dim"], origin)
 
 
 @dataclass(frozen=True, eq=False)

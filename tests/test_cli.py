@@ -244,6 +244,21 @@ def test_run_on_suite_naming_a_task_twice_exits_2_before_reading_labels(tmp_path
     assert not list((tmp_path / "out").glob("seed*"))
 
 
+@pytest.mark.parametrize("output_dim", [3.9, True])
+def test_run_on_suite_with_a_non_integer_output_dim_exits_2(tmp_path, capsys, output_dim):
+    suite = tmp_path / "suite"
+    assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(suite)]) == 0
+    manifest = suite / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    payload["specs"][0]["output_dim"] = output_dim
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_config(tmp_path, dataset_path=str(suite))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert (f"error: {manifest}: output_dim must be an integer, got {output_dim!r}"
+            in capsys.readouterr().err)
+    assert not list((tmp_path / "out").glob("seed*"))
+
+
 def test_run_td_with_superset_taxonomy_writes_the_suite_cells(tmp_path):
     taxonomy = write_taxonomy(tmp_path / "taxonomy.csv", ["task2", "extra", "task0", "task1"])
     cfg = write_config(tmp_path, scores=["TD"], taxonomy_path=taxonomy)
@@ -396,6 +411,23 @@ def test_group_unlimited_budget_writes_standard_json(capsys):
     assert grouping.budget == math.inf
     assert is_valid_grouping(TASKS, grouping) == []
     assert grouping.to_json_dict() == {k: payload[k] for k in ("models", "budget", "total_cost")}
+
+
+@pytest.mark.parametrize("costs, code", [
+    (["--stl-cost", "inf"], 1),
+    (["--mtl-cost", "inf"], 0),
+    (["--stl-cost", "1e308", "--mtl-cost", "1e308"], 1),
+])
+def test_group_never_affords_an_infinite_total_cost(costs, code, capsys):
+    assert main(["group", "--budget", "inf", *costs]) == code
+    captured = capsys.readouterr()
+    if code:
+        assert captured.out == ""
+        assert captured.err.startswith("error: no valid grouping of 5 tasks fits budget inf")
+    else:  # the two-task models are unaffordable: every task gets its own model
+        payload = strict_json(captured.out)
+        assert payload["total_gain"] == 0.0
+        assert [m["training_tasks"] for m in payload["models"]] == [[t] for t in sorted(TASKS)]
 
 
 @pytest.mark.parametrize("flag", ["--budget", "--stl-cost", "--mtl-cost"])

@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 
 from mtl_affinity import evaluation as ev
 from mtl_affinity.evaluation import SCORE_KINDS, assemble_matrix
-from mtl_affinity.matrices import TaskMatrix
+from mtl_affinity.matrices import TaskMatrix, read_table
 from mtl_affinity.stats import DegenerateInputError
 from oracles import kendall_tau_naive, pearson_naive
 
@@ -251,7 +251,7 @@ def test_cost_worked_examples():
     assert ev.score_cost("TD", ev.CostModel(2, 1.0)) == 0.0
 
 
-# --- CSV emission round trips ---
+# --- CSV emission ---
 
 
 def make_reports():
@@ -264,22 +264,21 @@ def make_reports():
 
 
 def test_level_csv_round_trips():
+    # Every reported value reads back exactly from the written text.
     reports = make_reports()
-    back1 = ev.read_level1_csv(ev.level1_csv(reports))
-    back2 = ev.read_level2_csv(ev.level2_csv(reports))
-    back3 = ev.read_level3_csv(ev.level3_csv(reports))
-    assert list(back1) == list(back2) == list(back3) == ["GS", "LI"]
-    for kind, r in reports.items():
-        assert back1[kind] == r.level1
-        assert back2[kind] == r.level2
-        assert back3[kind] == r.level3
-
-
-def test_level_csv_headers_checked():
-    with pytest.raises(Exception, match="header"):
-        ev.read_level1_csv("bogus,t1\nGS,1.0\n")
-    with pytest.raises(Exception, match="average"):
-        ev.read_level2_csv("score,t1,t2,not_average\nGS,1.0,1.0,1.0\n")
+    for level, text in ((1, ev.level1_csv(reports)), (2, ev.level2_csv(reports))):
+        _, rows = read_table(text, f"level{level}", {"score": str, "*": float})
+        assert [row[0] for row in rows] == ["GS", "LI"]
+        for kind, *values in rows:
+            result = getattr(reports[kind], f"level{level}")
+            assert values == [*(result.per_target[t] for t in TASKS), result.summary]
+    _, rows = read_table(ev.level3_csv(reports), "level3", {
+        "score": str, "target": str, "selected": str, "tied": str, "true_best": str,
+        "delta": float, "delta_tied_mean": float})
+    assert [(row[0], row[1]) for row in rows] == [(k, t) for k in ("GS", "LI") for t in TASKS]
+    for kind, target, selected, tied, true_best, delta, delta_tied_mean in rows:
+        assert reports[kind].level3[target] == ev.Level3Selection(
+            target, selected, tuple(tied.split("|")), true_best, delta, delta_tied_mean)
 
 
 # --- invariance properties ---

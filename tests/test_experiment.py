@@ -21,26 +21,22 @@ from mtl_affinity.evaluation import (
     score_cost,
 )
 from mtl_affinity.experiment import (
-    CostRow,
     ExperimentConfig,
     ExperimentError,
-    ScatterRow,
     _SeedRun,
     costs_csv,
     manifest_json,
     plan_roster,
-    read_costs_csv,
-    read_scatter_csv,
     run_experiment,
     scatter_csv,
 )
 from mtl_affinity.evaluation import (
     SCORE_KINDS,
-    read_level1_csv,
-    read_level2_csv,
-    read_level3_csv,
+    level1_csv,
+    level2_csv,
+    level3_csv,
 )
-from mtl_affinity.matrices import TaskMatrix
+from mtl_affinity.matrices import TaskMatrix, read_table
 from mtl_affinity import scores
 from mtl_affinity.scores import (
     ScoreValue,
@@ -195,16 +191,24 @@ def test_config_overrides_and_hash(tmp_path):
 
 # --- cost and scatter CSV round trips ---
 
+COSTS_COLUMNS = {"score": str, "expression": str, "n": int, "c_s": float,
+                 "multiply_adds": float}
+SCATTER_COLUMNS = {"score": str, "target": str, "with": str, "score_value": float,
+                   "gain": float}
+
+
 def test_costs_csv_round_trip():
-    rows = [CostRow("GS", "C(n,2)*2*c_s", 5, 123.0, 2460.0),
-            CostRow("TD", "0", 5, 123.0, 0.0)]
-    assert read_costs_csv(costs_csv(rows)) == rows
+    rows = [("GS", "C(n,2)*2*c_s", 5, 123.0, 2460.0), ("TD", "0", 5, 123.0, 0.0)]
+    header, back = read_table(costs_csv(rows), "costs", COSTS_COLUMNS)
+    assert header == list(COSTS_COLUMNS)
+    assert [tuple(row) for row in back] == rows
 
 
 def test_scatter_csv_round_trip():
-    rows = [ScatterRow("IAS", "a", "b", 0.25, -3.5),
-            ScatterRow("IAS", "b", "a", 0.25, 1.0)]
-    assert read_scatter_csv(scatter_csv(rows)) == rows
+    rows = [("IAS", "a", "b", 0.25, -3.5), ("IAS", "b", "a", 0.25, 1.0)]
+    header, back = read_table(scatter_csv(rows), "scatter", SCATTER_COLUMNS)
+    assert header == list(SCATTER_COLUMNS)
+    assert [tuple(row) for row in back] == rows
 
 
 # --- the full harness on a tiny suite ---
@@ -248,26 +252,25 @@ def test_emitted_files_round_trip(tiny_run):
     for kind in cfg.scores:
         assert TaskMatrix.from_csv_text(read(f"{kind.lower()}.csv")) == res.affinities[kind]
 
-    level1 = read_level1_csv(read("level1.csv"))
-    level2 = read_level2_csv(read("level2.csv"))
-    level3 = read_level3_csv(read("level3.csv"))
-    for kind, report in res.reports.items():
-        assert level1[kind] == report.level1
-        assert level2[kind] == report.level2
-        assert level3[kind] == report.level3
+    # The reports are written only; each file is its writer's text.
+    assert read("level1.csv") == level1_csv(res.reports)
+    assert read("level2.csv") == level2_csv(res.reports)
+    assert read("level3.csv") == level3_csv(res.reports)
 
-    costs = {r.score: r for r in read_costs_csv(read("costs.csv"))}
+    _, rows = read_table(read("costs.csv"), "costs", COSTS_COLUMNS)
+    costs = {score: (c_s, multiply_adds) for score, _, _, c_s, multiply_adds in rows}
     assert set(costs) == set(cfg.scores)
-    assert costs["GS"].c_s == res.c_s
-    assert costs["GS"].multiply_adds == pytest.approx(3 * 2 * res.c_s)
-    assert costs["LI"].multiply_adds == pytest.approx(3 * res.c_s + 6 * res.c_s)
+    assert costs["GS"][0] == res.c_s
+    assert costs["GS"][1] == pytest.approx(3 * 2 * res.c_s)
+    assert costs["LI"][1] == pytest.approx(3 * res.c_s + 6 * res.c_s)
 
-    scatter = read_scatter_csv(read("scatter.csv"))
+    _, scatter = read_table(read("scatter.csv"), "scatter", SCATTER_COLUMNS)
     assert len(scatter) == len(cfg.scores) * 3 * 2
-    by_key = {(r.score, r.target, r.with_task): r for r in scatter}
+    by_key = {(score, target, with_task): (value, g) for score, target, with_task, value, g
+              in scatter}
     probe = by_key[("RSA", gain.tasks[0], gain.tasks[1])]
-    assert probe.score_value == res.affinities["RSA"].get(gain.tasks[1], gain.tasks[0])
-    assert probe.gain == gain.get(gain.tasks[1], gain.tasks[0])
+    assert probe[0] == res.affinities["RSA"].get(gain.tasks[1], gain.tasks[0])
+    assert probe[1] == gain.get(gain.tasks[1], gain.tasks[0])
 
 
 def test_manifest_contents(tiny_run):

@@ -383,6 +383,13 @@ def test_optimizer_allows_infinite_budget_and_costs():
     assert (grouping.encoding(), total) == (tuple(((t,), (t,)) for t in ABC), 0.0)
 
 
+@pytest.mark.parametrize("stl_cost, mtl_cost", [(math.inf, math.inf), (1e308, 1e308)])
+def test_optimizer_never_affords_an_infinite_total_cost(stl_cost, mtl_cost):
+    gains = gain_matrix([1.0, -1.0, 2.0, 0.5, -3.0, 0.25])
+    with pytest.raises(InfeasibleGroupingError, match="no valid grouping"):
+        optimize_grouping(ABC, gains, budget=math.inf, stl_cost=stl_cost, mtl_cost=mtl_cost)
+
+
 # --- the tie-break pass: carried solo gains and the root-bound precheck ---
 
 

@@ -108,14 +108,6 @@ def test_csv_partial_matrix_allowed():
     assert not m.has("a", "b")
 
 
-def test_symmetry_check():
-    m = TaskMatrix(["a", "b"], {("a", "b"): 1.0, ("b", "a"): 1.0})
-    assert m.is_symmetric()
-    m.set("b", "a", 1.5)
-    assert not m.is_symmetric()
-    assert m.is_symmetric(tol=0.6)
-
-
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=2, max_value=5), st.integers(min_value=0, max_value=2 ** 32 - 1))
 def test_csv_roundtrip_random(n, seed):

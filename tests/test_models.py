@@ -164,6 +164,13 @@ def test_train_config_rejects_non_integers(field, value):
         m.TrainConfig(**{"seed": 0, field: value})
 
 
+@pytest.mark.parametrize("field", ["initial_lr", "lr_decay"])
+@pytest.mark.parametrize("value", [True, np.True_])
+def test_train_config_rejects_bools_in_float_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+        m.TrainConfig(**{"seed": 0, field: value})
+
+
 def test_integer_fields_accept_numpy_integers():
     config = m.BackboneConfig(np.int64(3), (np.int32(8), 4), np.int64(2))
     assert config.hidden_widths == (8, 4)

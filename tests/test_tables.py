@@ -1,23 +1,17 @@
 """The CSV table format: pinned writer output and checked reading.
 
 The five report writers are compared with literal expected text built
-from hand-made results, so the format is pinned without training. Every
-table kind the package reads rejects a malformed row, naming the kind and
-the line, after the file's path when a user names the file.
+from hand-made results, so the format is pinned without training. Reports
+are written only. Every table kind the package reads rejects a malformed
+row, naming the kind and the line, after the file's path when a user names
+the file.
 """
 
 import pytest
 
 from mtl_affinity import evaluation as ev
 from mtl_affinity import paper_data as pd
-from mtl_affinity.experiment import (
-    CostRow,
-    ScatterRow,
-    costs_csv,
-    read_costs_csv,
-    read_scatter_csv,
-    scatter_csv,
-)
+from mtl_affinity.experiment import costs_csv, scatter_csv
 from mtl_affinity.matrices import MatrixFormatError, TaskMatrix
 from mtl_affinity.tasks import (
     generate_latent_factor_suite,
@@ -69,18 +63,14 @@ def test_level_writers_pinned():
         "LI,c,b,b,b,0.0,0.0\n")
 
 
-COSTS = [CostRow("GS", "C(n,2)*2*c_s", 3, 0.1, 0.6000000000000001),
-         CostRow("TD", "0", 3, 0.1, 0.0)]
-SCATTER = [ScatterRow("IAS", "a", "b", -0.0, 0.1),
-           ScatterRow("IAS", "b", "a", 1e-20, -12.5)]
-
-
 def test_cost_and_scatter_writers_pinned():
-    assert costs_csv(COSTS) == (
+    assert costs_csv([("GS", "C(n,2)*2*c_s", 3, 0.1, 0.6000000000000001),
+                      ("TD", "0", 3, 0.1, 0.0)]) == (
         "score,expression,n,c_s,multiply_adds\n"
         'GS,"C(n,2)*2*c_s",3,0.1,0.6000000000000001\n'
         "TD,0,3,0.1,0.0\n")
-    assert scatter_csv(SCATTER) == (
+    assert scatter_csv([("IAS", "a", "b", -0.0, 0.1),
+                        ("IAS", "b", "a", 1e-20, -12.5)]) == (
         "score,target,with,score_value,gain\n"
         "IAS,a,b,-0.0,0.1\n"
         "IAS,b,a,1e-20,-12.5\n")
@@ -132,15 +122,7 @@ def table_case(kind, tmp_path, monkeypatch):
     if kind in ("taxonomy", "splits"):  # a file the user names: messages start with it
         read, text, column, path = _file_case(kind, tmp_path)
         return read, text, column, MatrixFormatError, f"{path}: {kind}"
-    reports = hand_made_reports()
-    return {
-        "level1": (ev.read_level1_csv, ev.level1_csv(reports), "b"),
-        "level2": (ev.read_level2_csv, ev.level2_csv(reports), "average"),
-        "level3": (ev.read_level3_csv, ev.level3_csv(reports), "delta"),
-        "costs": (read_costs_csv, costs_csv(COSTS), "n"),
-        "scatter": (read_scatter_csv, scatter_csv(SCATTER), "gain"),
-        "matrix": (TaskMatrix.from_csv_text, MATRIX_TEXT, "a"),
-    }[kind] + (MatrixFormatError, kind)
+    return TaskMatrix.from_csv_text, MATRIX_TEXT, "a", MatrixFormatError, kind
 
 
 def _fault(text, fault, column):
@@ -158,8 +140,7 @@ def _fault(text, fault, column):
 
 
 @pytest.mark.parametrize("fault", ["short", "long", "cell"])
-@pytest.mark.parametrize("kind", ["level1", "level2", "level3", "costs", "scatter",
-                                  *BUNDLED, "matrix", "taxonomy", "splits"])
+@pytest.mark.parametrize("kind", [*BUNDLED, "matrix", "taxonomy", "splits"])
 def test_malformed_row_names_kind_and_line(kind, fault, tmp_path, monkeypatch):
     read, text, column, error, prefix = table_case(kind, tmp_path, monkeypatch)
     read(text)  # the valid text reads

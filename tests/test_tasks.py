@@ -104,6 +104,21 @@ def test_taskspec_validation():
             TaskSpec(name, "regression", 1)
 
 
+@pytest.mark.parametrize("value", [2.5, 3.9, 2.0, True, "3", None])
+def test_taskspec_output_dim_must_be_an_integer(value):
+    message = f"^output_dim must be an integer, got {re.escape(repr(value))}$"
+    with pytest.raises(ValueError, match=message):
+        TaskSpec("a", "classification", value)
+    with pytest.raises(ValueError, match=message):
+        TaskSpec.from_json_dict({"name": "a", "kind": "classification", "output_dim": value})
+
+
+def test_taskspec_numpy_output_dim_is_stored_as_int():
+    spec = TaskSpec("a", "classification", np.int64(3))
+    assert type(spec.output_dim) is int and spec == TaskSpec("a", "classification", 3)
+    assert json.loads(json.dumps(spec.to_json_dict()))["output_dim"] == 3
+
+
 TAXONOMY_OK = """task,A,B,C
 A,0,-2,-4
 B,-2,0,-6
