@@ -2,9 +2,10 @@
 
 A grouping picks a set of models so that every task is served by exactly
 one of them while the summed model cost stays within a budget. The
-candidate family is deliberately small: single-task models and two-task
-models, where a two-task model may serve one or both of its training
-tasks (a task trained but not served acts purely as a training aid).
+candidate family is deliberately small, and ``ModelCandidate`` admits no
+other: single-task models and two-task models, where a two-task model may
+serve one or both of its training tasks (a task trained but not served acts
+purely as a training aid). The validator applies the optimizer's budget limit.
 
 Aggregate performance sums the served tasks' MTL gains; a task served by
 its own single-task model contributes the STL baseline (0 by default,
@@ -85,8 +86,8 @@ class ModelCandidate:
     def __post_init__(self):
         object.__setattr__(self, "training", tuple(sorted(set(self.training))))
         object.__setattr__(self, "serving", tuple(sorted(set(self.serving))))
-        if not self.training:
-            raise ValueError("a model must train on at least one task")
+        if not 1 <= len(self.training) <= 2:
+            raise ValueError(f"a model trains on 1 or 2 tasks, got {list(self.training)}")
         if not self.serving:
             raise ValueError("a model must serve at least one task")
         extra = set(self.serving) - set(self.training)
@@ -147,12 +148,18 @@ class Grouping:
                    math.inf if budget is None else budget)
 
 
+def _limit(budget: float) -> float:
+    """The largest total cost that fits ``budget``: NaN, which nothing fits, for a NaN budget.
+    Capped at the largest float, so an infinite total never fits, not even an infinite budget."""
+    return min(budget + BUDGET_SLACK, sys.float_info.max)
+
+
 def is_valid_grouping(tasks: Iterable[str], grouping: Grouping) -> list[Violation]:
     """Check all grouping constraints; an empty list means valid.
 
     Violations are returned as data rather than raised: exactly-once
-    serving per task, known tasks only, and the budget bound. Serving
-    within training is enforced by ModelCandidate itself.
+    serving per task, known tasks only, and the optimizer's budget limit.
+    ModelCandidate itself enforces the model family and serving within training.
     """
     names = tuple(tasks)
     known = set(names)
@@ -175,10 +182,10 @@ def is_valid_grouping(tasks: Iterable[str], grouping: Grouping) -> list[Violatio
             violations.append(Violation(
                 "served_twice", t,
                 f"task {t!r} is served {len(servers)} times: {', '.join(servers)}"))
-    if grouping.total_cost > grouping.budget + BUDGET_SLACK:
+    if not grouping.total_cost <= _limit(grouping.budget):
         violations.append(Violation(
             "over_budget", "",
-            f"total cost {grouping.total_cost} exceeds budget {grouping.budget}"))
+            f"total cost {grouping.total_cost} does not fit budget {grouping.budget}"))
     return violations
 
 
@@ -191,8 +198,6 @@ def aggregate_performance(grouping: Grouping, gain: TaskMatrix) -> float:
 
     Raises:
         InvalidGroupingError: the grouping fails is_valid_grouping.
-        ValueError: a candidate trains on three or more tasks (outside the
-            supported family).
     """
     violations = is_valid_grouping(gain.tasks, grouping)
     if violations:
@@ -204,9 +209,6 @@ def aggregate_performance(grouping: Grouping, gain: TaskMatrix) -> float:
             for t in cand.serving:
                 partner = b if t == a else a
                 total += gain.get(partner, t)
-        elif len(cand.training) > 2:
-            raise ValueError(f"model {cand.describe()} trains on "
-                             f"{len(cand.training)} tasks; only 1 or 2 supported")
     return total
 
 
@@ -227,7 +229,7 @@ class _Completions:
                  stl_cost: float, mtl_cost: float):
         n = len(gains)
         self.gains = gains  # gains[p][t]: gain of task t trained with partner p
-        self.limit = limit  # the budget plus BUDGET_SLACK
+        self.limit = limit  # _limit(budget)
         self.stl_cost, self.mtl_cost = stl_cost, mtl_cost
         self.floor = _floor(n, stl_cost, mtl_cost)
         columns = list(zip(*gains))  # both[p][q] = gains[q][p] + gains[p][q]
@@ -353,9 +355,7 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     if not 2 <= len(names) <= MAX_EXHAUSTIVE_TASKS:
         raise ValueError(f"the optimizer supports 2..{MAX_EXHAUSTIVE_TASKS} "
                          f"tasks, got {len(names)}")
-    if len(set(names)) != len(names):
-        raise ValueError(f"duplicate task names in {names}")
-    if set(names) != set(gain.tasks):
+    if len(names) != len(gain.tasks) or set(names) != set(gain.tasks):
         raise ValueError(f"tasks {sorted(names)} do not match the gain matrix's "
                          f"{sorted(gain.tasks)}")
     if not gain.is_complete():
@@ -373,10 +373,7 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     gains = [[0.0] * n for _ in range(n)]
     for (p, t), value in gain.cells().items():
         gains[index[p]][index[t]] = value
-    # Capped at the largest float, so a grouping whose total cost is infinite
-    # never fits, not even an infinite budget.
-    completions = _Completions(gains, min(budget + BUDGET_SLACK, sys.float_info.max),
-                               stl_cost, mtl_cost)
+    completions = _Completions(gains, _limit(budget), stl_cost, mtl_cost)
     if not math.isfinite(completions.slack):
         raise ValueError("gains too large: the sum of each task's largest |gain| overflows")
     everyone = (1 << n) - 1

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 import operator
 from dataclasses import dataclass
 from pathlib import Path
@@ -44,20 +45,50 @@ SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 
 
-def _integer(name: str, value) -> int:
-    """``value`` as an int (numpy's too); a bool or a non-integer raises naming ``name``."""
+def _integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as an int (numpy's too); a bool, a non-integer or one below ``minimum``
+    raises naming ``name``."""
     if isinstance(value, bool) or not hasattr(type(value), "__index__"):
         raise ValueError(f"{name} must be an integer, got {value!r}")
-    return operator.index(value)
+    value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def _finite(value) -> bool:
+    """Whether ``value`` is a finite real number (numpy's too), not a bool or a string."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
 
 
 @dataclass(frozen=True)
 class LatentOrigin:
-    """How a suite task was built: which latent dims, what readout."""
+    """How a suite task was built: which latent dims, what readout.
+
+    Each field is checked, not coerced, so a damaged manifest fails naming it.
+    """
     latent_dims: tuple[int, ...]
     weights: tuple[tuple[float, ...], ...]  # d_subset x output readout matrix
     nonlinear: bool
     noise_std: float
+
+    def __post_init__(self):
+        dims, rows = self.latent_dims, self.weights
+        if not isinstance(dims, (list, tuple)):
+            raise ValueError(f"origin.latent_dims must be a list of integers, got {dims!r}")
+        object.__setattr__(self, "latent_dims", tuple(
+            _integer("origin.latent_dims", d, minimum=0) for d in dims))
+        if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
+            raise ValueError(f"origin.weights must be a list of rows, got {rows!r}")
+        bad = [v for row in rows for v in row if not _finite(v)]
+        if bad:
+            raise ValueError(f"origin.weights must be finite numbers, got {bad[0]!r}")
+        object.__setattr__(self, "weights", tuple(map(tuple, rows)))
+        if not isinstance(self.nonlinear, bool):
+            raise ValueError(f"origin.nonlinear must be true or false, got {self.nonlinear!r}")
+        if not (_finite(self.noise_std) and self.noise_std >= 0):
+            raise ValueError(f"origin.noise_std must be a finite number >= 0, "
+                             f"got {self.noise_std!r}")
 
 
 @dataclass(frozen=True)
@@ -95,9 +126,8 @@ class TaskSpec:
         o = d.get("origin")
         if o is not None:
             if o["type"] == "latent":
-                origin = LatentOrigin(tuple(o["latent_dims"]),
-                                      tuple(tuple(r) for r in o["weights"]),
-                                      bool(o["nonlinear"]), float(o["noise_std"]))
+                origin = LatentOrigin(o["latent_dims"], o["weights"],
+                                      o["nonlinear"], o["noise_std"])
             else:
                 raise ValueError(f"unknown origin type {o['type']!r}")
         return cls(d["name"], d["kind"], d["output_dim"], origin)
@@ -169,14 +199,17 @@ def check_suite_args(n_tasks: int, d_latent: int, d_in: int, n_examples: int,
                      overlap: float, noise_std: float, n_classes: int = 3) -> None:
     """Raise ValueError naming the first argument of the generator out of range.
 
-    A NaN fails every range it is checked against.
+    The counts must be integers (numpy's too, not bools); a NaN fails every
+    range it is checked against.
     """
+    for name, value in (("d_latent", d_latent), ("d_in", d_in), ("n_examples", n_examples)):
+        _integer(name, value)
+    _integer("n_tasks", n_tasks, minimum=1)
+    _integer("n_classes", n_classes, minimum=2)
     if not 0.0 <= overlap <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap}")
     if not 0.0 <= noise_std < math.inf:
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
-    if n_tasks < 1:
-        raise ValueError(f"n_tasks must be >= 1, got {n_tasks}")
     if d_latent > d_in:
         raise ValueError(f"d_latent ({d_latent}) must not exceed d_in ({d_in})")
     if d_latent < n_tasks:
@@ -184,8 +217,6 @@ def check_suite_args(n_tasks: int, d_latent: int, d_in: int, n_examples: int,
                          f"disjoint latent dims, got {d_latent}")
     if n_examples < 30:
         raise ValueError(f"n_examples must be at least 30, got {n_examples}")
-    if n_classes < 2:
-        raise ValueError(f"n_classes must be >= 2, got {n_classes}")
 
 
 def generate_latent_factor_suite(
@@ -219,7 +250,9 @@ def generate_latent_factor_suite(
             (only meaningful when subsets have equal size, which they do).
 
     Deterministic: the same arguments always produce bit-identical output.
+    ``seed`` must be an integer >= 0.
     """
+    seed = _integer("seed", seed, minimum=0)
     check_suite_args(n_tasks, d_latent, d_in, n_examples, overlap, noise_std, n_classes)
     if kinds is None:
         kinds = [KINDS[i % 2] for i in range(n_tasks)]
@@ -258,7 +291,7 @@ def generate_latent_factor_suite(
             noisy = scores + (noise_std * rng.standard_normal(scores.shape) if noise_std > 0 else 0.0)
             labels[name] = np.argmax(noisy, axis=1).astype(np.int64)
         origin = LatentOrigin(subset, tuple(map(tuple, weights)),
-                              nonlinear and kind == "regression", noise_std)
+                              bool(nonlinear) and kind == "regression", noise_std)
         specs.append(TaskSpec(name, kind, out_dim, origin=origin))
 
     dataset = MultiTaskDataset(inputs, labels, _split_indices(n_examples), seed)
@@ -333,8 +366,9 @@ def _index(cell: str) -> int:
 def load_dataset(directory: str | Path) -> TaskSuite:
     """Read a suite written by :func:`save_dataset`.
 
-    A manifest that is not JSON, lacks a key or repeats a task name, a bad cell,
-    or misfit labels or splits raise ValueError, led by the file's path.
+    A manifest that is not JSON, lacks a key, repeats a task name or holds a
+    ``seed`` or ``origin`` field of the wrong type (checked, not coerced), a bad
+    cell, or misfit labels or splits raise ValueError, led by the file's path.
     """
     d = Path(directory)
     path = d / "manifest.json"
@@ -344,7 +378,7 @@ def load_dataset(directory: str | Path) -> TaskSuite:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"task names must be unique, got {names}")
-        seed = int(manifest["seed"])
+        seed = _integer("seed", manifest["seed"], minimum=0)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -259,6 +259,29 @@ def test_run_on_suite_with_a_non_integer_output_dim_exits_2(tmp_path, capsys, ou
     assert not list((tmp_path / "out").glob("seed*"))
 
 
+@pytest.mark.parametrize("edit, message", [
+    *((lambda payload, seed=seed: payload.update(seed=seed),
+       f"seed must be an integer, got {seed!r}") for seed in (1.7, True, "3")),
+    (lambda payload: payload["specs"][0]["origin"].update(nonlinear="false"),
+     "origin.nonlinear must be true or false, got 'false'"),
+    (lambda payload: payload["specs"][0]["origin"].update(noise_std="0.1"),
+     "origin.noise_std must be a finite number >= 0, got '0.1'"),
+    (lambda payload: payload["specs"][0]["origin"].update(latent_dims=[1.5, "x"]),
+     "origin.latent_dims must be an integer, got 1.5"),
+])
+def test_run_on_suite_with_a_mistyped_seed_or_origin_exits_2(tmp_path, capsys, edit, message):
+    suite = tmp_path / "suite"
+    assert main(["generate", "--config", str(write_config(tmp_path)), "--out", str(suite)]) == 0
+    manifest = suite / "manifest.json"
+    payload = json.loads(manifest.read_text(encoding="utf-8"))
+    edit(payload)
+    manifest.write_text(json.dumps(payload), encoding="utf-8")
+    cfg = write_config(tmp_path, dataset_path=str(suite))
+    assert main(["run", "--config", str(cfg)]) == 2
+    assert f"error: {manifest}: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_run_td_with_superset_taxonomy_writes_the_suite_cells(tmp_path):
     taxonomy = write_taxonomy(tmp_path / "taxonomy.csv", ["task2", "extra", "task0", "task1"])
     cfg = write_config(tmp_path, scores=["TD"], taxonomy_path=taxonomy)

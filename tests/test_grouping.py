@@ -48,6 +48,17 @@ def test_candidate_normalization_and_validation():
         ModelCandidate(("a",), ("b",), 1.0)
     with pytest.raises(ValueError, match="cost"):
         ModelCandidate(("a",), ("a",), 0.0)
+    with pytest.raises(ValueError, match=r"^a model trains on 1 or 2 tasks, got \['a', 'b', 'c'\]$"):
+        ModelCandidate(("a", "b", "c"), ("a",), 1.0)
+    with pytest.raises(ValueError, match=r"1 or 2 tasks, got \[\]$"):
+        ModelCandidate((), ("a",), 1.0)
+
+
+def test_grouping_json_with_a_three_task_model_is_refused():
+    payload = Grouping((ModelCandidate(("a", "b"), ("a", "b"), 2.0),), budget=3.0).to_json_dict()
+    payload["models"][0]["training_tasks"].append("c")
+    with pytest.raises(ValueError, match=r"1 or 2 tasks, got \['a', 'b', 'c'\]"):
+        Grouping.from_json_dict(payload)
 
 
 def test_grouping_sorts_candidates_and_round_trips():
@@ -114,6 +125,29 @@ def test_budget_and_unknown_task_violations():
     assert ("unknown_task", "z") in kinds
 
 
+def two_single_task_models(cost, budget):
+    return Grouping((ModelCandidate(("a",), ("a",), cost),
+                     ModelCandidate(("b",), ("b",), cost)), budget=budget)
+
+
+@pytest.mark.parametrize("cost, budget", [(math.inf, math.inf), (1e308, math.inf),
+                                          (1.0, math.nan)])
+def test_validator_refuses_what_the_optimizer_never_affords(cost, budget):
+    """An infinite total (given, or overflowed from 1e308 + 1e308) or a NaN budget."""
+    violations = is_valid_grouping(("a", "b"), two_single_task_models(cost, budget))
+    assert [v.kind for v in violations] == ["over_budget"]
+    gains = TaskMatrix(("a", "b"), {("a", "b"): 1.0, ("b", "a"): 1.0})
+    with pytest.raises(ValueError, match="no valid grouping|budget must be a number"):
+        optimize_grouping(("a", "b"), gains, budget, stl_cost=cost)
+
+
+def test_validator_budget_limit_holds_at_the_bound():
+    at = BUDGET_SLACK + 3.0
+    assert is_valid_grouping(("a",), Grouping((ModelCandidate(("a",), ("a",), at),), 3.0)) == []
+    above = Grouping((ModelCandidate(("a",), ("a",), math.nextafter(at, math.inf)),), 3.0)
+    assert [v.kind for v in is_valid_grouping(("a",), above)] == ["over_budget"]
+
+
 # --- aggregate performance ---
 
 
@@ -140,9 +174,9 @@ def test_aggregate_rejects_invalid_and_oversized():
     gains = gain_matrix([0.0] * 6)
     with pytest.raises(InvalidGroupingError, match="served 2 times"):
         aggregate_performance(invalid_fixture(), gains)
-    big = Grouping((ModelCandidate(ABC, ABC, 3.0),), budget=3.0)
-    with pytest.raises(ValueError, match="only 1 or 2"):
-        aggregate_performance(big, gains)
+    # A three-task model is refused when it is built, so no grouping to score holds one.
+    with pytest.raises(ValueError, match="1 or 2 tasks"):
+        ModelCandidate(ABC, ABC, 3.0)
 
 
 # --- optimizer ---
@@ -388,6 +422,31 @@ def test_optimizer_never_affords_an_infinite_total_cost(stl_cost, mtl_cost):
     gains = gain_matrix([1.0, -1.0, 2.0, 0.5, -3.0, 0.25])
     with pytest.raises(InfeasibleGroupingError, match="no valid grouping"):
         optimize_grouping(ABC, gains, budget=math.inf, stl_cost=stl_cost, mtl_cost=mtl_cost)
+
+
+COSTS = [1.0, 1.5, 2.0, math.inf, 1e308]
+
+
+@pytest.mark.parametrize("stl_cost", COSTS)
+@pytest.mark.parametrize("mtl_cost", COSTS)
+@settings(max_examples=6, deadline=None)
+@given(st.integers(min_value=2, max_value=6), st.data())
+def test_validator_and_scorer_agree_with_the_optimizer(stl_cost, mtl_cost, n, data):
+    """At every budget, a returned grouping is valid and scores its total; when none is
+    returned, the single-task models alone are over budget."""
+    tasks = tuple(f"t{i}" for i in range(n))
+    steps = data.draw(st.lists(st.integers(min_value=-2, max_value=2),
+                               min_size=n * (n - 1), max_size=n * (n - 1)))
+    gains = gain_matrix([0.25 * s for s in steps], tasks=tasks)
+    for budget in (n - 1.0, float(n), 1.5 * n, 2.0 * n, 1e308, math.inf):
+        try:
+            grouping, total = optimize_grouping(tasks, gains, budget, stl_cost, mtl_cost)
+        except InfeasibleGroupingError:
+            singles = Grouping(tuple(ModelCandidate((t,), (t,), stl_cost) for t in tasks), budget)
+            assert "over_budget" in {v.kind for v in is_valid_grouping(tasks, singles)}
+            continue
+        assert is_valid_grouping(tasks, grouping) == []
+        assert aggregate_performance(grouping, gains) == total
 
 
 # --- the tie-break pass: carried solo gains and the root-bound precheck ---

@@ -96,6 +96,24 @@ def test_parameter_validation():
         small_suite(kinds=["regression"])
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("seed", 1.7, "an integer"), ("seed", True, "an integer"), ("seed", -1, ">= 0"),
+    ("n_tasks", 2.5, "an integer"), ("d_latent", 6.0, "an integer"),
+    ("d_in", 10.0, "an integer"), ("n_examples", 60.5, "an integer"),
+    ("n_classes", 3.0, "an integer"), ("n_classes", False, "an integer"),
+])
+def test_generator_counts_and_seed_must_be_integers(field, value, problem):
+    with pytest.raises(ValueError, match=f"^{field} must be {problem}, got {re.escape(repr(value))}$"):
+        small_suite(**{field: value})
+
+
+def test_generator_records_nonlinear_as_a_bool():
+    for nonlinear in (0, 1):
+        flags = [spec.origin.nonlinear for spec in small_suite(nonlinear=nonlinear).specs]
+        assert flags == [bool(nonlinear), False, bool(nonlinear)]
+        assert all(type(flag) is bool for flag in flags)
+
+
 def test_taskspec_validation():
     with pytest.raises(ValueError, match="output_dim"):
         TaskSpec("t", "classification", 1)
@@ -111,6 +129,26 @@ def test_taskspec_output_dim_must_be_an_integer(value):
         TaskSpec("a", "classification", value)
     with pytest.raises(ValueError, match=message):
         TaskSpec.from_json_dict({"name": "a", "kind": "classification", "output_dim": value})
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("nonlinear", "false", "origin.nonlinear must be true or false, got 'false'"),
+    ("nonlinear", 0, "origin.nonlinear must be true or false, got 0"),
+    ("noise_std", "0.1", "origin.noise_std must be a finite number >= 0, got '0.1'"),
+    ("noise_std", -0.5, "origin.noise_std must be a finite number >= 0, got -0.5"),
+    ("noise_std", float("inf"), "origin.noise_std must be a finite number >= 0, got inf"),
+    ("latent_dims", [1.5, "x"], "origin.latent_dims must be an integer, got 1.5"),
+    ("latent_dims", [0, -1], "origin.latent_dims must be >= 0, got -1"),
+    ("latent_dims", 3, "origin.latent_dims must be a list of integers, got 3"),
+    ("weights", [[0.5], ["1"]], "origin.weights must be finite numbers, got '1'"),
+    ("weights", [[0.5], [float("nan")]], "origin.weights must be finite numbers, got nan"),
+    ("weights", [0.5, 1.0], "origin.weights must be a list of rows, got [0.5, 1.0]"),
+])
+def test_taskspec_origin_is_checked_not_coerced(field, value, message):
+    spec = small_suite().specs[0].to_json_dict()
+    spec["origin"][field] = value
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        TaskSpec.from_json_dict(spec)
 
 
 def test_taskspec_numpy_output_dim_is_stored_as_int():
@@ -241,6 +279,14 @@ def _drop_key(key):
     return replace
 
 
+def _edit_manifest(edit):
+    def replace(lines):
+        manifest = json.loads("\n".join(lines))
+        edit(manifest)
+        return json.dumps(manifest).splitlines()
+    return replace
+
+
 def _rename_last_task(name):
     def replace(lines):
         manifest = json.loads("\n".join(lines))
@@ -259,6 +305,13 @@ def _rename_last_task(name):
     ("manifest.json", lambda lines: ["{oops", *lines], r"manifest\.json: Expecting property name"),
     ("inputs.csv", lambda lines: [lines[0], "oops," + lines[1].partition(",")[2], *lines[2:]],
      r"inputs\.csv: could not convert string 'oops'"),
+    *(("manifest.json", _edit_manifest(lambda m, seed=seed: m.update(seed=seed)),
+       rf"manifest\.json: seed must be an integer, got {re.escape(repr(seed))}$")
+      for seed in (1.7, True, "3")),
+    ("manifest.json", _edit_manifest(lambda m: m.update(seed=-3)),
+     r"manifest\.json: seed must be >= 0, got -3$"),
+    ("manifest.json", _edit_manifest(lambda m: m["specs"][0]["origin"].update(nonlinear="false")),
+     r"manifest\.json: origin\.nonlinear must be true or false, got 'false'$"),
 ])
 def test_dataset_load_names_the_damaged_file(tmp_path, file, replace, msg):
     save_dataset(small_suite(), tmp_path / "ds")
