@@ -4,8 +4,9 @@ One run covers a list of seeds. Per seed the harness builds (or loads) the
 task suite and trains the roster ``plan_roster`` lists: STL and pair models
 always, injected models and pair probes only for the scores that need them
 (the roster table in :mod:`evaluation`), each model under its job key, with
-one stacked trainer call per model family. It then scores each requested
-kind in one loop over the cells its symmetry picks (``_CELLS`` computes one),
+one stacked trainer call per model family; gain and LI read the test losses
+the trainers record in the traces. It then scores each requested kind in
+one loop over the cells its symmetry picks (``_CELLS`` computes one),
 assembles the matrices next to the measured gain matrix, runs the three
 evaluation levels, and writes one directory of CSV/JSON report files.
 
@@ -50,7 +51,6 @@ from .models import (
     TrainingDivergedError,
     TrainTrace,
     eval_rows,
-    extend_inputs,
     half_capacity,
     model_key,
     multiply_add_count,
@@ -285,10 +285,9 @@ _CELLS: dict[str, Callable[["_SeedRun", str, str], float]] = {
     "IAS": lambda run, t, p: input_attribution_similarity(
         run.model("stl", t), run.model("stl", p), run.eval_x, run.eval_y[t], run.eval_y[p]),
     "RSA": lambda run, t, p: rsa(run.model("stl", t), run.model("stl", p), run.eval_x),
-    "LI": lambda run, t, p: label_injection(run.stl_loss[t], run.model("inj", t, p).task_losses(
-        extend_inputs(run.test_x, run.specs[p], run.test_y[p]), {t: run.test_y[t]})[t]),
-    "GS": lambda run, t, p: gradient_similarity(run.pair_trace(t, p)),
-    "GT": lambda run, t, p: gradient_transference(run.pair_trace(t, p), t),
+    "LI": lambda run, t, p: label_injection(run.stl_loss[t], run.trace("inj", t, p).test_loss[t]),
+    "GS": lambda run, t, p: gradient_similarity(run.trace("mtl", *sorted((t, p)))),
+    "GT": lambda run, t, p: gradient_transference(run.trace("mtl", *sorted((t, p))), t),
 }
 
 
@@ -346,29 +345,23 @@ class _SeedRun:
         self.trained: dict[str, tuple[Model, TrainTrace]] = {
             job.key: model for f, group in jobs.items() for job, model in zip(group, trained[f])}
 
-        self.test_x, self.test_y = self.dataset.batch(self.dataset.splits["test"], self.names)
         self.eval_x, self.eval_y = self.dataset.batch(
             eval_rows(self.dataset, cfg.eval_batch_size), self.names)
-
-        self.stl_loss = {t: self.model("stl", t).task_losses(self.test_x, {t: self.test_y[t]})[t]
-                         for t in self.names}
+        self.stl_loss = {t: self.trace("stl", t).test_loss[t] for t in self.names}
 
     def model(self, family: str, *tasks: str) -> Model:
         return self.trained[model_key(family, tasks)][0]
 
+    def trace(self, family: str, *tasks: str) -> TrainTrace:
+        return self.trained[model_key(family, tasks)][1]
+
     def gain_matrix(self) -> TaskMatrix:
         gain = TaskMatrix(self.names)
         for a, b in self.pairs:
-            # Both heads' losses from one backbone pass over the test split.
-            mtl_loss = self.model("mtl", a, b).task_losses(
-                self.test_x, {t: self.test_y[t] for t in (a, b)})
+            mtl_loss = self.trace("mtl", a, b).test_loss
             for target, partner in ((a, b), (b, a)):
                 gain.set(partner, target, mtl_gain(self.stl_loss[target], mtl_loss[target]))
         return gain
-
-    def pair_trace(self, a: str, b: str) -> TrainTrace:
-        """The training trace of the pair model of ``a`` and ``b``, in either order."""
-        return self.trained[model_key("mtl", tuple(sorted((a, b))))][1]
 
     def affinity(self, kind: str) -> TaskMatrix:
         """One ``_CELLS`` call per cell: per sorted pair (the first task is the

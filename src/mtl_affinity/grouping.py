@@ -23,6 +23,7 @@ total, else asks the same bounded search whether they can still reach it.
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
@@ -53,6 +54,14 @@ BUDGET_SLACK = 1e-9
 # Totals within this fraction of the largest possible total of each other
 # are ties: the optimizer sums the same gains in more than one order.
 _TIE_RTOL = 1e-12
+
+
+def _real(field: str, value) -> float:
+    """``value`` as a float; a bool or a non-real (a numeric string too) raises naming ``field``."""
+    # A plain float, the common case, skips the much slower ABC check.
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{field} must be a real number, got {value!r}")
+    return float(value)
 
 
 class InvalidGroupingError(ValueError):
@@ -94,7 +103,7 @@ class ModelCandidate:
         if extra:
             raise ValueError(f"serving tasks {sorted(extra)} are not trained by "
                              f"this model (trains {list(self.training)})")
-        object.__setattr__(self, "cost", float(self.cost))
+        object.__setattr__(self, "cost", _real("cost", self.cost))
         if not self.cost > 0:
             raise ValueError(f"model cost must be positive, got {self.cost}")
 
@@ -126,7 +135,7 @@ class Grouping:
     def __post_init__(self):
         ordered = tuple(sorted(self.candidates, key=lambda c: c.encoding))
         object.__setattr__(self, "candidates", ordered)
-        object.__setattr__(self, "budget", float(self.budget))
+        object.__setattr__(self, "budget", _real("budget", self.budget))
 
     @property
     def total_cost(self) -> float:
@@ -348,8 +357,9 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
         InfeasibleGroupingError: nothing fits within the budget; a grouping
             whose total cost overflows to infinity never fits.
         ValueError: more than 10 tasks, task set not matching the gain
-            matrix, an empty gain cell, non-positive costs, a NaN budget or
-            cost, or gains so large that the tie slack overflows.
+            matrix, an empty gain cell, non-positive costs, a budget or cost
+            that is NaN, a bool or no real number, or gains so large that the
+            tie slack overflows.
     """
     names = tuple(tasks)
     if not 2 <= len(names) <= MAX_EXHAUSTIVE_TASKS:
@@ -361,9 +371,9 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
     if not gain.is_complete():
         raise ValueError(f"gain matrix is missing cells {gain.missing_cells()}")
     if mtl_cost is None:
-        mtl_cost = 2.0 * stl_cost
+        mtl_cost = 2.0 * _real("stl_cost", stl_cost)
     for label, value in (("budget", budget), ("stl_cost", stl_cost), ("mtl_cost", mtl_cost)):
-        if math.isnan(value):
+        if math.isnan(_real(label, value)):
             raise ValueError(f"{label} must be a number, got NaN")
     if stl_cost <= 0 or mtl_cost <= 0:
         raise ValueError(f"costs must be positive, got stl={stl_cost}, mtl={mtl_cost}")

@@ -38,7 +38,8 @@ look-ahead loss after a backbone step on the partner's loss alone.
 
 The returned model carries the parameters of the epoch with the lowest
 validation loss (combined loss for MTL; ties go to the earliest epoch),
-which the stack keeps in one flat copy.
+which the stack keeps in one flat copy, and its trace the test losses of
+those parameters from one more stacked pass (``TrainTrace.test_loss``).
 """
 
 from __future__ import annotations
@@ -145,6 +146,7 @@ class TrainConfig:
 class TrainTrace:
     """Per-epoch record of one training run. Epoch indices are 0-based.
 
+    ``test_loss`` maps each task to its test-split loss at ``best_epoch``.
     ``lookahead`` maps a target task name to per-epoch (pre, post) losses:
     the target's evaluation-batch loss before and after a simulated
     backbone-only SGD step on the partner task's loss.
@@ -152,6 +154,7 @@ class TrainTrace:
     val_loss: list[dict[str, float]]
     combined_val: list[float]
     best_epoch: int
+    test_loss: dict[str, float] | None = None
     gs_cosine: list[float] | None = None
     lookahead: dict[str, list[tuple[float, float]]] | None = None
 
@@ -475,6 +478,10 @@ def _train_jobs(jobs: Sequence[_Job], inputs: np.ndarray, dataset: MultiTaskData
             stack.probe(lr, *probe_batch, traces)
 
     stack.flat[...] = stack.best
+    del val_batch  # the test pass reuses its memory
+    test = ad.losses(stack.weights, stack.biases, *stack.batch(dataset.splits["test"]))
+    for trace, model, column in zip(traces, models, np.array(test).T.tolist()):
+        trace.test_loss = dict(zip(model.specs, column))
     return list(zip(models, traces))
 
 

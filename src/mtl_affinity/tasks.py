@@ -199,17 +199,17 @@ def check_suite_args(n_tasks: int, d_latent: int, d_in: int, n_examples: int,
                      overlap: float, noise_std: float, n_classes: int = 3) -> None:
     """Raise ValueError naming the first argument of the generator out of range.
 
-    The counts must be integers (numpy's too, not bools); a NaN fails every
-    range it is checked against.
+    The counts must be integers (numpy's too, not bools), and ``overlap`` and
+    ``noise_std`` finite real numbers (not bools or numeric strings).
     """
     for name, value in (("d_latent", d_latent), ("d_in", d_in), ("n_examples", n_examples)):
         _integer(name, value)
     _integer("n_tasks", n_tasks, minimum=1)
     _integer("n_classes", n_classes, minimum=2)
-    if not 0.0 <= overlap <= 1.0:
-        raise ValueError(f"overlap must be in [0, 1], got {overlap}")
-    if not 0.0 <= noise_std < math.inf:
-        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std}")
+    if not (_finite(overlap) and 0.0 <= overlap <= 1.0):
+        raise ValueError(f"overlap must be in [0, 1], got {overlap!r}")
+    if not (_finite(noise_std) and noise_std >= 0.0):
+        raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     if d_latent > d_in:
         raise ValueError(f"d_latent ({d_latent}) must not exceed d_in ({d_in})")
     if d_latent < n_tasks:

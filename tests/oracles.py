@@ -293,7 +293,8 @@ def reference_train(key: str, specs: Sequence[TaskSpec], dataset: MultiTaskDatas
     """Build the model for ``specs``, seeded by its job key, and train it on ``dataset``.
 
     One ``backward`` and one ``sgd_step`` per model per batch; validation,
-    the best-epoch copy and the probes also run for this model alone.
+    the best-epoch copy, the probes and the test losses at the best epoch
+    also run for this model alone.
     """
     model = Model(specs, backbone, model_stream(cfg.seed, INIT, key))
     tasks = list(model.specs)
@@ -333,6 +334,7 @@ def reference_train(key: str, specs: Sequence[TaskSpec], dataset: MultiTaskDatas
 
     for param, best in zip(model.params(), best_params):
         param[...] = best
+    trace.test_loss = model.task_losses(*dataset.batch(dataset.splits["test"], tasks))
     return model, trace
 
 

@@ -8,6 +8,7 @@ import re
 import subprocess
 import sys
 from collections import Counter
+from itertools import permutations
 from pathlib import Path
 
 import numpy as np
@@ -18,6 +19,7 @@ from mtl_affinity import experiment
 from mtl_affinity.evaluation import (
     MODEL_FAMILIES,
     CostModel,
+    mtl_gain,
     score_cost,
 )
 from mtl_affinity.experiment import (
@@ -37,10 +39,12 @@ from mtl_affinity.evaluation import (
     level3_csv,
 )
 from mtl_affinity.matrices import TaskMatrix, read_table
+from mtl_affinity.models import extend_inputs
 from mtl_affinity import scores
 from mtl_affinity.scores import (
     ScoreValue,
     gradient_transference,
+    label_injection,
     rsa,
 )
 from mtl_affinity.stats import DegenerateInputError
@@ -406,6 +410,33 @@ def test_degenerate_score_names_seed_kind_and_cell(tmp_path, monkeypatch, kind, 
         run_experiment(cfg)
     assert isinstance(info.value.__cause__, DegenerateInputError)
     assert not (tmp_path / "out").exists()
+
+
+def test_gain_and_li_equal_the_per_model_recomputation(tmp_path, monkeypatch):
+    """Each gain and LI cell of a run, recomputed model by model with
+    ``Model.task_losses`` on the test split (injected inputs from
+    ``extend_inputs``), is equal to the bit to what the run reports."""
+    runs = []
+
+    class Recorded(_SeedRun):
+        def __init__(self, *args):
+            super().__init__(*args)
+            runs.append(self)
+    monkeypatch.setattr(experiment, "_SeedRun", Recorded)
+    # Regression and 3-class tasks, so injected partners of width 1 and 3 share a stack.
+    [result] = run_experiment(tiny_config(tmp_path, n_tasks=4, scores=("LI", "GS", "GT")))
+    [run] = runs
+    assert {spec.output_dim for spec in run.specs.values()} == {1, 3}
+    x, y = run.dataset.batch(run.dataset.splits["test"], run.names)
+    stl = {t: run.model("stl", t).task_losses(x, {t: y[t]})[t] for t in run.names}
+    for target, partner in permutations(run.names, 2):
+        pair = sorted((target, partner))
+        mtl = run.model("mtl", *pair).task_losses(x, {t: y[t] for t in pair})[target]
+        assert result.gain.get(partner, target) == mtl_gain(stl[target], mtl)
+        injected = run.model("inj", target, partner).task_losses(
+            extend_inputs(x, run.specs[partner], y[partner]), {target: y[target]})[target]
+        assert (result.affinities["LI"].get(partner, target)
+                == label_injection(stl[target], injected))
 
 
 def test_each_kind_is_scored_once_per_cell(tmp_path, monkeypatch):

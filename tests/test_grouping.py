@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import time
 
 import numpy as np
@@ -52,6 +53,38 @@ def test_candidate_normalization_and_validation():
         ModelCandidate(("a", "b", "c"), ("a",), 1.0)
     with pytest.raises(ValueError, match=r"1 or 2 tasks, got \[\]$"):
         ModelCandidate((), ("a",), 1.0)
+
+
+def one_model_json(cost=1, budget=5):
+    return {"models": [{"training_tasks": ["a"], "serving_tasks": ["a"], "cost": cost}],
+            "budget": budget}
+
+
+@pytest.mark.parametrize("field, build", [
+    ("cost", lambda v: ModelCandidate(("a",), ("a",), v)),
+    ("budget", lambda v: Grouping((ModelCandidate(("a",), ("a",), 1.0),), v)),
+    ("cost", lambda v: Grouping.from_json_dict(one_model_json(cost=v))),
+    ("budget", lambda v: Grouping.from_json_dict(one_model_json(budget=v))),
+    ("budget", lambda v: optimize_grouping(ABC, gain_matrix([0.0] * 6), v)),
+    ("stl_cost", lambda v: optimize_grouping(ABC, gain_matrix([0.0] * 6), 5.0, stl_cost=v)),
+    ("mtl_cost", lambda v: optimize_grouping(ABC, gain_matrix([0.0] * 6), 5.0, mtl_cost=v)),
+])
+@pytest.mark.parametrize("value", [True, False, "2", [1.0]])
+def test_grouping_numbers_are_checked_not_coerced(field, build, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {re.escape(repr(value))}$"):
+        build(value)
+
+
+def test_grouping_keeps_integer_numbers_as_floats():
+    grouping = Grouping.from_json_dict(one_model_json(cost=1, budget=5))
+    assert grouping.to_json_dict() == {"models": [{"training_tasks": ["a"], "serving_tasks": ["a"],
+                                                   "cost": 1.0}],
+                                       "budget": 5.0, "total_cost": 1.0}
+    assert [type(x) for x in (grouping.budget, grouping.candidates[0].cost)] == [float, float]
+    assert is_valid_grouping(("a",), grouping) == []
+    by_ints, _ = optimize_grouping(ABC, gain_matrix([1.0] * 6), 5, stl_cost=1, mtl_cost=2)
+    by_floats, _ = optimize_grouping(ABC, gain_matrix([1.0] * 6), 5.0, stl_cost=1.0, mtl_cost=2.0)
+    assert json.dumps(by_ints.to_json_dict()) == json.dumps(by_floats.to_json_dict())
 
 
 def test_grouping_json_with_a_three_task_model_is_refused():

@@ -107,6 +107,21 @@ def test_generator_counts_and_seed_must_be_integers(field, value, problem):
         small_suite(**{field: value})
 
 
+@pytest.mark.parametrize("field, value, problem", [
+    ("overlap", "0.5", "in [0, 1]"), ("overlap", True, "in [0, 1]"),
+    ("overlap", float("nan"), "in [0, 1]"), ("overlap", None, "in [0, 1]"),
+    ("noise_std", "0.1", "finite and >= 0"), ("noise_std", True, "finite and >= 0"),
+    ("noise_std", float("inf"), "finite and >= 0"), ("noise_std", None, "finite and >= 0"),
+])
+def test_generator_floats_are_checked_before_any_draw(field, value, problem, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("data was drawn")
+    monkeypatch.setattr("mtl_affinity.tasks.substream", refuse)
+    with pytest.raises(ValueError, match=f"^{field} must be {re.escape(problem)}, "
+                                         f"got {re.escape(repr(value))}$"):
+        small_suite(**{field: value})
+
+
 def test_generator_records_nonlinear_as_a_bool():
     for nonlinear in (0, 1):
         flags = [spec.origin.nonlinear for spec in small_suite(nonlinear=nonlinear).specs]
