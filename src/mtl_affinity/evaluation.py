@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from itertools import combinations, permutations
 from typing import Callable, Mapping, NamedTuple, Sequence
 
-from .matrices import TaskMatrix, write_table
+from .matrices import TaskMatrix, integer, real, write_table
 from .stats import DegenerateInputError, kendall_tau, pearson
 
 __all__ = [
@@ -265,8 +265,8 @@ class CostModel:
     c_s: float
 
     def __post_init__(self):
-        if not isinstance(self.n, int) or self.n < 2:
-            raise ValueError(f"n must be an integer >= 2, got {self.n!r}")
+        object.__setattr__(self, "n", integer("n", self.n, minimum=2))
+        object.__setattr__(self, "c_s", real("c_s", self.c_s))
         if not self.c_s > 0:
             raise ValueError(f"c_s must be positive, got {self.c_s!r}")
 

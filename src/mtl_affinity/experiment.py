@@ -43,7 +43,7 @@ from .evaluation import (
     score_cost,
     score_cost_expression,
 )
-from .matrices import TaskMatrix, write_table
+from .matrices import TaskMatrix, integer, real, write_table
 from .models import (
     BackboneConfig,
     Model,
@@ -94,24 +94,32 @@ class ExperimentError(RuntimeError):
     """A run could not complete; the message names the failing piece."""
 
 
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
+def _kept(value, ok: bool):
+    if not ok:
+        raise ValueError(value)
+    return value
 
 
-# Each config field's declared type -> (what a value must be, its check). A
-# bool is no number, and an int in a float field is kept, so JSON 1 stays 1;
-# JSON's NaN and Infinity are refused.
+def _finite(name: str, value) -> int | float:
+    try:
+        return integer(name, value)
+    except ValueError:
+        return _kept(number := real(name, value), math.isfinite(number))
+
+
+# Each config field's declared type -> (what a value must be, its converter to
+# the value stored, which raises ValueError). Numbers follow matrices.integer and
+# matrices.real; an integer in a float field stays an int, so JSON 1 stays 1.
 _FIELD_TYPES = {
-    "int": ("an integer", _is_int),
-    "float": ("a finite number",
-              lambda v: _is_int(v) or (isinstance(v, float) and math.isfinite(v))),
-    "bool": ("true or false", lambda v: isinstance(v, bool)),
-    "str": ("a string", lambda v: isinstance(v, str)),
-    "str | None": ("a string or null", lambda v: v is None or isinstance(v, str)),
-    "tuple[int, ...]": ("a list of integers",
-                        lambda v: isinstance(v, (list, tuple)) and all(map(_is_int, v))),
-    "tuple[str, ...]": ("a list of strings", lambda v: isinstance(v, (list, tuple))
-                        and all(isinstance(s, str) for s in v)),
+    "int": ("an integer", integer),
+    "float": ("a finite number", _finite),
+    "bool": ("true or false", lambda _, v: _kept(v, isinstance(v, bool))),
+    "str": ("a string", lambda _, v: _kept(v, isinstance(v, str))),
+    "str | None": ("a string or null", lambda _, v: _kept(v, v is None or isinstance(v, str))),
+    "tuple[int, ...]": ("a list of integers", lambda name, v: tuple(
+        integer(name, i) for i in _kept(v, isinstance(v, (list, tuple))))),
+    "tuple[str, ...]": ("a list of strings", lambda _, v: tuple(_kept(
+        v, isinstance(v, (list, tuple)) and all(isinstance(s, str) for s in v)))),
 }
 
 
@@ -150,12 +158,12 @@ class ExperimentConfig:
 
     def __post_init__(self):
         for f in dataclasses.fields(self):
-            what, ok = _FIELD_TYPES[f.type]
+            what, convert = _FIELD_TYPES[f.type]
             value = getattr(self, f.name)
-            if not ok(value):
-                raise ValueError(f"{f.name} must be {what}, got {value!r}")
-            if isinstance(value, list):
-                object.__setattr__(self, f.name, tuple(value))
+            try:
+                object.__setattr__(self, f.name, convert(f.name, value))
+            except ValueError:
+                raise ValueError(f"{f.name} must be {what}, got {value!r}") from None
         if not self.scores:
             raise ValueError("scores must name at least one score kind")
         for kind in self.scores:

@@ -1,11 +1,11 @@
 """Budget-constrained assignment of tasks to models.
 
-A grouping picks a set of models so that every task is served by exactly
-one of them while the summed model cost stays within a budget. The
-candidate family is deliberately small, and ``ModelCandidate`` admits no
-other: single-task models and two-task models, where a two-task model may
-serve one or both of its training tasks (a task trained but not served acts
-purely as a training aid). The validator applies the optimizer's budget limit.
+A grouping picks a set of models so that every task is served by exactly one
+of them while the summed model cost stays within a budget; each cost and budget
+is a :func:`matrices.real`. The candidate family is deliberately small, and
+``ModelCandidate`` admits no other: single-task and two-task models, where a
+two-task model may serve one or both of its training tasks (a task trained but
+not served is a training aid). The validator applies the optimizer's budget limit.
 
 Aggregate performance sums the served tasks' MTL gains; a task served by
 its own single-task model contributes the STL baseline (0 by default,
@@ -23,14 +23,13 @@ total, else asks the same bounded search whether they can still reach it.
 from __future__ import annotations
 
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from functools import cache, lru_cache
 from itertools import combinations
 from typing import Iterable, Mapping, Sequence
 
-from .matrices import TaskMatrix
+from .matrices import TaskMatrix, real
 
 __all__ = [
     "MAX_EXHAUSTIVE_TASKS",
@@ -54,14 +53,6 @@ BUDGET_SLACK = 1e-9
 # Totals within this fraction of the largest possible total of each other
 # are ties: the optimizer sums the same gains in more than one order.
 _TIE_RTOL = 1e-12
-
-
-def _real(field: str, value) -> float:
-    """``value`` as a float; a bool or a non-real (a numeric string too) raises naming ``field``."""
-    # A plain float, the common case, skips the much slower ABC check.
-    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
-        raise ValueError(f"{field} must be a real number, got {value!r}")
-    return float(value)
 
 
 class InvalidGroupingError(ValueError):
@@ -103,7 +94,7 @@ class ModelCandidate:
         if extra:
             raise ValueError(f"serving tasks {sorted(extra)} are not trained by "
                              f"this model (trains {list(self.training)})")
-        object.__setattr__(self, "cost", _real("cost", self.cost))
+        object.__setattr__(self, "cost", real("cost", self.cost))
         if not self.cost > 0:
             raise ValueError(f"model cost must be positive, got {self.cost}")
 
@@ -135,7 +126,7 @@ class Grouping:
     def __post_init__(self):
         ordered = tuple(sorted(self.candidates, key=lambda c: c.encoding))
         object.__setattr__(self, "candidates", ordered)
-        object.__setattr__(self, "budget", _real("budget", self.budget))
+        object.__setattr__(self, "budget", real("budget", self.budget))
 
     @property
     def total_cost(self) -> float:
@@ -370,10 +361,10 @@ def optimize_grouping(tasks: Sequence[str], gain: TaskMatrix, budget: float,
                          f"{sorted(gain.tasks)}")
     if not gain.is_complete():
         raise ValueError(f"gain matrix is missing cells {gain.missing_cells()}")
-    if mtl_cost is None:
-        mtl_cost = 2.0 * _real("stl_cost", stl_cost)
+    budget, stl_cost = real("budget", budget), real("stl_cost", stl_cost)
+    mtl_cost = 2.0 * stl_cost if mtl_cost is None else real("mtl_cost", mtl_cost)
     for label, value in (("budget", budget), ("stl_cost", stl_cost), ("mtl_cost", mtl_cost)):
-        if math.isnan(_real(label, value)):
+        if math.isnan(value):
             raise ValueError(f"{label} must be a number, got NaN")
     if stl_cost <= 0 or mtl_cost <= 0:
         raise ValueError(f"costs must be positive, got stl={stl_cost}, mtl={mtl_cost}")

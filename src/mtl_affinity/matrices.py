@@ -16,6 +16,9 @@ the tables the package reads (matrices, the bundled tables, suite splits
 and the taxonomy, :func:`parse_taxonomy`) go through the checked
 :func:`read_table`. Reports are written only, never read back. Only
 :meth:`TaskMatrix.as_array` loads numpy, so reading a table needs none.
+The package's one number rule is here too: :func:`integer` takes any integer
+type but a bool, :func:`real` any real number but a bool or a string; each
+returns a plain int or float or raises ValueError naming the argument.
 """
 
 from __future__ import annotations
@@ -23,13 +26,15 @@ from __future__ import annotations
 import csv
 import io
 import math
+import numbers
+import operator
 from typing import TYPE_CHECKING, Callable, Iterable, Mapping, Sequence
 
 if TYPE_CHECKING:
     import numpy as np
 
-__all__ = ["TaskMatrix", "MatrixFormatError", "MissingCellError", "optional_float",
-           "parse_taxonomy", "read_table", "write_table"]
+__all__ = ["TaskMatrix", "MatrixFormatError", "MissingCellError", "integer", "optional_float",
+           "parse_taxonomy", "read_table", "real", "write_table"]
 
 
 class MatrixFormatError(ValueError):
@@ -73,7 +78,7 @@ class TaskMatrix:
 
     def set(self, with_task: str, target: str, value: float) -> None:
         key = self._check_pair(with_task, target)
-        v = float(value)
+        v = real(f"cell {key}", value)
         if not math.isfinite(v):
             raise ValueError(f"cell {key} must be finite, got {value}")
         self._cells[key] = v
@@ -142,7 +147,26 @@ class TaskMatrix:
             raise MatrixFormatError(f"matrix: {exc}") from exc
 
 
-# --- the table codec ---
+# --- the number rule and the table codec ---
+
+
+def integer(name: str, value, minimum: int | None = None) -> int:
+    """``value`` as a plain int (numpy's integers too); a bool, a non-integer or one
+    below ``minimum`` raises ValueError naming ``name``."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    value = operator.index(value)
+    if minimum is not None and value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def real(name: str, value) -> float:
+    """``value`` as a plain float (integers and numpy's reals too); a bool or a non-real (a
+    numeric string too) raises ValueError naming ``name``. A plain float skips the ABC check."""
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def optional_float(cell: str) -> float | None:

@@ -53,7 +53,8 @@ import numpy as np
 
 from . import autodiff as ad
 from .seeding import BATCHING, INIT, model_stream
-from .tasks import MultiTaskDataset, TaskSpec, _integer, checked_labels
+from .matrices import integer, real
+from .tasks import MultiTaskDataset, TaskSpec, checked_labels
 
 __all__ = [
     "BackboneConfig",
@@ -74,12 +75,15 @@ __all__ = [
 
 
 class TrainingDivergedError(RuntimeError):
-    """A loss of model ``key`` became non-finite in 0-based epoch ``epoch``."""
+    """A loss of model ``key`` became non-finite in 0-based epoch ``epoch``; pickles with both."""
 
     def __init__(self, key: str, epoch: int):
         super().__init__(f"training diverged for {key} at epoch {epoch}")
         self.key = key
         self.epoch = epoch
+
+    def __reduce__(self):
+        return type(self), (self.key, self.epoch)
 
 
 def model_key(family: str, tasks: Sequence[str]) -> str:
@@ -99,12 +103,9 @@ class BackboneConfig:
 
     def __post_init__(self):
         object.__setattr__(self, "hidden_widths", tuple(
-            _integer(f"hidden_widths[{i}]", w) for i, w in enumerate(self.hidden_widths)))
-        if any(w < 1 for w in self.hidden_widths):
-            raise ValueError(f"hidden widths must be positive, got {self.hidden_widths}")
+            integer(f"hidden_widths[{i}]", w, minimum=1) for i, w in enumerate(self.hidden_widths)))
         for name in ("input_dim", "latent_dim"):
-            if _integer(name, getattr(self, name)) < 1:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+            object.__setattr__(self, name, integer(name, getattr(self, name), minimum=1))
 
     def layer_widths(self) -> list[tuple[int, int]]:
         chain = [self.input_dim, *self.hidden_widths, self.latent_dim]
@@ -121,22 +122,14 @@ class TrainConfig:
     eval_batch_size: int = 256
 
     def __post_init__(self):
-        for name in ("seed", "epochs", "batch_size", "eval_batch_size"):
-            _integer(name, getattr(self, name))
+        for name, least in (("seed", 0), ("epochs", 1), ("batch_size", 1), ("eval_batch_size", 1)):
+            object.__setattr__(self, name, integer(name, getattr(self, name), least))
         for name in ("initial_lr", "lr_decay"):
-            if isinstance(getattr(self, name), (bool, np.bool_)):
-                raise ValueError(f"{name} must be a number, got {getattr(self, name)!r}")
-        if self.seed < 0:
-            raise ValueError(f"seed must be non-negative, got {self.seed}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+            object.__setattr__(self, name, real(name, getattr(self, name)))
         if not 0.0 < self.lr_decay <= 1.0:
             raise ValueError(f"lr_decay must be in (0, 1], got {self.lr_decay}")
         if not 0.0 < self.initial_lr < math.inf:
             raise ValueError(f"initial_lr must be finite and > 0, got {self.initial_lr}")
-        for name in ("batch_size", "eval_batch_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
 
     def lr_at(self, epoch: int) -> float:
         return self.initial_lr * self.lr_decay ** epoch

@@ -63,10 +63,10 @@ def rankdata(values: Sequence[float]) -> np.ndarray:
     if not np.all(np.isfinite(va)):
         raise ValueError("values must be finite")
     n = va.shape[0]
-    order = np.argsort(va, kind="stable")
+    order = np.argsort(va)
     ranked = va[order]
-    # Tie groups are the runs of equal values in sorted order; positions
-    # start..end of a group all get the rank (start + end) / 2 + 1.
+    # Tie groups are the runs of equal values in sorted order, members in any
+    # order; positions start..end of a group all get the rank (start + end) / 2 + 1.
     first = np.flatnonzero(np.concatenate(([True], ranked[1:] != ranked[:-1])))
     last = np.append(first[1:], n) - 1
     ranks = np.empty(n, dtype=np.float64)

@@ -9,22 +9,21 @@ assert "more shared structure means higher affinity".
 Also here: loading user-supplied taxonomy distance matrices (parsed by
 :func:`matrices.parse_taxonomy`), and saving and loading a suite as files.
 A task's kind fixes its loss, so a suite's manifest records none and ignores
-the loss key that older manifests hold.
+the loss key that older manifests hold. Each count, seed and dimension is a
+:func:`matrices.integer` and each other number a :func:`matrices.real`.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import numbers
-import operator
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
-from .matrices import TaskMatrix, parse_taxonomy, read_table, write_table
+from .matrices import TaskMatrix, integer, parse_taxonomy, read_table, real, write_table
 from .seeding import DATASET, substream
 
 __all__ = [
@@ -45,22 +44,6 @@ SPLIT_NAMES = ("train", "val", "test")
 SPLIT_FRACTIONS = (0.70, 0.15, 0.15)
 
 
-def _integer(name: str, value, minimum: int | None = None) -> int:
-    """``value`` as an int (numpy's too); a bool, a non-integer or one below ``minimum``
-    raises naming ``name``."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    value = operator.index(value)
-    if minimum is not None and value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
-
-
-def _finite(value) -> bool:
-    """Whether ``value`` is a finite real number (numpy's too), not a bool or a string."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
 @dataclass(frozen=True)
 class LatentOrigin:
     """How a suite task was built: which latent dims, what readout.
@@ -77,16 +60,18 @@ class LatentOrigin:
         if not isinstance(dims, (list, tuple)):
             raise ValueError(f"origin.latent_dims must be a list of integers, got {dims!r}")
         object.__setattr__(self, "latent_dims", tuple(
-            _integer("origin.latent_dims", d, minimum=0) for d in dims))
+            integer("origin.latent_dims", d, minimum=0) for d in dims))
         if not (isinstance(rows, (list, tuple)) and all(isinstance(r, (list, tuple)) for r in rows)):
             raise ValueError(f"origin.weights must be a list of rows, got {rows!r}")
-        bad = [v for row in rows for v in row if not _finite(v)]
+        object.__setattr__(self, "weights", tuple(
+            tuple(real("origin.weights", v) for v in row) for row in rows))
+        bad = [v for row in self.weights for v in row if not math.isfinite(v)]
         if bad:
             raise ValueError(f"origin.weights must be finite numbers, got {bad[0]!r}")
-        object.__setattr__(self, "weights", tuple(map(tuple, rows)))
         if not isinstance(self.nonlinear, bool):
             raise ValueError(f"origin.nonlinear must be true or false, got {self.nonlinear!r}")
-        if not (_finite(self.noise_std) and self.noise_std >= 0):
+        object.__setattr__(self, "noise_std", real("origin.noise_std", self.noise_std))
+        if not (math.isfinite(self.noise_std) and self.noise_std >= 0):
             raise ValueError(f"origin.noise_std must be a finite number >= 0, "
                              f"got {self.noise_std!r}")
 
@@ -104,7 +89,7 @@ class TaskSpec:
             raise ValueError(f"task names must be non-empty strings, got {self.name!r}")
         if self.kind not in KINDS:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
-        object.__setattr__(self, "output_dim", _integer("output_dim", self.output_dim))
+        object.__setattr__(self, "output_dim", integer("output_dim", self.output_dim))
         minimum = 2 if self.kind == "classification" else 1
         if self.output_dim < minimum:
             raise ValueError(f"{self.kind} output_dim must be >= {minimum}, got {self.output_dim}")
@@ -199,24 +184,22 @@ def check_suite_args(n_tasks: int, d_latent: int, d_in: int, n_examples: int,
                      overlap: float, noise_std: float, n_classes: int = 3) -> None:
     """Raise ValueError naming the first argument of the generator out of range.
 
-    The counts must be integers (numpy's too, not bools), and ``overlap`` and
-    ``noise_std`` finite real numbers (not bools or numeric strings).
+    The counts are :func:`matrices.integer` and ``overlap`` and ``noise_std``
+    finite :func:`matrices.real` numbers.
     """
-    for name, value in (("d_latent", d_latent), ("d_in", d_in), ("n_examples", n_examples)):
-        _integer(name, value)
-    _integer("n_tasks", n_tasks, minimum=1)
-    _integer("n_classes", n_classes, minimum=2)
-    if not (_finite(overlap) and 0.0 <= overlap <= 1.0):
+    for name, value, least in (("d_latent", d_latent, None), ("d_in", d_in, None),
+                               ("n_examples", n_examples, 30), ("n_tasks", n_tasks, 1),
+                               ("n_classes", n_classes, 2)):
+        integer(name, value, least)
+    if not 0.0 <= real("overlap", overlap) <= 1.0:
         raise ValueError(f"overlap must be in [0, 1], got {overlap!r}")
-    if not (_finite(noise_std) and noise_std >= 0.0):
+    if not (math.isfinite(real("noise_std", noise_std)) and noise_std >= 0.0):
         raise ValueError(f"noise_std must be finite and >= 0, got {noise_std!r}")
     if d_latent > d_in:
         raise ValueError(f"d_latent ({d_latent}) must not exceed d_in ({d_in})")
     if d_latent < n_tasks:
         raise ValueError(f"d_latent must be at least n_tasks ({n_tasks}) to give each task "
                          f"disjoint latent dims, got {d_latent}")
-    if n_examples < 30:
-        raise ValueError(f"n_examples must be at least 30, got {n_examples}")
 
 
 def generate_latent_factor_suite(
@@ -252,7 +235,7 @@ def generate_latent_factor_suite(
     Deterministic: the same arguments always produce bit-identical output.
     ``seed`` must be an integer >= 0.
     """
-    seed = _integer("seed", seed, minimum=0)
+    seed = integer("seed", seed, minimum=0)
     check_suite_args(n_tasks, d_latent, d_in, n_examples, overlap, noise_std, n_classes)
     if kinds is None:
         kinds = [KINDS[i % 2] for i in range(n_tasks)]
@@ -378,7 +361,7 @@ def load_dataset(directory: str | Path) -> TaskSuite:
         names = [spec.name for spec in specs]
         if len(set(names)) != len(names):
             raise ValueError(f"task names must be unique, got {names}")
-        seed = _integer("seed", manifest["seed"], minimum=0)
+        seed = integer("seed", manifest["seed"], minimum=0)
     except KeyError as exc:
         raise ValueError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:

@@ -265,7 +265,7 @@ def test_run_on_suite_with_a_non_integer_output_dim_exits_2(tmp_path, capsys, ou
     (lambda payload: payload["specs"][0]["origin"].update(nonlinear="false"),
      "origin.nonlinear must be true or false, got 'false'"),
     (lambda payload: payload["specs"][0]["origin"].update(noise_std="0.1"),
-     "origin.noise_std must be a finite number >= 0, got '0.1'"),
+     "origin.noise_std must be a real number, got '0.1'"),
     (lambda payload: payload["specs"][0]["origin"].update(latent_dims=[1.5, "x"]),
      "origin.latent_dims must be an integer, got 1.5"),
 ])

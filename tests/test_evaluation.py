@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -217,6 +218,17 @@ def test_cost_model_validation():
         ev.CostModel(3, 0.0)
     assert ev.MODEL_FAMILIES["mtl"].members(("c", "a", "b")) == [("a", "b"), ("a", "c"),
                                                                  ("b", "c")]
+
+
+@pytest.mark.parametrize("c_s", [True, "3"])
+def test_cost_model_refuses_a_non_real_c_s(c_s):
+    with pytest.raises(ValueError, match=f"^c_s must be a real number, got {c_s!r}$"):
+        ev.CostModel(4, c_s)
+
+
+def test_cost_model_takes_a_numpy_integer_n():
+    cost = ev.CostModel(np.int64(4), 1.0)
+    assert type(cost.n) is int and cost == ev.CostModel(4, 1.0)
 
 
 def test_cost_expressions_are_fixed_strings():

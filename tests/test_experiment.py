@@ -148,7 +148,7 @@ def test_config_rejects_non_finite_floats(field):
 @pytest.mark.parametrize("overrides, message", [
     ({"overlap": 1.5}, r"overlap must be in \[0, 1\], got 1.5"),
     ({"noise_std": -1}, "noise_std must be finite and >= 0, got -1"),
-    ({"n_examples": 10}, "n_examples must be at least 30, got 10"),
+    ({"n_examples": 10}, "n_examples must be >= 30, got 10"),
     ({"d_latent": 100}, r"d_latent \(100\) must not exceed d_in \(24\)"),
     ({"n_tasks": 13}, r"d_latent must be at least n_tasks \(13\)"),
 ])
@@ -157,6 +157,14 @@ def test_config_checks_generator_ranges_at_construction(tmp_path, overrides, mes
         ExperimentConfig(**overrides)
     # A dataset directory replaces the generator, so its arguments go unchecked.
     assert ExperimentConfig(dataset_path=str(tmp_path), **overrides).dataset_path
+
+
+def test_config_stores_numpy_integers_as_plain_ints():
+    cfg = ExperimentConfig(n_tasks=np.int64(4), seeds=(np.int64(2),), hidden=(np.int32(8), 4))
+    payload = cfg.to_json_dict()
+    assert type(payload["n_tasks"]) is int and payload["n_tasks"] == 4
+    assert all(type(v) is int for v in (*payload["seeds"], *payload["hidden"]))
+    assert cfg.sha256() == ExperimentConfig(n_tasks=4, seeds=(2,), hidden=(8, 4)).sha256()
 
 
 def test_config_float_fields_keep_json_ints():

@@ -33,6 +33,14 @@ def test_diagonal_rejected():
         m.get("y", "y")
 
 
+@pytest.mark.parametrize("value", ["0.5", True])
+def test_cell_must_be_a_real_number(value):
+    m = TaskMatrix(["x", "y"])
+    with pytest.raises(ValueError, match=rf"^cell \('x', 'y'\) must be a real number, got {value!r}$"):
+        m.set("x", "y", value)
+    assert not m.has("x", "y")
+
+
 def test_unknown_task_rejected():
     m = TaskMatrix(["x", "y"])
     with pytest.raises(KeyError):

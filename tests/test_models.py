@@ -1,6 +1,9 @@
 """Model construction, capacity accounting, and the training loop."""
 
+import multiprocessing
+import pickle
 import re
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -126,7 +129,7 @@ def test_train_config_validation():
     for lr in (-1.0, float("nan"), float("inf")):
         with pytest.raises(ValueError, match="initial_lr must be finite and > 0"):
             m.TrainConfig(seed=0, initial_lr=lr)
-    with pytest.raises(ValueError, match="seed must be non-negative, got -3"):
+    with pytest.raises(ValueError, match="seed must be >= 0, got -3"):
         m.TrainConfig(seed=-3)
     assert m.TrainConfig(seed=0, lr_decay=1.0).lr_at(9) == pytest.approx(0.05)
 
@@ -167,7 +170,13 @@ def test_train_config_rejects_non_integers(field, value):
 @pytest.mark.parametrize("field", ["initial_lr", "lr_decay"])
 @pytest.mark.parametrize("value", [True, np.True_])
 def test_train_config_rejects_bools_in_float_fields(field, value):
-    with pytest.raises(ValueError, match=f"^{field} must be a number, got {value!r}$"):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
+        m.TrainConfig(**{"seed": 0, field: value})
+
+
+@pytest.mark.parametrize("field, value", [("initial_lr", "0.05"), ("lr_decay", None)])
+def test_train_config_rejects_non_reals_in_float_fields(field, value):
+    with pytest.raises(ValueError, match=f"^{field} must be a real number, got {value!r}$"):
         m.TrainConfig(**{"seed": 0, field: value})
 
 
@@ -250,6 +259,20 @@ def test_train_stl_divergence_carries_epoch():
     with pytest.raises(m.TrainingDivergedError) as info:
         m.train_stl([s.specs[0]], s.dataset, BACKBONE, quick_cfg(initial_lr=1e6))
     assert info.value.epoch == 0
+
+
+def _diverge(key: str, epoch: int):
+    raise m.TrainingDivergedError(key, epoch)
+
+
+def test_divergence_survives_a_worker_process():
+    error = pickle.loads(pickle.dumps(m.TrainingDivergedError("stl/task0", 3)))
+    assert (type(error), error.key, error.epoch) == (m.TrainingDivergedError, "stl/task0", 3)
+    assert str(error) == "training diverged for stl/task0 at epoch 3"
+    with ProcessPoolExecutor(max_workers=1, mp_context=multiprocessing.get_context("spawn")) as pool:
+        with pytest.raises(m.TrainingDivergedError) as info:
+            pool.submit(_diverge, "mtl/task0/task1", 7).result()
+    assert (info.value.key, info.value.epoch) == ("mtl/task0/task1", 7)
 
 
 def test_train_stl_solves_noiseless_linear_task():
